@@ -17,21 +17,16 @@ import numpy as np
 from .oracles import residual_check
 from .solver import (
     ClassicalIVP,
+    GeneralizedIC,
     HypothesisError,
     PoleSpec,
-    _check_contour,
-    _check_pole_orders,
-    _hardy_gate,
-    decay_fit,
-    assemble_ivp_system,
+    hypothesis_gates,
     solve_classical_ivp,
     solve_generalized,
     solve_with_poles,
-    zero_ic,
-    GeneralizedIC,
 )
-from .symbols import SymbolSyntaxError, eval_symbol, parse_expression, parse_symbol
-from .transforms import BromwichConfig, builtin_forcing, forcing_from_text, smoothness_order, verify_forcing
+from .symbols import parse_symbol
+from .transforms import BromwichConfig, builtin_forcing, forcing_from_text
 
 MODES = ("generalized", "classical-ivp", "poles-given", "diagnose")
 _KEYS = ("mode", "symbol", "forcing", "gic", "sigma", "y_max", "quad_tol",
@@ -185,8 +180,8 @@ def _build_forcing(text: str):
     return forcing_from_text(text)
 
 
-def _build_pole_spec(cfg: ProblemConfig) -> PoleSpec:
-    return PoleSpec(tuple((complex(re, im), order) for re, im, order in cfg.poles))
+def _pole_pairs(cfg: ProblemConfig) -> tuple:
+    return tuple((complex(re, im), order) for re, im, order in cfg.poles)
 
 
 def _bromwich_config(cfg: ProblemConfig) -> BromwichConfig:
@@ -209,6 +204,11 @@ def _write_csv(path: str, ts: np.ndarray, bro: np.ndarray, res: np.ndarray) -> N
         ]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _gate_table(rows) -> list[str]:
+    width = max(len(row[0]) for row in rows)
+    return [f"{name:<{width}}  {status:<4}  {detail}" for name, status, detail, *_ in rows]
 
 
 def _report_lines(cfg: ProblemConfig, diagnostics: dict, extra: dict) -> list[str]:
@@ -236,14 +236,32 @@ def _report_lines(cfg: ProblemConfig, diagnostics: dict, extra: dict) -> list[st
         if ive is not None else "initial_value_errors: n/a",
         f"residual_sup: {extra['residual_sup']}",
         f"residual_N_used: {extra['residual_N_used']}",
+        f"residual_ok: {extra['residual_ok']}",
+        f"residual_notes: {extra['residual_notes']}",
+        "gates:",
     ]
-    return lines
+    return lines + ["  " + row for row in _gate_table(diagnostics["gates"])]
+
+
+def _load_problem(config_path: str, overrides: dict | None):
+    """The config and its parsed symbol, forcing, generalized initial
+    condition (None if absent) and contour settings; a syntax error in any
+    of them is a ConfigError."""
+    try:
+        cfg = _with_overrides(load_config(config_path), overrides)
+        symbol = parse_symbol(cfg.symbol_text)
+        forcing = _build_forcing(cfg.forcing_text)
+        gic = None if cfg.gic_text is None else \
+            GeneralizedIC(parse_symbol(cfg.gic_text), "user-supplied")
+        return cfg, (symbol, forcing, gic, _bromwich_config(cfg))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run(config_path: str, overrides: dict | None = None) -> int:
     """Solve the configured problem; write CSV and report."""
     try:
-        cfg = _with_overrides(load_config(config_path), overrides)
+        cfg, (symbol, forcing, gic, bcfg) = _load_problem(config_path, overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -251,25 +269,12 @@ def run(config_path: str, overrides: dict | None = None) -> int:
         return diagnose(config_path, overrides)
 
     try:
-        symbol = parse_symbol(cfg.symbol_text)
-        forcing = _build_forcing(cfg.forcing_text)
-        bcfg = _bromwich_config(cfg)
-    except (SymbolSyntaxError, ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if cfg.mode == "generalized":
-            gic = GeneralizedIC(
-                parse_symbol(cfg.gic_text), "user-supplied"
-            )
             solution = solve_generalized(symbol, forcing, gic, bcfg)
         elif cfg.mode == "poles-given":
-            gic = GeneralizedIC(parse_symbol(cfg.gic_text), "user-supplied")
-            poles = _build_pole_spec(cfg)
-            solution = solve_with_poles(symbol, forcing, gic, poles, bcfg)
+            solution = solve_with_poles(symbol, forcing, gic, PoleSpec(_pole_pairs(cfg)), bcfg)
         else:
-            ivp = ClassicalIVP(symbol, forcing, _build_pole_spec(cfg), cfg.initial_values)
+            ivp = ClassicalIVP(symbol, forcing, PoleSpec(_pole_pairs(cfg)), cfg.initial_values)
             solution, _ = solve_classical_ivp(ivp, bcfg)
 
         t0, t1, n = cfg.grid
@@ -281,11 +286,13 @@ def run(config_path: str, overrides: dict | None = None) -> int:
             if positive.size else positive
         try:
             rep = residual_check(symbol, solution, forcing, sample, N=24, tol=1e-4)
-            residual_sup = f"{rep['sup_residual']:.6e}"
-            residual_n = str(rep["N_used"])
+            residual = {"residual_sup": f"{rep['sup_residual']:.6e}",
+                        "residual_N_used": str(rep["N_used"]),
+                        "residual_ok": "yes" if rep["ok"] else "no",
+                        "residual_notes": "; ".join(rep["warnings"]) or "none"}
         except ArithmeticError as exc:
-            residual_sup = f"n/a ({exc})"
-            residual_n = "n/a"
+            residual = {"residual_sup": f"n/a ({exc})", "residual_N_used": "n/a",
+                        "residual_ok": "n/a", "residual_notes": "none"}
     except (HypothesisError, ArithmeticError, ValueError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 2
@@ -293,9 +300,7 @@ def run(config_path: str, overrides: dict | None = None) -> int:
     try:
         _write_csv(cfg.output_csv, ts, bro, res)
         if cfg.output_report:
-            lines = _report_lines(cfg, solution.diagnostics,
-                                  {"status": "ok", "residual_sup": residual_sup,
-                                   "residual_N_used": residual_n})
+            lines = _report_lines(cfg, solution.diagnostics, {"status": "ok", **residual})
             with open(cfg.output_report, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
     except OSError as exc:
@@ -305,124 +310,29 @@ def run(config_path: str, overrides: dict | None = None) -> int:
     return 0
 
 
-def _diag_rows(cfg: ProblemConfig) -> list[tuple[str, str, str]]:
-    rows: list[tuple[str, str, str]] = []
-    bcfg = _bromwich_config(cfg)
-
-    try:
-        symbol = parse_symbol(cfg.symbol_text)
-        f_eval = lambda s: eval_symbol(symbol, s)  # noqa: E731
-        rows.append(("symbol-parse", "PASS", cfg.symbol_text))
-    except (SymbolSyntaxError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    xs = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        near = np.abs(np.asarray(f_eval(xs + 0j), np.complex128))
-    if not np.all(np.isfinite(near)) or near[-1] > 100.0 * max(1.0, near[0]):
-        rows.append(("analytic-right-half-plane", "FAIL",
-                     f"|f| grows to {near[-1]:.3e} approaching the axis"))
-    else:
-        rows.append(("analytic-right-half-plane", "PASS", "|f| bounded near the axis"))
-
-    try:
-        _check_contour(f_eval, bcfg)
-        rows.append(("contour-nonvanishing", "PASS", f"Re(s) = {bcfg.sigma:g}"))
-    except HypothesisError as exc:
-        rows.append(("contour-nonvanishing", "FAIL", str(exc)))
-
-    forcing = None
-    try:
-        forcing = _build_forcing(cfg.forcing_text)
-        if forcing.is_zero:
-            rows.append(("forcing-transform", "PASS", "zero forcing"))
-        else:
-            check = verify_forcing(forcing)
-            rows.append(("forcing-transform",
-                         "PASS" if check["ok"] else "FAIL",
-                         f"max probe error {check['max_error']:.3e}"))
-    except (ConfigError, ValueError) as exc:
-        rows.append(("forcing-transform", "FAIL", str(exc)))
-
-    gic = None
-    if cfg.gic_text is not None:
-        try:
-            gic = GeneralizedIC(parse_symbol(cfg.gic_text), "user-supplied")
-            rows.append(("gic-parse", "PASS", cfg.gic_text))
-        except (SymbolSyntaxError, ValueError) as exc:
-            rows.append(("gic-parse", "FAIL", str(exc)))
-
-    if forcing is not None and (not forcing.is_zero or gic is not None):
-        def F_total(s):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                num = np.asarray(forcing.laplace(s), np.complex128)
-                if gic is not None:
-                    num = num + np.asarray(gic.eval(s), np.complex128)
-                return num / np.asarray(f_eval(s), np.complex128)
-
-        try:
-            report = _hardy_gate(F_total, bcfg, "(L(J) + r)/f")
-            rows.append(("hardy-membership", "PASS", f"sup mu_2 = {report['sup']:.4e}"))
-        except (HypothesisError, ValueError) as exc:
-            rows.append(("hardy-membership", "FAIL", str(exc)))
-
-        if cfg.mode == "classical-ivp" and not forcing.is_zero:
-            k_total = sum(order for _, _, order in cfg.poles) or 1
-
-            def F0(s):
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    return np.asarray(forcing.laplace(s), np.complex128) \
-                        / np.asarray(f_eval(s), np.complex128)
-
-            m = smoothness_order(F0, bcfg.sigma, n_cap=max(k_total + 1, 6), y_max=bcfg.y_max)
-            rows.append(("smoothness-order",
-                         "PASS" if m >= k_total - 1 else "FAIL",
-                         f"M = {m}, K = {k_total}"))
-
-    if gic is not None:
-        try:
-            fit = decay_fit(lambda s: gic.eval(s) / f_eval(s))
-            rows.append(("decay-of-r-over-f",
-                         "PASS" if fit["q"] > 0.05 else "FAIL",
-                         f"fitted q = {fit['q']:.3f}"))
-        except HypothesisError as exc:
-            rows.append(("decay-of-r-over-f", "FAIL", str(exc)))
-
-    if cfg.poles:
-        try:
-            spec = _build_pole_spec(cfg)
-            _check_pole_orders(f_eval, spec)
-            rows.append(("pole-constraints", "PASS", f"K = {spec.K}"))
-            if cfg.mode == "classical-ivp" and cfg.initial_values:
-                ivp = ClassicalIVP(symbol, forcing or _build_forcing("0"),
-                                   spec, cfg.initial_values)
-                matrix, _ = assemble_ivp_system(ivp, np.zeros(spec.K, np.complex128))
-                cond = float(np.linalg.cond(matrix))
-                rows.append(("conditioning",
-                             "PASS" if cond <= 1e10 else "FAIL",
-                             f"condition number {cond:.3e}"))
-        except (HypothesisError, ValueError) as exc:
-            rows.append(("pole-constraints", "FAIL", str(exc)))
-    return rows
-
-
 def diagnose(config_path: str, overrides: dict | None = None) -> int:
-    """Run only the hypothesis checks and print a PASS/FAIL table."""
+    """Run only the hypothesis gates of the configured solve and print a
+    PASS/FAIL/SKIP table."""
     try:
-        cfg = _with_overrides(load_config(config_path), overrides)
+        cfg, (symbol, forcing, gic, bcfg) = _load_problem(config_path, overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        rows = _diag_rows(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    # a solve mode checks only the fields its solver takes
+    poles = _pole_pairs(cfg) or None
+    initial = cfg.initial_values or None
+    if cfg.mode == "generalized":
+        poles, initial = None, None
+    elif cfg.mode == "poles-given":
+        initial = None
+    elif cfg.mode == "classical-ivp":
+        gic = None
+    rows = list(hypothesis_gates(symbol, forcing, bcfg, r=gic, poles=poles,
+                                 initial_values=initial))
     print("nlode diagnose report")
-    width = max(len(name) for name, _, _ in rows)
-    for name, status, detail in rows:
-        print(f"{name:<{width}}  {status:<4}  {detail}")
-    failed = any(status == "FAIL" for _, status, _ in rows)
+    for line in _gate_table(rows):
+        print(line)
+    failed = any(status == "FAIL" for _, status, _, _ in rows)
     print(f"result: {'FAIL' if failed else 'PASS'}")
     return 2 if failed else 0
 

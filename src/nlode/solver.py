@@ -8,6 +8,9 @@ Three entry points share the same transform-side machinery:
 - solve_classical_ivp constructs the residue coefficients, and with them
   the generalized initial condition r0, from finitely many local initial
   values.
+
+Each first drains hypothesis_gates, the ordered solvability checks that
+`nlode diagnose` prints, and raises HypothesisError at the first FAIL.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ from .transforms import (
     get_line_sampler,
     hardy_membership,
     smoothness_order,
+    verify_forcing,
 )
 
 CONDITION_LIMIT = 1e10
+DECAY_EXPONENT_MIN = 0.05
 LAURENT_TOL = 1e-11
 DECAY_RADII = (1e2, 1e3, 1e4)
 ZERO_COUNT_CAP = 64
@@ -106,7 +111,7 @@ class GeneralizedIC:
     provenance: str = "user-supplied"
 
     def __post_init__(self) -> None:
-        allowed = {"user-supplied", "constructed-from-IVP", "series-from-data"}
+        allowed = {"user-supplied", "constructed-from-IVP"}
         if self.provenance not in allowed:
             raise ValueError(f"provenance must be one of {sorted(allowed)}")
         if not (isinstance(self.r, AnalyticSymbol) or callable(self.r)):
@@ -268,19 +273,6 @@ def _symbol_eval(f) -> Callable:
     raise ValueError("symbol must be an AnalyticSymbol or a callable")
 
 
-def _check_contour(f_eval: Callable, cfg: BromwichConfig) -> None:
-    ys = np.linspace(-cfg.y_max, cfg.y_max, 513)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.abs(np.asarray(f_eval(cfg.sigma + 1j * ys), np.complex128))
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
-        raise HypothesisError("symbol is not finite anywhere on the contour line")
-    if float(np.min(finite)) < 1e-8 * float(np.median(finite)):
-        raise HypothesisError(
-            f"symbol vanishes on the contour line Re(s) = {cfg.sigma:g}; shift sigma"
-        )
-
-
 def decay_fit(g: Callable, radii=DECAY_RADII) -> dict:
     """Empirical decay fit |g| ~ C |s|^{-q} on 8 rays at large |s|.
 
@@ -305,52 +297,6 @@ def decay_fit(g: Callable, radii=DECAY_RADII) -> dict:
     design = np.stack([lx, np.ones_like(lx)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(design, lv, rcond=None)
     return {"q": -float(slope), "C": float(math.exp(min(intercept, 700.0))), "n_finite": n_finite}
-
-
-def _hardy_gate(F: Callable, cfg: BromwichConfig, what: str) -> dict:
-    x_grid = tuple(sorted({0.01, 0.1, min(1.0, cfg.sigma), cfg.sigma}))
-    report = hardy_membership(F, 2.0, x_grid=x_grid, y_max=cfg.y_max)
-    if not report["bounded"]:
-        raise HypothesisError(
-            f"Hardy membership fails for {what}: line means are not uniformly bounded",
-            report,
-        )
-    return report
-
-
-def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | None = None) -> Solution:
-    """Solve f(d/dt) phi = J with generalized initial condition r.
-
-    The solution transform is (L(J) + r)/f; it must pass the Hardy
-    membership gate, and r/f must decay at large |s|.
-    """
-    cfg = cfg or BromwichConfig()
-    if J.closed_form_laplace is None:
-        raise HypothesisError("forcing needs a closed-form transform on the contour line")
-    gic = _as_gic(r)
-    f_eval = _symbol_eval(f)
-    _check_contour(f_eval, cfg)
-
-    diagnostics: dict = {"mode": "generalized"}
-    if not gic.is_zero:
-        diagnostics["r_over_f_decay"] = decay_fit(lambda s: gic.eval(s) / f_eval(s))
-        if diagnostics["r_over_f_decay"]["q"] <= 0.05:
-            raise HypothesisError(
-                "decay hypothesis fails: fitted exponent q = "
-                f"{diagnostics['r_over_f_decay']['q']:.3f} is not positive",
-                diagnostics,
-            )
-
-    if J.is_zero and gic.is_zero:
-        raise HypothesisError("both J and r vanish; the solution is identically zero")
-
-    def F_total(s):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            num = np.asarray(J.laplace(s), np.complex128) + np.asarray(gic.eval(s), np.complex128)
-            return num / np.asarray(f_eval(s), np.complex128)
-
-    diagnostics["hardy"] = _hardy_gate(F_total, cfg, "(L(J) + r)/f")
-    return Solution(f, J, gic, cfg, F_total, diagnostics=diagnostics)
 
 
 def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float) -> list:
@@ -398,7 +344,6 @@ def _default_radii(poles: PoleSpec) -> list[float]:
         radii.append(min(rad, abs(omega.real) / 2.0, 0.5))
     return radii
 
-
 def _check_pole_orders(f_eval: Callable, poles: PoleSpec) -> None:
     """Every declared pole of r/f must be a zero of f of at least that order.
 
@@ -419,55 +364,6 @@ def _check_pole_orders(f_eval: Callable, poles: PoleSpec) -> None:
                     f"symbol of at least that order; the symbol's degree-{k} "
                     "Taylor coefficient there is not negligible"
                 )
-
-
-def solve_with_poles(f: AnalyticSymbol, J: Forcing, r, poles: PoleSpec,
-                     cfg: BromwichConfig | None = None) -> Solution:
-    """Residue-expansion solve: Bromwich part from L(J)/f, residue
-    polynomials from the Laurent coefficients of r/f at the declared poles."""
-    cfg = cfg or BromwichConfig()
-    if J.closed_form_laplace is None:
-        raise HypothesisError("forcing needs a closed-form transform on the contour line")
-    gic = _as_gic(r)
-    f_eval = _symbol_eval(f)
-    _check_contour(f_eval, cfg)
-    _check_pole_orders(f_eval, poles)
-
-    diagnostics: dict = {"mode": "poles-given"}
-    if gic.is_zero:
-        rp = ResiduePolynomials.zeros(poles)
-    else:
-        def g(s):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return np.asarray(gic.eval(s), np.complex128) / np.asarray(f_eval(s), np.complex128)
-
-        diagnostics["r_over_f_decay"] = decay_fit(g)
-        if diagnostics["r_over_f_decay"]["q"] <= 0.05:
-            raise HypothesisError(
-                "decay hypothesis fails for r/f at large |s|", diagnostics
-            )
-        blocks = []
-        for (omega, order), radius in zip(poles.poles, _default_radii(poles)):
-            coeffs = laurent_coefficients(g, omega, order, radius)
-            blocks.append(tuple(coeffs))
-            top = abs(coeffs[-1])
-            scale = max(1.0, max(abs(c) for c in coeffs))
-            if order > 1 and top < 1e-10 * scale:
-                warnings.warn(
-                    f"pole order at {omega} may be overstated: leading Laurent "
-                    f"coefficient {top:.2e} is negligible",
-                    stacklevel=2,
-                )
-        rp = ResiduePolynomials(tuple(blocks))
-
-    F0 = None
-    if not J.is_zero:
-        def F0(s):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return np.asarray(J.laplace(s), np.complex128) / np.asarray(f_eval(s), np.complex128)
-
-        diagnostics["hardy"] = _hardy_gate(F0, cfg, "L(J)/f")
-    return Solution(f, J, gic, cfg, F0, poles=poles, residue=rp, diagnostics=diagnostics)
 
 
 def assemble_ivp_system(ivp: ClassicalIVP, Ln) -> tuple[np.ndarray, np.ndarray]:
@@ -530,6 +426,214 @@ def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
     return out
 
 
+def _quotient(num: Callable, f_eval: Callable) -> Callable:
+    """s -> num(s)/f(s); overflow and division by zero are left to the gates."""
+    def q(s):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.asarray(num(s), np.complex128) / np.asarray(f_eval(s), np.complex128)
+    return q
+
+
+def _transforms(f_eval: Callable, J: Forcing, gic: GeneralizedIC, split: bool) -> tuple:
+    """(F, g): the transform the solve inverts, and r/f; each None when zero.
+
+    Without declared poles F = (L(J) + r)/f.  With them (split) F = L(J)/f,
+    and r/f goes to the residues at the poles instead.
+    """
+    g = None if gic.is_zero else _quotient(gic.eval, f_eval)
+    if split:
+        F = None if J.is_zero else _quotient(J.laplace, f_eval)
+    elif J.is_zero and gic.is_zero:
+        F = None
+    else:
+        F = _quotient(lambda s: np.asarray(J.laplace(s), np.complex128)
+                      + np.asarray(gic.eval(s), np.complex128), f_eval)
+    return F, g
+
+
+def _verdict(ok: bool, passed: str, failed: str) -> tuple[str, str]:
+    return ("PASS", passed) if ok else ("FAIL", failed)
+
+
+def _gate_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_values):
+    f_eval = _symbol_eval(f)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near = np.abs(np.asarray(f_eval(np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j), np.complex128))
+        on_line = np.abs(np.asarray(
+            f_eval(cfg.sigma + 1j * np.linspace(-cfg.y_max, cfg.y_max, 513)), np.complex128))
+    ok = bool(np.all(np.isfinite(near))) and near[-1] <= 100.0 * max(1.0, near[0])
+    yield ("analytic-right-half-plane", *_verdict(
+        ok, "|f| bounded near the axis", f"|f| grows to {near[-1]:.3e} approaching the axis"), None)
+
+    finite = on_line[np.isfinite(on_line)]
+    if finite.size == 0:
+        yield ("contour-nonvanishing", "FAIL",
+               "symbol is not finite anywhere on the contour line", None)
+    else:
+        ok = float(np.min(finite)) >= 1e-8 * float(np.median(finite))
+        yield ("contour-nonvanishing", *_verdict(
+            ok, f"Re(s) = {cfg.sigma:g}",
+            f"symbol vanishes on the contour line Re(s) = {cfg.sigma:g}; shift sigma"), None)
+
+    if J.closed_form_laplace is None:
+        yield ("forcing-transform", "FAIL",
+               "forcing needs a closed-form transform on the contour line", None)
+    elif J.is_zero:
+        yield "forcing-transform", "PASS", "zero forcing", None
+    else:
+        try:
+            # probe where the solve uses the transform: on and right of the contour
+            check = verify_forcing(J, re_min=cfg.sigma)
+        except (ValueError, ArithmeticError) as exc:
+            check = {"ok": False, "max_error": math.nan, "reason": str(exc)}
+        error = f"max probe error {check['max_error']:.3e}"
+        yield ("forcing-transform", *_verdict(
+            check["ok"], error,
+            f"closed-form transform of the forcing fails its quadrature check: "
+            f"{check.get('reason', error)}"), None)
+
+    what = "(L(J) + r)/f" if poles is None else "L(J)/f"
+    if F is None and poles is None:
+        yield ("hardy-membership", "FAIL",
+               "both J and r vanish; the solution is identically zero", None)
+    elif F is None:
+        yield "hardy-membership", "SKIP", "J = 0: no Bromwich part", None
+    else:
+        x_grid = tuple(sorted({0.01, 0.1, min(1.0, cfg.sigma), cfg.sigma}))
+        report = hardy_membership(F, 2.0, x_grid=x_grid, y_max=cfg.y_max)
+        yield ("hardy-membership", *_verdict(
+            report["bounded"], f"sup mu_2 = {report['sup']:.4e} for {what}",
+            f"Hardy membership fails for {what}: line means are not uniformly bounded"), report)
+
+    if g is None:
+        yield "decay-of-r-over-f", "SKIP", "r = 0", None
+    else:
+        try:
+            fit = decay_fit(g)
+        except HypothesisError as exc:
+            yield "decay-of-r-over-f", "FAIL", str(exc), None
+        else:
+            yield ("decay-of-r-over-f", *_verdict(
+                fit["q"] > DECAY_EXPONENT_MIN, f"fitted q = {fit['q']:.3f}",
+                f"decay hypothesis fails: fitted exponent q = {fit['q']:.3f} is not positive"),
+                fit)
+
+    pairs = poles.poles if isinstance(poles, PoleSpec) else poles or ()
+    if initial_values is None or F is None:
+        yield ("smoothness-order", "SKIP",
+               "no initial values" if initial_values is None else "J = 0: no Bromwich part", None)
+    else:
+        K = sum(order for _, order in pairs)
+        M = smoothness_order(F, cfg.sigma, n_cap=max(K + 1, 6), y_max=cfg.y_max)
+        yield ("smoothness-order", *_verdict(
+            M >= K - 1, f"M = {M}, K = {K}",
+            f"smoothness order M = {M} is below K - 1 = {K - 1}; "
+            "the Bromwich part cannot match the requested initial data"), M)
+
+    ivp = None
+    if poles is None:
+        yield "pole-constraints", "SKIP", "no declared poles", None
+    else:
+        try:
+            spec = poles if isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
+            _check_pole_orders(f_eval, spec)
+            if initial_values is not None:
+                ivp = ClassicalIVP(f, J, spec, initial_values)
+            yield "pole-constraints", "PASS", f"K = {spec.K}", None
+        except (HypothesisError, ValueError) as exc:
+            yield "pole-constraints", "FAIL", str(exc), None
+
+    if ivp is None:
+        yield "conditioning", "SKIP", "no initial-value system", None
+    else:
+        cond = float(np.linalg.cond(assemble_ivp_system(ivp, np.zeros(ivp.poles.K))[0]))
+        yield ("conditioning", *_verdict(
+            cond <= CONDITION_LIMIT, f"condition number {cond:.3e}",
+            f"non-generic pole configuration: system condition number {cond:.3e} "
+            f"exceeds {CONDITION_LIMIT:.0e}"), cond)
+
+
+def hypothesis_gates(f, J: Forcing, cfg: BromwichConfig | None = None, r=None,
+                     poles=None, initial_values=None):
+    """The solvability hypotheses of one problem, checked in a fixed order.
+
+    Yields rows (name, status, detail, data), status PASS, FAIL or SKIP,
+    for: analytic-right-half-plane, contour-nonvanishing,
+    forcing-transform, hardy-membership, decay-of-r-over-f,
+    smoothness-order, pole-constraints and conditioning.  The arguments
+    name the problem as the solvers take it: without poles the Hardy gate
+    tests (L(J) + r)/f (solve_generalized); with poles, given as a
+    PoleSpec or (omega, order) pairs, it tests L(J)/f (solve_with_poles);
+    initial values add the classical IVP's smoothness and conditioning
+    gates (solve_classical_ivp).  Each solver drains these rows and raises
+    HypothesisError at the first FAIL.
+    """
+    gic = _as_gic(r)
+    F, g = _transforms(_symbol_eval(f), J, gic, split=poles is not None)
+    yield from _gate_rows(f, J, F, g, cfg or BromwichConfig(), poles, initial_values)
+
+
+# row data kept in Solution.diagnostics, by gate
+_DIAGNOSTIC_KEYS = {
+    "hardy-membership": "hardy",
+    "decay-of-r-over-f": "r_over_f_decay",
+    "smoothness-order": "smoothness_order",
+    "conditioning": "condition_number",
+}
+
+
+def _run_gates(rows, mode: str) -> dict:
+    """Drain gate rows into a diagnostics dict; raise at the first FAIL."""
+    diagnostics: dict = {"mode": mode, "gates": []}
+    for name, status, detail, data in rows:
+        diagnostics["gates"].append((name, status, detail))
+        if data is not None and name in _DIAGNOSTIC_KEYS:
+            diagnostics[_DIAGNOSTIC_KEYS[name]] = data
+        if status == "FAIL":
+            raise HypothesisError(detail, diagnostics)
+    return diagnostics
+
+
+def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | None = None) -> Solution:
+    """Solve f(d/dt) phi = J with generalized initial condition r.
+
+    The solution transform is (L(J) + r)/f; it must be in the Hardy
+    space, and r/f must decay at large |s| (see hypothesis_gates).
+    """
+    cfg = cfg or BromwichConfig()
+    gic = _as_gic(r)
+    F, g = _transforms(_symbol_eval(f), J, gic, split=False)
+    diagnostics = _run_gates(_gate_rows(f, J, F, g, cfg, None, None), "generalized")
+    return Solution(f, J, gic, cfg, F, diagnostics=diagnostics)
+
+
+def solve_with_poles(f: AnalyticSymbol, J: Forcing, r, poles: PoleSpec,
+                     cfg: BromwichConfig | None = None) -> Solution:
+    """Residue-expansion solve: Bromwich part from L(J)/f, residue
+    polynomials from the Laurent coefficients of r/f at the declared poles."""
+    cfg = cfg or BromwichConfig()
+    gic = _as_gic(r)
+    F0, g = _transforms(_symbol_eval(f), J, gic, split=True)
+    diagnostics = _run_gates(_gate_rows(f, J, F0, g, cfg, poles, None), "poles-given")
+    if g is None:
+        rp = ResiduePolynomials.zeros(poles)
+    else:
+        blocks = []
+        for (omega, order), radius in zip(poles.poles, _default_radii(poles)):
+            coeffs = laurent_coefficients(g, omega, order, radius)
+            blocks.append(tuple(coeffs))
+            top = abs(coeffs[-1])
+            scale = max(1.0, max(abs(c) for c in coeffs))
+            if order > 1 and top < 1e-10 * scale:
+                warnings.warn(
+                    f"pole order at {omega} may be overstated: leading Laurent "
+                    f"coefficient {top:.2e} is negligible",
+                    stacklevel=2,
+                )
+        rp = ResiduePolynomials(tuple(blocks))
+    return Solution(f, J, gic, cfg, F0, poles=poles, residue=rp, diagnostics=diagnostics)
+
+
 def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
                         ) -> tuple[Solution, GeneralizedIC]:
     """Solve a classical IVP and return the solution plus the constructed r0.
@@ -538,55 +642,20 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
     transform of the residue part times f.
     """
     cfg = cfg or BromwichConfig()
-    f_eval = _symbol_eval(ivp.f)
-    _check_contour(f_eval, cfg)
-    _check_pole_orders(f_eval, ivp.poles)
     K = ivp.poles.K
-    diagnostics: dict = {"mode": "classical-ivp"}
-
-    if ivp.forcing.is_zero:
-        F0 = None
+    F0, _ = _transforms(_symbol_eval(ivp.f), ivp.forcing, zero_ic(), split=True)
+    diagnostics = _run_gates(
+        _gate_rows(ivp.f, ivp.forcing, F0, None, cfg, ivp.poles, ivp.initial_values),
+        "classical-ivp",
+    )
+    if F0 is None:
         Ln = np.zeros(K, dtype=np.complex128)
-        diagnostics["smoothness_order"] = None
     else:
-        if ivp.forcing.closed_form_laplace is None:
-            raise HypothesisError("forcing needs a closed-form transform on the contour line")
-
-        def F0(s):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return np.asarray(ivp.forcing.laplace(s), np.complex128) \
-                    / np.asarray(f_eval(s), np.complex128)
-
-        M = smoothness_order(F0, cfg.sigma, n_cap=max(K + 1, 6), y_max=cfg.y_max)
-        diagnostics["smoothness_order"] = M
-        if M < K - 1:
-            raise HypothesisError(
-                f"smoothness order M = {M} is below K - 1 = {K - 1}; "
-                "the Bromwich part cannot match the requested initial data",
-                diagnostics,
-            )
         sampler = get_line_sampler(F0, cfg, 1.0)
         Ln = np.array([sampler.moment(n) for n in range(K)], dtype=np.complex128)
-        diagnostics["hardy"] = _hardy_gate(F0, cfg, "L(J)/f")
-
-    matrix, rhs = assemble_ivp_system(ivp, Ln)
-    cond = float(np.linalg.cond(matrix))
-    diagnostics["condition_number"] = cond
     diagnostics["Ln"] = [complex(v) for v in Ln]
-    if cond > CONDITION_LIMIT:
-        raise HypothesisError(
-            f"non-generic pole configuration: system condition number {cond:.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}",
-            diagnostics,
-        )
+    matrix, rhs = assemble_ivp_system(ivp, Ln)
     a = np.linalg.solve(matrix, rhs)
-
-    # smooth-dependence sanity: column j of the inverse is the sensitivity
-    # d a / d phi_j; compare a one-sided perturbation solve against it
-    eps = 1e-6
-    probe = np.linalg.solve(matrix, rhs + eps * np.eye(K)[:, 0])
-    jac_err = float(np.max(np.abs((probe - a) / eps - np.linalg.solve(matrix, np.eye(K)[:, 0]))))
-    diagnostics["jacobian_check"] = jac_err
 
     blocks = []
     idx = 0

@@ -83,7 +83,6 @@ class AnalyticSymbol:
 
     expr: object
     var_name: str = "s"
-    analyticity_abscissa: float = 0.0
     taylor_radius_hint: float | None = None
 
 
@@ -240,7 +239,7 @@ def parse_symbol(text: str) -> AnalyticSymbol:
     tree = parse_expression(text, "s", allow_zeta=True)
     shifts = [node.shift for node in _walk(tree) if isinstance(node, ZetaNode)]
     hint = min((h - 1.0 for h in shifts), default=None)
-    return AnalyticSymbol(tree, "s", 0.0, hint)
+    return AnalyticSymbol(tree, "s", hint)
 
 
 def _walk(node):

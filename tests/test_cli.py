@@ -231,6 +231,78 @@ class TestDiagnose:
         assert "config error" in capsys.readouterr().err
 
 
+ZERO_R = """\
+mode = generalized
+symbol = (s + 1)*(s + 2)
+forcing = exp(-3*t)
+gic = 0
+grid = 0:2:9
+output_csv = out.csv
+"""
+
+# r/f = 1/(s + 0.005) has its pole next to the axis; solve_with_poles
+# takes it by residues, so only L(J)/f (here zero) needs the Hardy gate
+POLE_NEAR_AXIS = """\
+mode = poles-given
+symbol = (s + 0.005)*(s + 2)
+forcing = 0
+gic = s + 2
+grid = 0:2:9
+output_csv = out.csv
+
+[poles]
+-0.005 0 1
+"""
+
+EXP_EIGEN = """\
+mode = generalized
+symbol = exp(s)
+forcing = 0.60653065971263342*exp(-0.5*t)
+gic = (exp(s) - 0.60653065971263342)/(s + 0.5)
+grid = 0:2:9
+output_csv = out.csv
+output_report = out.report.txt
+"""
+
+
+class TestSolveAndDiagnoseAgree:
+    @pytest.mark.parametrize("text", [ZERO_R, POLE_NEAR_AXIS], ids=["zero-r", "pole-near-axis"])
+    def test_both_pass(self, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, text)
+        assert diagnose(path) == 0
+        assert run(path) == 0
+
+    def test_pole_near_axis_solution(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(write_cfg(tmp_path, POLE_NEAR_AXIS)) == 0
+        data = np.genfromtxt(tmp_path / "out.csv", delimiter=",", skip_header=1)
+        assert np.max(np.abs(data[:, 1] - np.exp(-0.005 * data[:, 0]))) < 1e-9
+
+    @pytest.mark.parametrize("line,bad", [
+        ("forcing = exp(-3*t)", "forcing = exp(-3*t"),
+        ("gic = 0", "gic = s + * 3"),
+    ], ids=["forcing", "gic"])
+    @pytest.mark.parametrize("command", [run, diagnose], ids=["solve", "diagnose"])
+    def test_syntax_error_is_exit_1(self, tmp_path, monkeypatch, capsys, command, line, bad):
+        monkeypatch.chdir(tmp_path)
+        assert command(write_cfg(tmp_path, ZERO_R.replace(line, bad))) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_report_flags_truncated_residual(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.warns(UserWarning, match="truncated"):
+            assert run(write_cfg(tmp_path, EXP_EIGEN)) == 0
+        lines = (tmp_path / "out.report.txt").read_text().splitlines()
+        assert "residual_ok: no" in lines
+        notes = [line for line in lines if line.startswith("residual_notes:")]
+        assert notes and "derivative orders truncated at 4" in notes[0]
+        gates = [line.split()[:2] for line in lines[lines.index("gates:") + 1:]]
+        assert ["hardy-membership", "PASS"] in gates
+        assert ["decay-of-r-over-f", "PASS"] in gates
+
+
 class TestGoldenAccuracy:
     """The frozen CSVs are not just stable; they are right."""
 

@@ -130,6 +130,24 @@ class TestSolveGeneralized:
         with pytest.raises(HypothesisError):
             solve_generalized(f, forcing_from_text("1"), zero_ic())
 
+    def test_forcing_growing_past_contour_rejected(self):
+        # L(J) = 1/(s - 0.8) has its pole right of the contour Re(s) = 0.5
+        f = parse_symbol("(s + 1)*(s + 2)")
+        gic = GeneralizedIC(parse_symbol("s + 3"), "user-supplied")
+        with pytest.raises(HypothesisError, match="does not decay"):
+            solve_generalized(f, forcing_from_text("exp(0.8*t)"), gic, BromwichConfig(sigma=0.5))
+
+    def test_forcing_growing_inside_contour_solved(self):
+        # phi'' + 3 phi' + 2 phi = e^{0.8 t}, phi(0) = 1, phi'(0) = 0
+        f = parse_symbol("(s + 1)*(s + 2)")
+        gic = GeneralizedIC(parse_symbol("s + 3"), "user-supplied")
+        sol = solve_generalized(f, forcing_from_text("exp(0.8*t)"), gic, BromwichConfig(sigma=1.5))
+        ts = np.linspace(0.0, 3.0, 7)
+        A = 1.0 / (1.8 * 2.8)
+        c1, c2 = np.linalg.solve([[1.0, 1.0], [-1.0, -2.0]], [1.0 - A, -0.8 * A])
+        exact = c1 * np.exp(-ts) + c2 * np.exp(-2.0 * ts) + A * np.exp(0.8 * ts)
+        assert np.max(np.abs(sol(ts) - exact)) < 1e-7
+
     def test_diagnostics_populated(self):
         f, J, gic = eigen_problem("exp(s)", 2.0)
         sol = solve_generalized(f, J, gic)
@@ -253,6 +271,19 @@ class TestClassicalIVP:
                            PoleSpec(((-5.0, 1), (-7.0, 1))), (1.0, 0.0))
         with pytest.raises(HypothesisError, match="smoothness"):
             solve_classical_ivp(ivp)
+
+    def test_gates_recorded_in_order(self):
+        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
+        assert [row[:2] for row in sol.diagnostics["gates"]] == [
+            ("analytic-right-half-plane", "PASS"),
+            ("contour-nonvanishing", "PASS"),
+            ("forcing-transform", "PASS"),
+            ("hardy-membership", "PASS"),
+            ("decay-of-r-over-f", "SKIP"),
+            ("smoothness-order", "PASS"),
+            ("pole-constraints", "PASS"),
+            ("conditioning", "PASS"),
+        ]
 
     def test_derivative_prediction(self):
         ivp = self.make((1.0, 0.0))
