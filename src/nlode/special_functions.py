@@ -127,7 +127,7 @@ def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER
     return complex(out[0]) if scalar else out.reshape(shape)
 
 
-def zeta(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER):
+def zeta(z):
     """Riemann zeta on C \\ {1}: Euler-Maclaurin for Re(z) >= 1/2, reflection left of it."""
     flat, scalar, shape = _as_flat(z)
     if flat.size == 0:
@@ -149,36 +149,30 @@ def zeta(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER):
     if np.any(left):
         w = flat[left]
         pref = np.exp(w * _LN2 + (w - 1.0) * _LNPI + gamma_ln(1.0 - w))
-        out[left] = pref * np.sin(0.5 * np.pi * w) * zeta_em(1.0 - w, n_terms, em_order)
+        out[left] = pref * np.sin(0.5 * np.pi * w) * zeta_em(1.0 - w)
     if np.any(right):
-        out[right] = zeta_em(flat[right], n_terms, em_order)
+        out[right] = zeta_em(flat[right])
     return complex(out[0]) if scalar else out.reshape(shape)
 
 
 @dataclass(frozen=True)
 class ZetaShift:
-    """Evaluation settings for the shifted zeta symbol s -> zeta(s + h)."""
+    """The shifted zeta symbol s -> zeta(s + h)."""
 
     h: float
-    n_terms: int = DEFAULT_EM_TERMS
-    em_order: int = DEFAULT_EM_ORDER
 
     def __post_init__(self) -> None:
         if not self.h > 1:
             raise ValueError("shift must exceed 1")
-        if self.n_terms < 10:
-            raise ValueError("partial-sum length must be at least 10")
-        if not 1 <= self.em_order <= 10:
-            raise ValueError("correction order must lie in 1..10")
 
 
 def zeta_shift_eval(zs: ZetaShift, s):
-    """zeta(s + h) under the shift's evaluation settings."""
+    """zeta(s + h)."""
     flat, scalar, shape = _as_flat(s)
     arg = flat + zs.h
     if np.any(np.abs(arg - 1.0) < 1e-14):
         raise ValueError(f"zeta-shift pole at s = {1.0 - zs.h}")
-    vals = zeta(arg, zs.n_terms, zs.em_order)
+    vals = zeta(arg)
     vals = np.asarray(vals, dtype=np.complex128)
     return complex(vals.ravel()[0]) if scalar else vals.reshape(shape)
 

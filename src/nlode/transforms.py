@@ -2,8 +2,9 @@
 
 The inverse-transform engine splits a transform F into a small
 combination of reference terms 1/(s+b)^k, whose inverse transforms and
-t = 0 moments are closed-form, plus a fast-decaying remainder handled by
-adaptive Gauss-Legendre panels.  The split is fitted on a window beyond
+t = 0 moments are closed-form, plus a fast-decaying remainder, analytic in
+a strip about the line, where a uniform trapezoid rule with a step-halving
+check converges exponentially.  The split is fitted on a window beyond
 the truncation half-width, so the remainder decays like the first
 neglected reference order and the truncation tail is negligible.
 """
@@ -38,6 +39,8 @@ _GL10 = leggauss(10)
 _GL20 = leggauss(20)
 
 N_ATOMS = 8
+LINE_PROBES = 8
+MAX_LINE_NODES = 1 << 20
 HARDY_NODES = 4097
 SMOOTHNESS_FIT_POINTS = 32
 
@@ -49,7 +52,6 @@ class BromwichConfig:
     sigma: float = 1.0
     y_max: float = 200.0
     quad_tol: float = 1e-9
-    max_subdivisions: int = 12
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
@@ -58,8 +60,6 @@ class BromwichConfig:
             raise ValueError("truncation half-width y_max must be positive and finite")
         if not self.quad_tol > 0:
             raise ValueError("quad_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,15 @@ def laplace_forward(J: Forcing, s: complex, tol: float = 1e-10, t_cap: float = 1
         near, far = np.abs(integrand(np.array([64.0, 128.0])))
     if not (np.isfinite(far) and (far < near or far == 0.0)):
         raise ValueError(f"forcing does not decay against e^(-st) at s = {s:.3g}")
+    # a slow decay lets J(t) overflow, making e^(-st)*J(t) inf*0, long
+    # before the integrand falls below tol
+    if far > tol:
+        horizon = 128.0 + 64.0 * math.log(far / tol) / math.log(near / far)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_horizon = J.j_eval(np.array([horizon]))
+        if not np.all(np.isfinite(at_horizon)):
+            raise ValueError(f"forcing overflows at t = {horizon:.4g} before e^(-st) J(t) "
+                             f"decays below {tol:.1e} at s = {s:.3g}")
 
     total = 0j
     t0 = 0.0
@@ -343,10 +352,8 @@ class LineSampler:
         def g_fn(y):
             s_line = sigma + 1j * np.asarray(y, np.float64)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = np.asarray(F(s_line), np.complex128).copy()
-            for k in range(1, N_ATOMS + 1):
-                out -= self.gammas[k - 1] * (s_line + self.b) ** (-k)
-            return out
+                out = np.asarray(F(s_line), np.complex128)
+            return out - self._reference(s_line)
 
         self.atom_matched = scale_f < 1e-300 or scale_g <= 1e-12 * scale_f
         self.atom_exact = False
@@ -409,51 +416,49 @@ class LineSampler:
             self.certified_order = order
 
         self.y_nodes, self.weights, self.g_vals, self.est_quad_error = self._build_nodes(g_fn)
-        if not np.all(np.isfinite(self.g_vals)):
-            raise ValueError("transform is not finite on the contour line")
+
+    def _reference(self, s: np.ndarray) -> np.ndarray:
+        """Sum of the fitted reference terms gamma_k / (s + b)^k."""
+        out = np.zeros(np.shape(s), dtype=np.complex128)
+        for k in range(1, N_ATOMS + 1):
+            out += self.gammas[k - 1] * (s + self.b) ** (-k)
+        return out
 
     def _build_nodes(self, g_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        cfg = self.cfg
-        width_cap = min(0.5, math.pi / (4.0 * self.t_max))
-        n0 = int(math.ceil(2.0 * cfg.y_max / width_cap))
-        edges = np.linspace(-cfg.y_max, cfg.y_max, n0 + 1)
-        a = edges[:-1]
-        b = edges[1:]
-        depth = np.zeros(n0, dtype=np.int64)
-        x10, w10 = _GL10
-        x20, w20 = _GL20
-        nodes_parts = []
-        weight_parts = []
-        value_parts = []
-        est = 0.0
-        total_width = 2.0 * cfg.y_max
-        freq = self.t_max
-        while a.size:
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            n10 = mid[:, None] + half[:, None] * x10[None, :]
-            n20 = mid[:, None] + half[:, None] * x20[None, :]
-            g10 = g_fn(n10.ravel()).reshape(n10.shape)
-            g20 = g_fn(n20.ravel()).reshape(n20.shape)
-            i10 = (np.exp(1j * freq * n10) * g10 * w10[None, :]).sum(axis=1) * half
-            i20 = (np.exp(1j * freq * n20) * g20 * w20[None, :]).sum(axis=1) * half
-            err = np.abs(i20 - i10)
-            ok = (err <= cfg.quad_tol * (b - a) / total_width) | (depth >= cfg.max_subdivisions)
-            est += float(err[ok].sum())
-            nodes_parts.append(n20[ok].ravel())
-            weight_parts.append((half[ok, None] * w20[None, :]).ravel())
-            value_parts.append(g20[ok].ravel())
-            rest_a, rest_b, rest_d = a[~ok], b[~ok], depth[~ok]
-            mid_rest = 0.5 * (rest_a + rest_b)
-            a = np.concatenate([rest_a, mid_rest])
-            b = np.concatenate([mid_rest, rest_b])
-            depth = np.concatenate([rest_d + 1, rest_d + 1])
-        return (
-            np.concatenate(nodes_parts),
-            np.concatenate(weight_parts),
-            np.concatenate(value_parts),
-            est,
-        )
+        # Trapezoid rule on y = h*k, |y| <= y_max.  Its error at t is the
+        # Poisson image sum_{k>=1} e^{-sigma k T} q(t + kT), T = 2*pi/h, whose
+        # decay no step formula knows; so h is halved from pi/t_max, reusing
+        # the samples, until the values at the probe times settle.
+        sigma, y_max = self.sigma, self.cfg.y_max
+        probes = np.linspace(0.0, self.t_max, LINE_PROBES)
+        scale = np.exp(sigma * probes) / (2.0 * math.pi)
+        h = math.pi / self.t_max
+        m = np.arange(-math.floor(y_max / h), math.floor(y_max / h) + 1)
+        ys, gs, sums, mass = [], [], np.zeros(LINE_PROBES, np.complex128), 0.0
+        while True:
+            y = h * m
+            g = g_fn(y)
+            if not np.all(np.isfinite(g)):
+                raise ValueError("transform is not finite on the contour line")
+            ys.append(y)
+            gs.append(g)
+            new_sums = 0.5 * sums + h * np.array([np.exp(1j * t * y) @ g for t in probes])
+            change = scale * np.abs(new_sums - sums)
+            # g = F - reference terms carries rounding of order eps*|F|, not
+            # eps*|g|, and e^{sigma t} amplifies it
+            ref = np.abs(self._reference(sigma + 1j * y))
+            mass = 0.5 * mass + h * float(np.sum(np.abs(g) + ref))
+            floor = 64.0 * np.finfo(np.float64).eps * scale * mass
+            sums = new_sums
+            if len(ys) > 1 and np.all(change <= np.maximum(self.cfg.quad_tol, floor)):
+                y_nodes = np.concatenate(ys)
+                return y_nodes, np.full(y_nodes.size, h), np.concatenate(gs), float(np.max(change))
+            h *= 0.5
+            if 2 * math.floor(y_max / h) + 1 > MAX_LINE_NODES:
+                raise ValueError(f"trapezoid rule on the contour did not settle within "
+                                 f"{MAX_LINE_NODES} nodes (last change {np.max(change):.3e})")
+            odd = np.arange(1, math.floor(y_max / h) + 1, 2)
+            m = np.concatenate([-odd[::-1], odd])
 
     def _atom_moment(self, n: int) -> complex:
         total = 0j

@@ -30,7 +30,7 @@ class TestBromwichConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"sigma": -1.0}, {"y_max": 0.0},
-        {"y_max": math.inf}, {"quad_tol": 0.0}, {"max_subdivisions": 0},
+        {"y_max": math.inf}, {"quad_tol": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -96,6 +96,12 @@ class TestForcing:
         out = verify_forcing(forcing_from_text("exp(-2*t)"))
         assert out["ok"]
         assert out["max_error"] < 1e-8
+
+    def test_forcing_that_overflows_before_it_decays_fails_fast(self):
+        # e^{-st} J(t) falls only like e^{-0.01 t} at Re(s) = 0.7, so J
+        # overflows long before the integrand drops below the tolerance
+        with pytest.raises(ValueError, match="overflows"):
+            verify_forcing(forcing_from_text("exp(0.69*t)"))
 
 
 class TestBromwichInvert:
@@ -176,6 +182,17 @@ class TestLineSampler:
         c = get_line_sampler(F, self.CFG, 3.0)
         assert a is b
         assert a is not c
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_node_count(self, sigma):
+        sampler = get_line_sampler(lambda s: 1 / (s + 1), BromwichConfig(sigma=sigma), 10.0)
+        assert sampler.diagnostics()["n_nodes"] <= 10_000
+
+    def test_unsettled_quadrature_rejected(self):
+        # a pole 1e-6 left of the line needs a step far below what the
+        # node budget allows
+        with pytest.raises(ValueError, match="did not settle"):
+            get_line_sampler(lambda s: 1.0 / (s - 0.999999), self.CFG, 1.0)
 
     def test_diagnostics_keys(self):
         sampler = get_line_sampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
