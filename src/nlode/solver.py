@@ -37,7 +37,7 @@ from .symbols import (
 from .transforms import (
     BromwichConfig,
     Forcing,
-    get_line_sampler,
+    LineSampler,
     hardy_membership,
     smoothness_order,
     verify_forcing,
@@ -153,26 +153,21 @@ class ClassicalIVP:
 
 
 def residue_sum_eval(rp: ResiduePolynomials, poles: PoleSpec, t):
-    """Sum of P_i(t) e^{omega_i t}, each polynomial evaluated in Horner form."""
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.zeros(ts.shape, dtype=np.complex128)
-    for (omega, order), coeffs in zip(poles.poles, rp.coefficients):
-        if len(coeffs) != order:
-            raise ValueError("coefficient block length must match the pole order")
-        poly = np.zeros(ts.shape, dtype=np.complex128)
-        for j in range(order, 0, -1):
-            poly = poly * ts + coeffs[j - 1] / math.factorial(j - 1)
-        out += poly * np.exp(omega * ts)
+    """Sum of P_i(t) e^{omega_i t}."""
+    out = residue_derivative_values(rp, poles, 0, t)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return complex(out[0])
     return out
 
 
 def residue_derivative_values(rp: ResiduePolynomials, poles: PoleSpec, n: int, t):
-    """n-th t-derivative of the residue sum, exact via the Leibniz rule."""
+    """n-th t-derivative of the residue sum, exact via the Leibniz rule,
+    each polynomial evaluated in Horner form."""
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     out = np.zeros(ts.shape, dtype=np.complex128)
     for (omega, order), coeffs in zip(poles.poles, rp.coefficients):
+        if len(coeffs) != order:
+            raise ValueError("coefficient block length must match the pole order")
         inner = np.zeros(ts.shape, dtype=np.complex128)
         for k in range(0, min(n, order - 1) + 1):
             poly = np.zeros(ts.shape, dtype=np.complex128)
@@ -195,29 +190,20 @@ class Solution:
     poles: PoleSpec | None = None
     residue: ResiduePolynomials | None = None
     diagnostics: dict = field(default_factory=dict)
+    _line: LineSampler | None = field(default=None, init=False, compare=False, repr=False)
 
-    _RICHARDSON_H = 1e-3
-    _RICHARDSON = ((1.0, 8.0 / 3.0), (2.0, -2.0), (4.0, 1.0 / 3.0))
-
-    def _sampler(self, t_max: float):
-        return get_line_sampler(self.bromwich_transform, self.config, t_max)
+    def sampler(self) -> LineSampler:
+        """The one line sampler of the Bromwich transform, built on first use."""
+        if self._line is None:
+            self._line = LineSampler(self.bromwich_transform, self.config)
+        return self._line
 
     def bromwich_part(self, t) -> np.ndarray:
         """Inverse transform of the Bromwich factor; one-sided value at t = 0."""
         ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if self.bromwich_transform is None:
             return np.zeros(ts.shape, dtype=np.complex128)
-        sampler = self._sampler(float(np.max(ts, initial=1.0)))
-        vals = sampler.values(ts)
-        at_zero = ts == 0.0
-        if np.any(at_zero):
-            # the truncated line integral lands on the jump midpoint at t = 0;
-            # extrapolate the one-sided limit from inside the support instead
-            probe = np.array([h for h, _ in self._RICHARDSON]) * self._RICHARDSON_H
-            pv = sampler.values(probe)
-            limit = sum(w * pv[i] for i, (_, w) in enumerate(self._RICHARDSON))
-            vals = np.where(at_zero, limit, vals)
-        return vals
+        return self.sampler().derivative_values(0, ts)
 
     def residue_part(self, t) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -241,17 +227,14 @@ class Solution:
         """Largest derivative order the Bromwich moments support."""
         if self.bromwich_transform is None:
             return 10 ** 6
-        return self._sampler(1.0).certified_order
+        return self.sampler().certified_order
 
     def nth_derivative(self, n: int, t) -> np.ndarray:
         """n-th derivative of the solution on t > 0 (t >= 0 for n = 0)."""
         ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if n == 0:
-            return self.bromwich_part(ts) + self.residue_part(ts)
         out = np.zeros(ts.shape, dtype=np.complex128)
         if self.bromwich_transform is not None:
-            sampler = self._sampler(float(np.max(ts, initial=1.0)))
-            out += sampler.derivative_values(n, ts)
+            out += self.sampler().derivative_values(n, ts)
         if self.poles is not None and self.residue is not None:
             out += residue_derivative_values(self.residue, self.poles, n, ts)
         return out
@@ -392,13 +375,7 @@ def assemble_ivp_system(ivp: ClassicalIVP, Ln) -> tuple[np.ndarray, np.ndarray]:
 def predict_derivative_at_zero(poles: PoleSpec, rp: ResiduePolynomials, n: int,
                                Ln_value: complex) -> complex:
     """phi^(n)(0+) = L_n + sum_i sum_k C(n,k) omega_i^k P_i^{(n-k)}(0)."""
-    total = complex(Ln_value)
-    for (omega, order), coeffs in zip(poles.poles, rp.coefficients):
-        for k in range(n + 1):
-            m = n - k
-            if m <= order - 1:
-                total += math.comb(n, k) * omega ** k * coeffs[m]
-    return total
+    return complex(Ln_value) + complex(residue_derivative_values(rp, poles, n, 0.0)[0])
 
 
 def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
@@ -648,10 +625,12 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
         _gate_rows(ivp.f, ivp.forcing, F0, None, cfg, ivp.poles, ivp.initial_values),
         "classical-ivp",
     )
+    solution = Solution(ivp.f, ivp.forcing, None, cfg, F0, poles=ivp.poles,
+                        diagnostics=diagnostics)
     if F0 is None:
         Ln = np.zeros(K, dtype=np.complex128)
     else:
-        sampler = get_line_sampler(F0, cfg, 1.0)
+        sampler = solution.sampler()
         Ln = np.array([sampler.moment(n) for n in range(K)], dtype=np.complex128)
     diagnostics["Ln"] = [complex(v) for v in Ln]
     matrix, rhs = assemble_ivp_system(ivp, Ln)
@@ -678,8 +657,7 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
 
     diagnostics["r0_over_f_decay"] = decay_fit(r0_over_f) if tree is not None else None
 
-    solution = Solution(ivp.f, ivp.forcing, gic, cfg, F0,
-                        poles=ivp.poles, residue=rp, diagnostics=diagnostics)
+    solution.gic, solution.residue = gic, rp
 
     recovered = derivatives_at_zero(solution.eval, range(K))
     errors = [abs(recovered[n] - ivp.initial_values[n]) for n in range(K)]

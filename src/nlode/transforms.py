@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -298,7 +297,8 @@ class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
     Supports inverse-transform values, t = 0 moments, and derivatives of
-    the inverse transform, all sharing one deterministic node set.  Moment
+    the inverse transform, all sharing one deterministic node set, which
+    grows by step halving when a later t exceeds the t budget.  Moment
     orders are certified by regime: a transform whose reference-term fit is
     machine-exact everywhere supports orders up to N_ATOMS - 1; one matched
     only asymptotically supports orders up to MATCHED_MOMENT_ORDER (the
@@ -309,9 +309,13 @@ class LineSampler:
     like |g(y_max)| y_max^{n+1}.
     """
 
-    def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float) -> None:
+    def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0) -> None:
         self.cfg = cfg
-        self.t_max = max(float(t_max), 1.0)
+        # power-of-two t budgets, so the grid of a larger budget nests
+        # under halving and an extension reuses every sample
+        self.t_max = 1.0
+        while self.t_max < t_max:
+            self.t_max *= 2.0
         sigma, y_max = cfg.sigma, cfg.y_max
         self.sigma = sigma
         self.b = max(1.0, sigma)
@@ -355,6 +359,7 @@ class LineSampler:
                 out = np.asarray(F(s_line), np.complex128)
             return out - self._reference(s_line)
 
+        self.y_nodes, self.g_vals = np.zeros(0), np.zeros(0, np.complex128)
         self.atom_matched = scale_f < 1e-300 or scale_g <= 1e-12 * scale_f
         self.atom_exact = False
         if self.atom_matched:
@@ -372,10 +377,7 @@ class LineSampler:
                 self.atom_exact = True
                 self.alpha_g = math.inf
                 self.certified_order = N_ATOMS - 1
-                empty = np.zeros(0)
-                self.y_nodes, self.weights = empty, empty
-                self.g_vals = np.zeros(0, dtype=np.complex128)
-                self.est_quad_error = 0.0
+                self.h, self.est_quad_error = 0.0, 0.0
                 return
         else:
             # the local slope next to y_max is what the tail integrals
@@ -415,7 +417,11 @@ class LineSampler:
                 order = n
             self.certified_order = order
 
-        self.y_nodes, self.weights, self.g_vals, self.est_quad_error = self._build_nodes(g_fn)
+        self._g_fn = g_fn
+        self.h, self._mass = math.pi / self.t_max, 0.0
+        self._lay(np.arange(-math.floor(y_max / self.h), math.floor(y_max / self.h) + 1))
+        self._halve()
+        self._settle()
 
     def _reference(self, s: np.ndarray) -> np.ndarray:
         """Sum of the fitted reference terms gamma_k / (s + b)^k."""
@@ -424,41 +430,77 @@ class LineSampler:
             out += self.gammas[k - 1] * (s + self.b) ** (-k)
         return out
 
-    def _build_nodes(self, g_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    def _lay(self, m: np.ndarray) -> None:
+        """Append the level y = h*m, in level order, and update the node mass."""
+        y = self.h * m
+        g = self._g_fn(y)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("transform is not finite on the contour line")
+        self._level = self.y_nodes.size
+        self.y_nodes = np.concatenate([self.y_nodes, y])
+        self.g_vals = np.concatenate([self.g_vals, g])
+        # g = F - reference terms carries rounding of order eps*|F|, not
+        # eps*|g|, so the rounding floor counts the reference terms too
+        ref = np.abs(self._reference(self.sigma + 1j * y))
+        self._mass = 0.5 * self._mass + self.h * float(np.sum(np.abs(g) + ref))
+
+    def _halve(self, change: float | None = None) -> None:
+        self.h *= 0.5
+        if 2 * math.floor(self.cfg.y_max / self.h) + 1 > MAX_LINE_NODES:
+            last = "" if change is None else f" (last change {change:.3e})"
+            raise ValueError(f"trapezoid rule on the contour did not settle within "
+                             f"{MAX_LINE_NODES} nodes{last}")
+        odd = np.arange(1, math.floor(self.cfg.y_max / self.h) + 1, 2)
+        self._lay(np.concatenate([-odd[::-1], odd]))
+
+    def _line_sums(self, probes: np.ndarray, start: int, stop: int | None) -> np.ndarray:
+        y, g = self.y_nodes[start:stop], self.g_vals[start:stop]
+        return np.array([np.exp(1j * t * y) @ g for t in probes])
+
+    def _settle(self) -> None:
         # Trapezoid rule on y = h*k, |y| <= y_max.  Its error at t is the
         # Poisson image sum_{k>=1} e^{-sigma k T} q(t + kT), T = 2*pi/h, whose
-        # decay no step formula knows; so h is halved from pi/t_max, reusing
-        # the samples, until the values at the probe times settle.
-        sigma, y_max = self.sigma, self.cfg.y_max
+        # decay no step formula knows; so h is halved, from pi/t_max and
+        # reusing the samples, until the values at the probe times settle:
+        # the finest level against its coarse prefix, the grid at 2h.
         probes = np.linspace(0.0, self.t_max, LINE_PROBES)
-        scale = np.exp(sigma * probes) / (2.0 * math.pi)
-        h = math.pi / self.t_max
-        m = np.arange(-math.floor(y_max / h), math.floor(y_max / h) + 1)
-        ys, gs, sums, mass = [], [], np.zeros(LINE_PROBES, np.complex128), 0.0
+        scale = np.exp(self.sigma * probes) / (2.0 * math.pi)
+        coarse = 2.0 * self.h * self._line_sums(probes, 0, self._level)
+        fine = 0.5 * coarse + self.h * self._line_sums(probes, self._level, None)
         while True:
-            y = h * m
-            g = g_fn(y)
-            if not np.all(np.isfinite(g)):
-                raise ValueError("transform is not finite on the contour line")
-            ys.append(y)
-            gs.append(g)
-            new_sums = 0.5 * sums + h * np.array([np.exp(1j * t * y) @ g for t in probes])
-            change = scale * np.abs(new_sums - sums)
-            # g = F - reference terms carries rounding of order eps*|F|, not
-            # eps*|g|, and e^{sigma t} amplifies it
-            ref = np.abs(self._reference(sigma + 1j * y))
-            mass = 0.5 * mass + h * float(np.sum(np.abs(g) + ref))
-            floor = 64.0 * np.finfo(np.float64).eps * scale * mass
-            sums = new_sums
-            if len(ys) > 1 and np.all(change <= np.maximum(self.cfg.quad_tol, floor)):
-                y_nodes = np.concatenate(ys)
-                return y_nodes, np.full(y_nodes.size, h), np.concatenate(gs), float(np.max(change))
-            h *= 0.5
-            if 2 * math.floor(y_max / h) + 1 > MAX_LINE_NODES:
-                raise ValueError(f"trapezoid rule on the contour did not settle within "
-                                 f"{MAX_LINE_NODES} nodes (last change {np.max(change):.3e})")
-            odd = np.arange(1, math.floor(y_max / h) + 1, 2)
-            m = np.concatenate([-odd[::-1], odd])
+            change = scale * np.abs(fine - coarse)
+            floor = 64.0 * np.finfo(np.float64).eps * scale * self._mass
+            if np.all(change <= np.maximum(self.cfg.quad_tol, floor)):
+                self.est_quad_error = float(np.max(change))
+                return
+            self._halve(float(np.max(change)))
+            coarse, fine = fine, 0.5 * fine + self.h * self._line_sums(probes, self._level, None)
+
+    def _cover(self, ts: np.ndarray) -> None:
+        """Double the t budget until it covers ts, settling the rule at it."""
+        budget = self.t_max
+        while budget < np.max(ts, initial=0.0):
+            budget *= 2.0
+        if budget > self.t_max:
+            self.t_max = budget
+            if not self.atom_exact:
+                # a fresh build compares pi/(2 budget) with pi/budget first;
+                # a grid already that fine is compared as it stands, so an
+                # extension lays no node a fresh build would not
+                while self.h > math.pi / (2.0 * budget):
+                    self._halve()
+                self._reorder()
+                self._settle()
+
+    def _reorder(self) -> None:
+        """Put the nodes in the level order of a fresh build at t_max, so
+        that an extended sampler sums exactly as a fresh one does."""
+        k = np.rint(self.y_nodes / self.h).astype(np.int64)
+        top = round(math.pi / (self.t_max * self.h))   # level 0 holds multiples of top
+        lowbit = np.where(k == 0, top, k & -k)
+        order = np.lexsort((k, -np.minimum(lowbit, top)))
+        self.y_nodes, self.g_vals = self.y_nodes[order], self.g_vals[order]
+        self._level = int(np.count_nonzero(lowbit > 1))
 
     def _atom_moment(self, n: int) -> complex:
         total = 0j
@@ -477,7 +519,7 @@ class LineSampler:
     def moment(self, n: int) -> complex:
         """(1/2*pi*i) integral s^n F(s) ds, the one-sided n-th derivative at 0."""
         self._require_moment_order(n)
-        quad = np.sum(self.weights * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
+        quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
         return complex(self._atom_moment(n) + quad / (2.0 * math.pi))
 
     def values(self, ts) -> np.ndarray:
@@ -485,7 +527,8 @@ class LineSampler:
         return self._derivative_values(0, ts, midpoint_at_zero=True)
 
     def derivative_values(self, n: int, ts) -> np.ndarray:
-        """n-th derivative of the inverse transform on t > 0."""
+        """n-th derivative of the inverse transform on t > 0; for n = 0 also
+        at t = 0, where it returns the one-sided limit."""
         ts_arr = np.asarray(ts, dtype=np.float64)
         if n > 0 and np.any(ts_arr <= 0):
             raise ValueError("derivative sampling requires t > 0")
@@ -496,11 +539,10 @@ class LineSampler:
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         if np.any(ts_arr < 0):
             raise ValueError("inverse transform is defined on t >= 0")
-        if np.any(ts_arr > self.t_max * (1.0 + 1e-12)):
-            raise ValueError("t exceeds the sampler's oscillation budget")
+        self._cover(ts_arr)
         out = np.zeros(ts_arr.shape, dtype=np.complex128)
         sn = (self.sigma + 1j * self.y_nodes) ** n if n else 1.0
-        wg = self.weights * sn * self.g_vals
+        wg = self.h * sn * self.g_vals
         chunk = max(1, (1 << 22) // max(1, self.y_nodes.size))
         for i0 in range(0, ts_arr.size, chunk):
             tt = ts_arr[i0:i0 + chunk, None]
@@ -548,27 +590,6 @@ class LineSampler:
         }
 
 
-_SAMPLER_CACHE: OrderedDict = OrderedDict()
-_SAMPLER_CACHE_MAX = 8
-
-
-def get_line_sampler(F: Callable, cfg: BromwichConfig, t_max: float) -> LineSampler:
-    """Sampler for F at a power-of-two oscillation budget covering t_max."""
-    bucket = 1.0
-    while bucket < max(t_max, 1.0):
-        bucket *= 2.0
-    key = (F, cfg, bucket)
-    sampler = _SAMPLER_CACHE.get(key)
-    if sampler is None:
-        sampler = LineSampler(F, cfg, bucket)
-        _SAMPLER_CACHE[key] = sampler
-        while len(_SAMPLER_CACHE) > _SAMPLER_CACHE_MAX:
-            _SAMPLER_CACHE.popitem(last=False)
-    else:
-        _SAMPLER_CACHE.move_to_end(key)
-    return sampler
-
-
 def bromwich_invert(F: Callable, t, cfg: BromwichConfig | None = None):
     """Inverse Laplace transform of F at t >= 0 (scalar or array).
 
@@ -579,9 +600,7 @@ def bromwich_invert(F: Callable, t, cfg: BromwichConfig | None = None):
     ts = np.asarray(t, dtype=np.float64)
     if np.any(ts < 0):
         raise ValueError("inverse transform is defined on t >= 0")
-    t_max = float(ts.max()) if ts.size else 1.0
-    sampler = get_line_sampler(F, cfg, max(t_max, 1.0))
-    vals = sampler.values(np.atleast_1d(ts))
+    vals = LineSampler(F, cfg, float(np.max(ts, initial=0.0))).values(np.atleast_1d(ts))
     return complex(vals[0]) if ts.ndim == 0 else vals
 
 
@@ -592,7 +611,7 @@ def compute_Ln(F: Callable, n_list, cfg: BromwichConfig | None = None) -> list[c
     transform of F.
     """
     cfg = cfg or BromwichConfig()
-    sampler = get_line_sampler(F, cfg, 1.0)
+    sampler = LineSampler(F, cfg)
     return [sampler.moment(int(n)) for n in n_list]
 
 

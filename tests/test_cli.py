@@ -314,11 +314,11 @@ class TestGoldenAccuracy:
     def test_damped_oscillator(self):
         ts, phi = self.load("damped_oscillator_ivp.csv")
         exact = 2.5 * np.exp(-ts) - 2.0 * np.exp(-2 * ts) + 0.5 * np.exp(-3 * ts)
-        assert np.max(np.abs(phi - exact)) < 1e-6
+        assert np.max(np.abs(phi - exact)) < 1e-12
 
     def test_exp_symbol_eigenfunction(self):
         ts, phi = self.load("exp_symbol_eigenfunction.csv")
-        assert np.max(np.abs(phi - np.exp(-0.5 * ts))) < 1e-7
+        assert np.max(np.abs(phi - np.exp(-0.5 * ts))) < 1e-12
 
     def test_zeta_symbol_ivp(self):
         ts, phi = self.load("zeta_symbol_ivp.csv")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nlode.oracles import classical_ode_reference
+from nlode.oracles import classical_ode_reference, residual_check
 from nlode.solver import (
     ClassicalIVP,
     GeneralizedIC,
@@ -28,7 +28,7 @@ from nlode.solver import (
     zero_ic,
 )
 from nlode.symbols import parse_symbol
-from nlode.transforms import BromwichConfig, forcing_from_text
+from nlode.transforms import BromwichConfig, LineSampler, forcing_from_text
 
 GAUSSIAN_SYMBOL = "exp(2*(s^2 + 0.5*s))*(s^2 + 0.5*s - 1) + 2"
 
@@ -113,6 +113,12 @@ class TestSolveGeneralized:
         sol = solve_generalized(f, J, gic)
         ts = np.linspace(0.0, 10.0, 101)
         assert np.max(np.abs(sol(ts) - np.exp(-0.5 * ts))) < 1e-6
+
+    def test_one_sided_value_at_zero(self):
+        # phi(0) is the one-sided limit, not the line integral's jump midpoint
+        f, J, gic = eigen_problem("exp(s)", 2.0)
+        sol = solve_generalized(f, J, gic)
+        assert abs(sol(0.0) - 1.0) < 1e-12
 
     def test_scalar_call(self):
         f, J, gic = eigen_problem("exp(s)", 2.0)
@@ -285,13 +291,28 @@ class TestClassicalIVP:
             ("conditioning", "PASS"),
         ]
 
+    def test_one_sampler_per_solve(self, monkeypatch):
+        # the moments, the values on t <= 10 and the residual check's
+        # derivatives all come from one sampler, grown on demand
+        builds = []
+        build = LineSampler.__init__
+
+        def counted(sampler, *args, **kwargs):
+            builds.append(args)
+            build(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(LineSampler, "__init__", counted)
+        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
+        ts = np.linspace(0.0, 10.0, 201)
+        sol(ts)
+        residual_check(sol.f, sol, sol.forcing, ts[1:])
+        assert len(builds) == 1
+
     def test_derivative_prediction(self):
         ivp = self.make((1.0, 0.0))
         sol, _ = solve_classical_ivp(ivp)
-        from nlode.transforms import get_line_sampler
-        sampler = get_line_sampler(sol.bromwich_transform, sol.config, 1.0)
         predicted = predict_derivative_at_zero(sol.poles, sol.residue, 2,
-                                               sampler.moment(2))
+                                               sol.sampler().moment(2))
         fd = derivatives_at_zero(sol.eval, [2])[0]
         assert abs(predicted - fd) < 1e-3
 

@@ -12,9 +12,9 @@ from nlode.transforms import (
     MATCHED_MOMENT_ORDER,
     bromwich_invert,
     builtin_forcing,
+    LineSampler,
     compute_Ln,
     forcing_from_text,
-    get_line_sampler,
     hardy_membership,
     hardy_norm,
     laplace_forward,
@@ -153,13 +153,13 @@ class TestLineSampler:
     def test_moments_of_exponential(self):
         # low orders are quadrature-accurate; the top certified order
         # carries the reference-fit noise and is only good to ~1e-6
-        sampler = get_line_sampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
         for n in range(MATCHED_MOMENT_ORDER + 1):
             tol = 1e-8 if n <= 2 else 1e-5
             assert abs(sampler.moment(n) - (-1.0) ** n) < tol
 
     def test_moment_order_gate(self):
-        sampler = get_line_sampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
         assert sampler.certified_order == MATCHED_MOMENT_ORDER
         with pytest.raises(ValueError, match="certified order"):
             sampler.moment(MATCHED_MOMENT_ORDER + 1)
@@ -170,32 +170,46 @@ class TestLineSampler:
         assert np.max(np.abs(np.array(out) - [0.0, 0.0, 0.0, 1.0])) < 1e-8
 
     def test_derivative_values(self):
-        sampler = get_line_sampler(lambda s: 1.0 / (s + 1.0), self.CFG, 4.0)
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, 4.0)
         ts = np.linspace(0.5, 4.0, 8)
         d2 = sampler.derivative_values(2, ts)
         assert np.max(np.abs(d2 - np.exp(-ts))) < 1e-7
 
-    def test_cache_reuse(self):
-        F = lambda s: 1.0 / (s + 2.0)  # noqa: E731
-        a = get_line_sampler(F, self.CFG, 1.0)
-        b = get_line_sampler(F, self.CFG, 0.7)
-        c = get_line_sampler(F, self.CFG, 3.0)
-        assert a is b
-        assert a is not c
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("F", [
+        lambda s: 1 / (s + 1),
+        lambda s: 1 / ((s + 1) ** 2 + 1),
+        lambda s: np.log((s + 2) / (s + 1)),
+    ], ids=["pole", "damped-sine", "log-ratio"])
+    def test_extension_matches_fresh_build(self, F, sigma):
+        # evaluating past the budget grows the grid to the one a fresh
+        # build at the larger budget (16 for t <= 10) lays, and no finer
+        cfg = BromwichConfig(sigma=sigma)
+        ts = np.linspace(0.0, 10.0, 201)
+        grown = LineSampler(F, cfg, 1.0)
+        vals = grown.values(ts)
+        fresh = LineSampler(F, cfg, 16.0)
+        assert grown.diagnostics()["n_nodes"] == fresh.diagnostics()["n_nodes"]
+        assert np.max(np.abs(vals - fresh.values(ts))) <= cfg.quad_tol
+
+    def test_one_sided_value_at_zero(self):
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG)
+        assert abs(sampler.derivative_values(0, [0.0])[0] - 1.0) < 1e-12
+        assert abs(sampler.values([0.0])[0] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_node_count(self, sigma):
-        sampler = get_line_sampler(lambda s: 1 / (s + 1), BromwichConfig(sigma=sigma), 10.0)
+        sampler = LineSampler(lambda s: 1 / (s + 1), BromwichConfig(sigma=sigma), 10.0)
         assert sampler.diagnostics()["n_nodes"] <= 10_000
 
     def test_unsettled_quadrature_rejected(self):
         # a pole 1e-6 left of the line needs a step far below what the
         # node budget allows
         with pytest.raises(ValueError, match="did not settle"):
-            get_line_sampler(lambda s: 1.0 / (s - 0.999999), self.CFG, 1.0)
+            LineSampler(lambda s: 1.0 / (s - 0.999999), self.CFG, 1.0)
 
     def test_diagnostics_keys(self):
-        sampler = get_line_sampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
         diag = sampler.diagnostics()
         for key in ("atom_matched", "certified_order", "remainder_decay_exponent",
                     "tail_estimate", "est_quad_error", "n_nodes", "reference_pole"):
@@ -203,11 +217,11 @@ class TestLineSampler:
 
     def test_non_decaying_rejected(self):
         with pytest.raises(ValueError, match="non-decaying"):
-            get_line_sampler(lambda s: s / (s + 1.0), self.CFG, 1.0)
+            LineSampler(lambda s: s / (s + 1.0), self.CFG, 1.0)
 
     def test_non_summable_tail_rejected(self):
         with pytest.raises(ValueError, match="not summable"):
-            get_line_sampler(lambda s: (s + 1.0) ** -0.5, self.CFG, 1.0)
+            LineSampler(lambda s: (s + 1.0) ** -0.5, self.CFG, 1.0)
 
     def test_values_unaffected_by_reference_fit_noise(self):
         # far-window fits put noise into the high-order reference
