@@ -265,10 +265,8 @@ def decay_fit(g: Callable, radii=DECAY_RADII) -> dict:
     """
     angles = np.array([0.125, -0.125, 0.25, -0.25, 0.375, -0.375, 0.5, -0.5]) * math.pi
     points = np.array([r * np.exp(1j * a) for r in radii for a in angles])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.abs(np.asarray(g(points), np.complex128))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.abs(np.asarray(g(points), np.complex128))
     mask = np.isfinite(vals) & (vals > 0)
     n_finite = int(mask.sum())
     if n_finite < 6:

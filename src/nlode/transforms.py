@@ -293,6 +293,15 @@ MATCHED_MOMENT_ORDER = 4
 MOMENT_TAIL_TOL = 1e-5
 
 
+def _check_times(ts: np.ndarray) -> None:
+    """Refuse a t that is not finite or negative, naming the first one."""
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise ValueError(f"inverse transform needs a finite t, got t = {bad[0]}")
+    if np.any(ts < 0):
+        raise ValueError("inverse transform is defined on t >= 0")
+
+
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
@@ -310,6 +319,8 @@ class LineSampler:
     """
 
     def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0) -> None:
+        if not math.isfinite(t_max):
+            raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
         # power-of-two t budgets, so the grid of a larger budget nests
         # under halving and an extension reuses every sample
@@ -326,10 +337,8 @@ class LineSampler:
         ys = np.geomspace(y_max, 100.0 * y_max, 128)
         ys = np.concatenate([-ys[::-1], ys])
         ss = sigma + 1j * ys
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                vals = np.asarray(F(ss), np.complex128)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.asarray(F(ss), np.complex128)
         if not np.all(np.isfinite(vals)):
             raise ValueError("transform is not finite on the fit window beyond y_max")
         scale_f = float(np.max(np.abs(vals)))
@@ -537,8 +546,7 @@ class LineSampler:
 
     def _derivative_values(self, n: int, ts, midpoint_at_zero: bool) -> np.ndarray:
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        if np.any(ts_arr < 0):
-            raise ValueError("inverse transform is defined on t >= 0")
+        _check_times(ts_arr)
         self._cover(ts_arr)
         out = np.zeros(ts_arr.shape, dtype=np.complex128)
         sn = (self.sigma + 1j * self.y_nodes) ** n if n else 1.0
@@ -598,8 +606,7 @@ def bromwich_invert(F: Callable, t, cfg: BromwichConfig | None = None):
     """
     cfg = cfg or BromwichConfig()
     ts = np.asarray(t, dtype=np.float64)
-    if np.any(ts < 0):
-        raise ValueError("inverse transform is defined on t >= 0")
+    _check_times(ts)
     vals = LineSampler(F, cfg, float(np.max(ts, initial=0.0))).values(np.atleast_1d(ts))
     return complex(vals[0]) if ts.ndim == 0 else vals
 

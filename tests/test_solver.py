@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ class TestSolveGeneralized:
         c1, c2 = np.linalg.solve([[1.0, 1.0], [-1.0, -2.0]], [1.0 - A, -0.8 * A])
         exact = c1 * np.exp(-ts) + c2 * np.exp(-2.0 * ts) + A * np.exp(0.8 * ts)
         assert np.max(np.abs(sol(ts) - exact)) < 1e-7
+
+    def test_zeta_symbol_past_height_cap_warns(self):
+        # the reference fit samples |Im s| up to 100 y_max: at the default
+        # y_max = 200 that ends at the cap, beyond it zeta warns
+        f, J, gic = eigen_problem("zeta(s + 3)", 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert abs(solve_generalized(f, J, gic)(1.0) - math.exp(-0.5)) < 1e-9
+        with pytest.warns(RuntimeWarning, match="height cap"):
+            solve_generalized(f, J, gic, BromwichConfig(y_max=300.0))(1.0)
 
     def test_diagnostics_populated(self):
         f, J, gic = eigen_problem("exp(s)", 2.0)

@@ -63,6 +63,11 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta(1.0)
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf])
+    def test_non_finite_height_raises(self, height):
+        with pytest.raises(ValueError, match="finite Im z"):
+            zeta_em(complex(3.0, height))
+
     def test_derivative_at_three(self):
         h = 1e-5
         dz = (zeta(3 + h) - zeta(3 - h)) / (2 * h)
@@ -74,6 +79,26 @@ class TestZeta:
             val = zeta(2.0 + 1j * (HEIGHT_CAP * 2))
         assert np.isfinite(val)
         assert any("height" in str(w.message).lower() for w in caught)
+
+    @pytest.mark.parametrize("x", [0.6, 1.5, 4.0])
+    def test_accurate_up_to_height_cap(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        zs = x + 1j * np.geomspace(1e3, HEIGHT_CAP, 12)
+        with mpmath.workdps(20):
+            ref = np.array([complex(mpmath.zeta(complex(z))) for z in zs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = zeta(zs)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+    def test_cut_depends_only_on_the_point(self):
+        # each point sums up to its own height, whatever else is in the batch
+        low = 3.0 + 1.0j
+        assert zeta_em([low, 3.0 + 2e4j])[0] == zeta_em(low)
+        grid = 3.01 + 1j * np.linspace(-200.0, 200.0, 4097)
+        batch = zeta_em(grid)
+        for i in range(0, grid.size, 64):
+            assert batch[i] == zeta_em(grid[i])
 
     def test_em_term_count_scales_accuracy(self):
         # the Euler-Maclaurin cutoff must grow with the height to stay

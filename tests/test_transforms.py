@@ -117,6 +117,11 @@ class TestBromwichInvert:
         with pytest.raises(ValueError):
             bromwich_invert(lambda s: 1.0 / (s + 1.0), -0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"t = {bad}"):
+            bromwich_invert(lambda s: 1.0 / (s + 1.0), [0.5, bad])
+
     def test_second_order_pole(self):
         ts = np.linspace(0.1, 8.0, 25)
         vals = bromwich_invert(lambda s: 1.0 / (s + 1.0) ** 2, ts)
@@ -196,6 +201,16 @@ class TestLineSampler:
         sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG)
         assert abs(sampler.derivative_values(0, [0.0])[0] - 1.0) < 1e-12
         assert abs(sampler.values([0.0])[0] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG)
+        for evaluate in (sampler.values, lambda ts: sampler.derivative_values(1, ts)):
+            with pytest.raises(ValueError, match=f"t = {bad}"):
+                evaluate([0.5, bad])
+        assert sampler.t_max == 1.0
+        with pytest.raises(ValueError, match=f"t_max = {bad}"):
+            LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, bad)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_node_count(self, sigma):
