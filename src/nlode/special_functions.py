@@ -99,7 +99,8 @@ def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER
     so the correction terms keep shrinking at height, a low point costs no
     more than its own cut, and a value does not depend on the rest of its
     batch.  Points sharing a cut are summed together, in blocks of at most
-    _CHUNK matrix entries.
+    _CHUNK matrix entries; a point whose row alone is longer sums it in
+    column blocks of _CHUNK terms, so memory does not grow with height.
     """
     flat, scalar, shape = _as_flat(z)
     if flat.size == 0:
@@ -110,10 +111,19 @@ def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER
         raise ValueError(f"zeta needs a finite Im z, got z = {flat[~np.isfinite(flat.imag)][0]}")
     cuts = np.maximum(np.ceil(np.abs(flat.imag)), max(int(n_terms), 2)).astype(np.int64)
     groups, member = np.unique(cuts, return_inverse=True)
-    ln_n = np.log(np.arange(1, groups[-1], dtype=np.float64))
+    ln_n = np.log(np.arange(1, min(int(groups[-1]), _CHUNK + 1), dtype=np.float64))
     out = np.empty_like(flat)
     for g, n_cut in enumerate(groups):
         rows = np.flatnonzero(member == g)
+        if n_cut - 1 > _CHUNK:
+            # a row longer than one block is summed in column blocks, each
+            # with its own logarithms, so memory stays bounded at any height
+            for r in rows:
+                out[r] = 0.0
+                for c0 in range(1, int(n_cut), _CHUNK):
+                    ln_block = np.log(np.arange(c0, min(c0 + _CHUNK, n_cut), dtype=np.float64))
+                    out[r] += np.exp(-flat[r] * ln_block).sum()
+            continue
         block = max(1, _CHUNK // int(n_cut))
         for i0 in range(0, rows.size, block):
             r = rows[i0:i0 + block]

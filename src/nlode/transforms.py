@@ -7,6 +7,14 @@ a strip about the line, where a uniform trapezoid rule with a step-halving
 check converges exponentially.  The split is fitted on a window beyond
 the truncation half-width, so the remainder decays like the first
 neglected reference order and the truncation tail is negligible.
+
+The trapezoid nodes are y = h k with integer k, so on t_j = t_0 + j dt the
+line sum of the remainder is a chirp-z transform in k.  A uniform grid of
+at least CHIRP_MIN_POINTS times is evaluated that way, by Bluestein's FFT
+convolution centred on k = 0 with chirp phases reduced mod 2 pi exactly,
+and differs from the dense sum by rounding alone.  Every other t set (the
+settle probes, derivative stencils at 0+, the residual sample, irregular
+grids) is summed as a dense exp(i t y) matmul.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ LINE_PROBES = 8
 MAX_LINE_NODES = 1 << 20
 HARDY_NODES = 4097
 SMOOTHNESS_FIT_POINTS = 32
+CHIRP_MIN_POINTS = 32         # fewer uniform times go to the dense kernel
+CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 
 
 @dataclass(frozen=True)
@@ -302,6 +312,58 @@ def _check_times(ts: np.ndarray) -> None:
         raise ValueError("inverse transform is defined on t >= 0")
 
 
+def _uniform_step(ts: np.ndarray) -> float | None:
+    """The step of an increasing grid of at least CHIRP_MIN_POINTS times
+    that lies within a few ulp of t_0 + j*step; None for any other t set."""
+    if ts.size < CHIRP_MIN_POINTS:
+        return None
+    step = (ts[-1] - ts[0]) / (ts.size - 1)
+    if not step > 0:
+        return None
+    drift = np.max(np.abs(ts - (ts[0] + step * np.arange(ts.size))))
+    return step if drift <= 8.0 * np.finfo(np.float64).eps * ts[-1] else None
+
+
+def _chirp(c: float, n: np.ndarray) -> np.ndarray:
+    """exp(2 pi i c n^2), with c n^2 reduced mod 1 exactly.
+
+    c splits into a head short enough that head * n^2 is an exact float,
+    whose fraction is then exact too, plus a tail whose product with n^2
+    is small; in plain float64, c n^2 would carry a phase error of order
+    eps * c n^2.
+    """
+    n2 = np.square(n.astype(np.float64))
+    bits = 53 - int(np.max(n2, initial=1.0)).bit_length()
+    exponent = math.frexp(c)[1] - bits
+    head = math.ldexp(round(math.ldexp(c, -exponent)), exponent)
+    x = head * n2
+    x -= np.rint(x)
+    x += (c - head) * n2
+    x -= np.rint(x)
+    return np.exp(2j * math.pi * x)
+
+
+def _chirp_z(k: np.ndarray, w: np.ndarray, t0y: np.ndarray, c: float,
+             n_t: int) -> np.ndarray:
+    """sum_m w_m e^{i t0 y_m} e^{4 pi i c j k_m} for j < n_t, by Bluestein's
+    identity jk = (j^2 + k^2 - (j - k)^2)/2 and one circular convolution.
+
+    The convolution is centred on k = 0: a_k sits at index k mod L and the
+    chirp b_m, m in [-K, n_t - 1 + K], at m mod L, so the large central
+    samples see the smallest phases.  All three chirps share one c, so
+    the identity holds exactly in the reduced phases.
+    """
+    top = int(np.max(np.abs(k), initial=0))
+    size = 1 << (2 * top + n_t - 1).bit_length()
+    a = np.zeros(size, dtype=np.complex128)
+    a[k % size] = w * np.exp(1j * t0y) * _chirp(c, k)   # the nodes hold each k once
+    m = np.arange(-top, n_t + top)
+    b = np.zeros(size, dtype=np.complex128)
+    b[m % size] = np.conj(_chirp(c, m))
+    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:n_t]
+    return _chirp(c, np.arange(n_t)) * conv
+
+
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
@@ -322,6 +384,7 @@ class LineSampler:
         if not math.isfinite(t_max):
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
+        self._evaluations = {"chirp_z": 0, "dense": 0}   # t-evaluations per kernel
         # power-of-two t budgets, so the grid of a larger budget nests
         # under halving and an extension reuses every sample
         self.t_max = 1.0
@@ -545,16 +608,36 @@ class LineSampler:
         return self._derivative_values(n, ts, midpoint_at_zero=False)
 
     def _derivative_values(self, n: int, ts, midpoint_at_zero: bool) -> np.ndarray:
+        """e^{sigma t}/2pi times the line sum of h (sigma + iy)^n g e^{ity},
+        plus the reference terms' closed-form n-th derivative.
+
+        The line sum has two kernels.  On an increasing grid of at least
+        CHIRP_MIN_POINTS times, uniform to within a few ulp, it is a
+        chirp-z transform over the integer node index k = y/h (_chirp_z),
+        O((N + J) log(N + J)) for N nodes and J times.  Any other t set
+        (the derivative stencils at 0+, the residual sample, short or
+        irregular grids) gets the dense exp(i t y) matmul.
+        """
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         _check_times(ts_arr)
         self._cover(ts_arr)
-        out = np.zeros(ts_arr.shape, dtype=np.complex128)
         sn = (self.sigma + 1j * self.y_nodes) ** n if n else 1.0
         wg = self.h * sn * self.g_vals
-        chunk = max(1, (1 << 22) // max(1, self.y_nodes.size))
-        for i0 in range(0, ts_arr.size, chunk):
-            tt = ts_arr[i0:i0 + chunk, None]
-            out[i0:i0 + chunk] = np.exp(1j * tt * self.y_nodes[None, :]) @ wg
+        step = _uniform_step(ts_arr)
+        k = np.rint(self.y_nodes / self.h).astype(np.int64)
+        if step is not None and np.max(np.abs(k), initial=0) + ts_arr.size < CHIRP_MAX_INDEX:
+            self._evaluations["chirp_z"] += 1
+            # h is pi/t_max over a power of two, so h/4pi is exact and
+            # c = step h/4pi carries no rounding beyond that of step
+            out = _chirp_z(k, wg, ts_arr[0] * self.y_nodes,
+                           step * (self.h / (4.0 * math.pi)), ts_arr.size)
+        else:
+            self._evaluations["dense"] += 1
+            out = np.zeros(ts_arr.shape, dtype=np.complex128)
+            chunk = max(1, (1 << 22) // max(1, self.y_nodes.size))
+            for i0 in range(0, ts_arr.size, chunk):
+                tt = ts_arr[i0:i0 + chunk, None]
+                out[i0:i0 + chunk] = np.exp(1j * tt * self.y_nodes[None, :]) @ wg
         out *= np.exp(self.sigma * ts_arr) / (2.0 * math.pi)
         out += self._atom_inverse(n, ts_arr, midpoint_at_zero)
         return out
@@ -595,6 +678,7 @@ class LineSampler:
             "est_quad_error": self.est_quad_error,
             "n_nodes": int(self.y_nodes.size),
             "reference_pole": -self.b,
+            "t_evaluations": dict(self._evaluations),
         }
 
 

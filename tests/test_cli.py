@@ -324,6 +324,21 @@ class TestGoldenAccuracy:
         ts, phi = self.load("zeta_symbol_ivp.csv")
         assert np.max(np.abs(phi - np.exp(-5.0 * ts))) < 1e-12
 
+    @pytest.mark.parametrize("name, closed_form", [
+        ("damped_oscillator_ivp",
+         lambda t: 2.5 * np.exp(-t) - 2.0 * np.exp(-2 * t) + 0.5 * np.exp(-3 * t)),
+        ("exp_symbol_eigenfunction", lambda t: np.exp(-0.5 * t)),
+    ])
+    @pytest.mark.filterwarnings("ignore:derivative orders truncated")
+    def test_fresh_solve(self, name, closed_form, tmp_path, monkeypatch):
+        # what the program writes now, on its 0:10:201 grid, is right too
+        monkeypatch.chdir(tmp_path)
+        assert run(config_path(f"{name}.cfg")) == 0
+        data = np.genfromtxt(tmp_path / f"{name}.csv", delimiter=",", skip_header=1)
+        ts, phi = data[:, 0], data[:, 1] + 1j * data[:, 2]
+        assert ts.size == 201 and ts[-1] == 10.0
+        assert np.max(np.abs(phi - closed_form(ts))) < 1e-12
+
 
 class TestMain:
     def test_solve_subcommand(self, tmp_path, monkeypatch):

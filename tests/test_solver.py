@@ -319,6 +319,13 @@ class TestClassicalIVP:
         residual_check(sol.f, sol, sol.forcing, ts[1:])
         assert len(builds) == 1
 
+    def test_kernel_counts(self):
+        # the initial-value check samples a short stencil once per order
+        # (dense kernel); a 201-point grid is one chirp-z evaluation
+        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
+        sol(np.linspace(0.0, 10.0, 201))
+        assert sol.sampler().diagnostics()["t_evaluations"] == {"chirp_z": 1, "dense": 2}
+
     def test_derivative_prediction(self):
         ivp = self.make((1.0, 0.0))
         sol, _ = solve_classical_ivp(ivp)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from nlode import special_functions
 from nlode.special_functions import (
     HEIGHT_CAP,
     ZetaShift,
@@ -99,6 +101,24 @@ class TestZeta:
         batch = zeta_em(grid)
         for i in range(0, grid.size, 64):
             assert batch[i] == zeta_em(grid[i])
+
+    def test_memory_bounded_per_point(self, monkeypatch):
+        # a row longer than _CHUNK terms is summed in column blocks: its
+        # value moves only by summation order, and the peak follows the
+        # block size, not the height; a row within one block keeps its bits
+        zs = np.array([2.0 + 2e4j, 0.6 - 1.2e4j, 3.0 + 1.0j, 3.0 + 900.0j])
+        ref = zeta_em(zs)
+        monkeypatch.setattr(special_functions, "_CHUNK", 1024)
+        tracemalloc.start()
+        try:
+            got = zeta_em(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+        assert np.array_equal(got[2:], ref[2:])
+        # about 40 bytes per term of the longest row, 0.8 MB unblocked
+        assert peak < 128 * 1024
 
     def test_em_term_count_scales_accuracy(self):
         # the Euler-Maclaurin cutoff must grow with the height to stay

@@ -21,6 +21,9 @@ from nlode.transforms import (
     smoothness_order,
     verify_forcing,
 )
+from test_acceptance import INVERSION_PAIRS
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestBromwichConfig:
@@ -249,6 +252,94 @@ class TestLineSampler:
         ]:
             vals = bromwich_invert(F, ts)
             assert np.max(np.abs(vals - exact)) < 1e-9
+
+
+def dense_line_values(sampler, n, ts, midpoint_at_zero=False):
+    """The inverse transform with its line sum formed as one dense
+    exp(i t y) matmul, operation for operation as the dense kernel does."""
+    sn = (sampler.sigma + 1j * sampler.y_nodes) ** n if n else 1.0
+    wg = sampler.h * sn * sampler.g_vals
+    out = np.exp(1j * ts[:, None] * sampler.y_nodes[None, :]) @ wg
+    out *= np.exp(sampler.sigma * ts) / (2.0 * math.pi)
+    out += sampler._atom_inverse(n, ts, midpoint_at_zero)
+    return out
+
+
+def line_rounding(sampler, n, ts):
+    """eps e^{sigma t} h sum |(sigma + iy)^n g| / 2 pi, the rounding scale of
+    the line sum at t."""
+    mass = sampler.h * np.sum(np.abs((sampler.sigma + 1j * sampler.y_nodes) ** n
+                                     * sampler.g_vals))
+    return EPS * np.exp(sampler.sigma * ts) * mass / (2.0 * math.pi)
+
+
+def without_reference_terms(sampler, monkeypatch):
+    """Leave the sampler's values as the bare scaled line sum."""
+    monkeypatch.setattr(sampler, "_atom_inverse",
+                        lambda n, ts, midpoint_at_zero: np.zeros(ts.shape, np.complex128))
+    return sampler
+
+
+class TestLineKernels:
+    """The chirp-z kernel on uniform grids against the dense line sum."""
+
+    CFG = BromwichConfig()
+    UNIFORM = np.linspace(0.05, 10.0, 200)
+    # the chirp-z sum differs from the dense one by rounding alone: at most
+    # about 3.5 times the scale over the corpus; a convolution shifted to
+    # start at the lowest node index instead of k = 0 reaches about 950
+    BOUND = 8.0
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_chirp_z_matches_dense_sum(self, sigma, monkeypatch):
+        for F, _ in INVERSION_PAIRS:
+            sampler = LineSampler(F, BromwichConfig(sigma=sigma), 10.0)
+            got = without_reference_terms(sampler, monkeypatch).values(self.UNIFORM)
+            assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 1, "dense": 0}
+            dense = dense_line_values(sampler, 0, self.UNIFORM)
+            assert np.max(np.abs(got - dense) / line_rounding(sampler, 0, self.UNIFORM)) \
+                <= self.BOUND
+
+    @pytest.mark.parametrize("n, budget, ts", [
+        (0, 16.0, np.linspace(2.0, 7.0, 101)),      # grid starting past 0
+        (1, 16.0, UNIFORM),
+        (2, 16.0, UNIFORM),
+        (3, 16.0, UNIFORM),
+        (4, 16.0, UNIFORM),
+        (0, 1.0, UNIFORM),                          # budget grown by _cover
+        (2, 1.0, np.linspace(0.5, 30.0, 60)),
+    ])
+    def test_chirp_z_cases(self, n, budget, ts, monkeypatch):
+        sampler = LineSampler(lambda s: 1.0 / ((s + 1.0) ** 2 + 1.0), self.CFG, budget)
+        got = without_reference_terms(sampler, monkeypatch).derivative_values(n, ts)
+        assert sampler.diagnostics()["t_evaluations"]["chirp_z"] == 1
+        dense = dense_line_values(sampler, n, ts)
+        assert np.max(np.abs(got - dense) / line_rounding(sampler, n, ts)) <= self.BOUND
+
+    def test_chirp_z_without_nodes(self):
+        # an exactly matched transform keeps no line nodes at all
+        with np.errstate(over="ignore"):
+            sampler = LineSampler(lambda s: 0.0 * s, self.CFG)
+        assert sampler.atom_exact and sampler.y_nodes.size == 0
+        assert np.array_equal(sampler.values(self.UNIFORM), np.zeros(self.UNIFORM.size))
+        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 1, "dense": 0}
+
+    @pytest.mark.parametrize("ts", [
+        np.linspace(0.0, 10.0, 17),                 # the residual sample's size
+        np.linspace(0.1, 3.0, 31),                  # one short of the chirp-z minimum
+        np.arange(1.0, 7.0) * 1e-3,                 # a derivative stencil at 0+
+        np.geomspace(0.01, 10.0, 64),
+        np.linspace(0.05, 10.0, 200) + np.where(np.arange(200) == 100, 1e-9, 0.0),
+        np.linspace(10.0, 0.05, 200),               # decreasing
+    ], ids=["short", "below-minimum", "stencil", "geometric", "perturbed", "decreasing"])
+    def test_dense_kernel_is_pinned(self, ts):
+        # every t set the chirp-z kernel does not take keeps the dense bits
+        sampler = LineSampler(lambda s: 1.0 / ((s + 1.0) ** 2 + 1.0), self.CFG, 16.0)
+        assert np.array_equal(sampler.values(ts), dense_line_values(sampler, 0, ts, True))
+        positive = ts[ts > 0]
+        assert np.array_equal(sampler.derivative_values(2, positive),
+                              dense_line_values(sampler, 2, positive))
+        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 0, "dense": 2}
 
 
 class TestHardy:
