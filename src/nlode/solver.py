@@ -25,6 +25,7 @@ import numpy as np
 from .symbols import (
     Add,
     AnalyticSymbol,
+    Call,
     Const,
     Div,
     Mul,
@@ -284,18 +285,18 @@ def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float)
     """Laurent coefficients a_k = (1/2*pi*i) contour integral of g (s-omega)^{k-1}.
 
     Periodic trapezoid sums on the circle, with node doubling 64 -> 4096
-    until the coefficients settle below 1e-11.
+    until the coefficients settle below 1e-11.  The even nodes of a
+    doubled ring are the previous ring's nodes bit for bit, so each
+    doubling samples g on the new odd nodes only.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if not radius > 0:
         raise ValueError("radius must be positive")
     omega = complex(omega)
-    prev: np.ndarray | None = None
-    n = 64
-    while n <= 4096:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        ring = np.exp(1j * theta)
+
+    def ring_and_samples(j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        ring = np.exp(1j * (2.0 * math.pi * j / n))
         z = omega + radius * ring
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.asarray(g(z), np.complex128)
@@ -303,14 +304,25 @@ def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float)
             vals = np.array([g(zz) for zz in z], np.complex128)
         if not np.all(np.isfinite(vals)):
             raise ArithmeticError("samples on the Laurent circle are not finite")
-        ks = np.arange(1, order + 1)
+        return ring, vals
+
+    ks = np.arange(1, order + 1)
+    n = 64
+    ring, vals = ring_and_samples(np.arange(n), n)
+    prev: np.ndarray | None = None
+    while True:
         a = (radius ** ks / n) * (ring[:, None] ** ks[None, :] * vals[:, None]).sum(axis=0)
         if prev is not None:
             scale = max(1.0, float(np.max(np.abs(a))))
             if float(np.max(np.abs(a - prev))) < LAURENT_TOL * scale:
                 return [complex(v) for v in a]
         prev = a
+        if n == 4096:
+            break
         n *= 2
+        odd_ring, odd_vals = ring_and_samples(np.arange(1, n, 2), n)
+        ring = np.stack([ring, odd_ring], axis=1).ravel()
+        vals = np.stack([vals, odd_vals], axis=1).ravel()
     raise ArithmeticError(
         "Laurent coefficients did not converge under node doubling; "
         "the circle may intersect another singularity"
@@ -401,28 +413,38 @@ def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
     return out
 
 
-def _quotient(num: Callable, f_eval: Callable) -> Callable:
-    """s -> num(s)/f(s); overflow and division by zero are left to the gates."""
-    def q(s):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.asarray(num(s), np.complex128) / np.asarray(f_eval(s), np.complex128)
-    return q
+def _tree(x) -> object:
+    """The expression tree of a symbol, or a Call leaf holding a callable."""
+    if isinstance(x, AnalyticSymbol):
+        return x.expr
+    if callable(x):
+        return Call(x)
+    raise ValueError("symbol must be an AnalyticSymbol or a callable")
 
 
-def _transforms(f_eval: Callable, J: Forcing, gic: GeneralizedIC, split: bool) -> tuple:
+def _transforms(f, J: Forcing, gic: GeneralizedIC, split: bool) -> tuple:
     """(F, g): the transform the solve inverts, and r/f; each None when zero.
 
     Without declared poles F = (L(J) + r)/f.  With them (split) F = L(J)/f,
-    and r/f goes to the residues at the poles instead.
+    and r/f goes to the residues at the poles instead.  Each is one tree
+    over the trees of its parts, so a zeta node that r shares with f is
+    evaluated once per point; overflow and division by zero are left to
+    the gates.
     """
-    g = None if gic.is_zero else _quotient(gic.eval, f_eval)
+    f_node = _tree(f)
+
+    def over_f(num) -> Callable:
+        return _symbol_eval(AnalyticSymbol(Div(num, f_node)))
+
+    lj = _tree(J.laplace if J.closed_form_laplace is None else J.closed_form_laplace)
+    r = _tree(gic.r)
+    g = None if gic.is_zero else over_f(r)
     if split:
-        F = None if J.is_zero else _quotient(J.laplace, f_eval)
+        F = None if J.is_zero else over_f(lj)
     elif J.is_zero and gic.is_zero:
         F = None
     else:
-        F = _quotient(lambda s: np.asarray(J.laplace(s), np.complex128)
-                      + np.asarray(gic.eval(s), np.complex128), f_eval)
+        F = over_f(Add(lj, r))
     return F, g
 
 
@@ -544,7 +566,7 @@ def hypothesis_gates(f, J: Forcing, cfg: BromwichConfig | None = None, r=None,
     HypothesisError at the first FAIL.
     """
     gic = _as_gic(r)
-    F, g = _transforms(_symbol_eval(f), J, gic, split=poles is not None)
+    F, g = _transforms(f, J, gic, split=poles is not None)
     yield from _gate_rows(f, J, F, g, cfg or BromwichConfig(), poles, initial_values)
 
 
@@ -577,7 +599,7 @@ def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | No
     """
     cfg = cfg or BromwichConfig()
     gic = _as_gic(r)
-    F, g = _transforms(_symbol_eval(f), J, gic, split=False)
+    F, g = _transforms(f, J, gic, split=False)
     diagnostics = _run_gates(_gate_rows(f, J, F, g, cfg, None, None), "generalized")
     return Solution(f, J, gic, cfg, F, diagnostics=diagnostics)
 
@@ -588,7 +610,7 @@ def solve_with_poles(f: AnalyticSymbol, J: Forcing, r, poles: PoleSpec,
     polynomials from the Laurent coefficients of r/f at the declared poles."""
     cfg = cfg or BromwichConfig()
     gic = _as_gic(r)
-    F0, g = _transforms(_symbol_eval(f), J, gic, split=True)
+    F0, g = _transforms(f, J, gic, split=True)
     diagnostics = _run_gates(_gate_rows(f, J, F0, g, cfg, poles, None), "poles-given")
     if g is None:
         rp = ResiduePolynomials.zeros(poles)
@@ -618,7 +640,7 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
     """
     cfg = cfg or BromwichConfig()
     K = ivp.poles.K
-    F0, _ = _transforms(_symbol_eval(ivp.f), ivp.forcing, zero_ic(), split=True)
+    F0, _ = _transforms(ivp.f, ivp.forcing, zero_ic(), split=True)
     diagnostics = _run_gates(
         _gate_rows(ivp.f, ivp.forcing, F0, None, cfg, ivp.poles, ivp.initial_values),
         "classical-ivp",

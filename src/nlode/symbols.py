@@ -3,6 +3,10 @@
 Grammar: complex constants (reals, scientific notation, the imaginary
 unit i), one free variable, + - * /, ^ with nonnegative integer
 exponents, exp(...), and zeta(s + h) with a real shift h > 1.
+
+One evaluation of a tree evaluates each distinct zeta(s + h) node once,
+however often it appears, so a composed transform such as (L(J) + r)/f
+with r built from f pays for each zeta node once per point.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,6 +80,13 @@ class Exp:
 @dataclass(frozen=True)
 class ZetaNode:
     shift: float
+
+
+@dataclass(frozen=True)
+class Call:
+    """Leaf holding a vectorized callable of the variable; no series."""
+
+    fn: Callable
 
 
 @dataclass(frozen=True)
@@ -284,25 +296,33 @@ def format_symbol(f: AnalyticSymbol) -> str:
     return format_node(f.expr, f.var_name)
 
 
-def _eval_node(node, s):
+def _eval_node(node, s, zetas: dict | None = None):
+    """Value of a tree at s; zetas holds the zeta values of this one
+    evaluation by shift, so each distinct zeta node is evaluated once."""
+    if zetas is None:
+        zetas = {}
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return s
     if isinstance(node, Add):
-        return _eval_node(node.left, s) + _eval_node(node.right, s)
+        return _eval_node(node.left, s, zetas) + _eval_node(node.right, s, zetas)
     if isinstance(node, Sub):
-        return _eval_node(node.left, s) - _eval_node(node.right, s)
+        return _eval_node(node.left, s, zetas) - _eval_node(node.right, s, zetas)
     if isinstance(node, Mul):
-        return _eval_node(node.left, s) * _eval_node(node.right, s)
+        return _eval_node(node.left, s, zetas) * _eval_node(node.right, s, zetas)
     if isinstance(node, Div):
-        return _eval_node(node.left, s) / _eval_node(node.right, s)
+        return _eval_node(node.left, s, zetas) / _eval_node(node.right, s, zetas)
     if isinstance(node, Pow):
-        return _eval_node(node.base, s) ** node.exponent
+        return _eval_node(node.base, s, zetas) ** node.exponent
     if isinstance(node, Exp):
-        return np.exp(_eval_node(node.arg, s))
+        return np.exp(_eval_node(node.arg, s, zetas))
     if isinstance(node, ZetaNode):
-        return zeta(s + node.shift)
+        if node.shift not in zetas:
+            zetas[node.shift] = zeta(s + node.shift)
+        return zetas[node.shift]
+    if isinstance(node, Call):
+        return np.asarray(node.fn(s), np.complex128)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -438,10 +438,11 @@ class LineSampler:
             self.alpha_g = float(N_ATOMS + 1)
             self.tail_estimate = scale_g * y_max
             self.certified_order = MATCHED_MOMENT_ORDER
-            probe_y = np.linspace(-y_max, y_max, 513)
-            g_probe = np.abs(g_fn(probe_y))
+            s_probe = sigma + 1j * np.linspace(-y_max, y_max, 513)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                f_probe = np.abs(np.asarray(F(sigma + 1j * probe_y), np.complex128))
+                f_vals = np.asarray(F(s_probe), np.complex128)
+            g_probe = np.abs(f_vals - self._reference(s_probe))
+            f_probe = np.abs(f_vals)
             f_scale = float(np.max(f_probe)) if np.all(np.isfinite(f_probe)) else 0.0
             if scale_f < 1e-300 or (
                 f_scale > 0 and float(np.max(g_probe)) <= 1e-12 * f_scale

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+import test_acceptance
+from nlode import solver, symbols, transforms
 from nlode.oracles import classical_ode_reference, residual_check
 from nlode.solver import (
     ClassicalIVP,
@@ -28,8 +30,8 @@ from nlode.solver import (
     solve_with_poles,
     zero_ic,
 )
-from nlode.symbols import parse_symbol
-from nlode.transforms import BromwichConfig, LineSampler, forcing_from_text
+from nlode.symbols import eval_symbol, parse_symbol
+from nlode.transforms import HARDY_NODES, BromwichConfig, LineSampler, forcing_from_text
 
 GAUSSIAN_SYMBOL = "exp(2*(s^2 + 0.5*s))*(s^2 + 0.5*s - 1) + 2"
 
@@ -231,6 +233,97 @@ class TestLaurent:
         coeffs = laurent_coefficients(lambda s: (s + 2) / (s + 1) ** 2,
                                       -1.0, 2, radius=0.4)
         assert np.allclose(coeffs, [1.0, 1.0], atol=1e-10)
+
+    def test_doubling_samples_each_node_once(self):
+        # the pole at -2 lies 1.0 from the centre, so a radius-0.9 ring
+        # settles only after several doublings
+        def g(s):
+            return (s + 3) / ((s + 1) * (s + 2))
+
+        seen = []
+        coeffs = laurent_coefficients(lambda s: seen.append(s) or g(s), -1.0, 2, radius=0.9)
+        n = 64 * 2 ** (len(seen) - 1)
+        assert len(seen) >= 3
+        assert sum(z.size for z in seen) == n
+        assert np.unique(np.concatenate(seen)).size == n
+        # the same bits as one trapezoid sum over the settled ring
+        ring = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+        ks = np.arange(1, 3)
+        direct = (0.9 ** ks / n) * (ring[:, None] ** ks * g(-1.0 + 0.9 * ring)[:, None]).sum(axis=0)
+        assert np.array_equal(coeffs, direct)
+        assert abs(coeffs[0] - 2.0) < 1e-10 and abs(coeffs[1]) < 1e-10
+
+
+_CFG = BromwichConfig()
+_FIT = np.geomspace(_CFG.y_max, 100.0 * _CFG.y_max, 128)
+# the Hardy gate's lines and the reference fit's window
+TRANSFORM_POINTS = [x + 1j * np.linspace(-_CFG.y_max, _CFG.y_max, HARDY_NODES)
+                    for x in (0.01, 0.1, 1.0)]
+TRANSFORM_POINTS.append(_CFG.sigma + 1j * np.concatenate([-_FIT[::-1], _FIT]))
+
+
+def assert_composed_match_quotients(f, f_eval, J, gic):
+    """F = (L(J) + r)/f, F0 = L(J)/f and g = r/f as built for the solves
+    give the bits of separate evaluations of each part."""
+    def quotient(num):
+        def q(s):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return np.asarray(num(s), np.complex128) / np.asarray(f_eval(s), np.complex128)
+        return q
+
+    F, g = solver._transforms(f, J, gic, split=False)
+    F0, g0 = solver._transforms(f, J, gic, split=True)
+    pairs = [(F, quotient(lambda s: np.asarray(J.laplace(s), np.complex128)
+                          + np.asarray(gic.eval(s), np.complex128))),
+             (F0, quotient(J.laplace)), (g, quotient(gic.eval)), (g0, quotient(gic.eval))]
+    for composed, separate in pairs:
+        for s in TRANSFORM_POINTS:
+            assert np.array_equal(composed(s), separate(s))
+        assert composed(1.0 + 2.0j) == separate(1.0 + 2.0j)
+
+
+class TestComposedTransforms:
+    @pytest.mark.parametrize("text", ["zeta(s + 3)", "exp(s)"])
+    def test_matches_two_call_quotient(self, text):
+        f, J, gic = test_acceptance.eigen_problem(text, 2.0)
+        assert_composed_match_quotients(f, lambda s: eval_symbol(f, s), J, gic)
+
+    def test_callable_parts(self):
+        lam = math.exp(-0.5)
+        J = forcing_from_text(f"{lam!r}*exp(-0.5*t)")
+        gic = GeneralizedIC(lambda s: (np.exp(s) - lam) / (s + 0.5))
+        assert_composed_match_quotients(np.exp, np.exp, J, gic)
+
+    def test_each_zeta_point_once_per_evaluation(self, monkeypatch):
+        f, J, gic = test_acceptance.eigen_problem("zeta(s + 3)", 2.0)
+        calls: list = []       # one set of zeta arguments per eval_symbol call
+        inside = [False]
+        points = [0]
+        inner_zeta, inner_eval = symbols.zeta, symbols.eval_symbol
+
+        def zeta(z):
+            points[0] += int(np.size(z))
+            if inside[0]:
+                key = np.asarray(z).tobytes()
+                assert key not in calls[-1], "zeta evaluated twice at the same points"
+                calls[-1].add(key)
+            return inner_zeta(z)
+
+        def recording_eval(f, s):
+            calls.append(set())
+            inside[0] = True
+            try:
+                return inner_eval(f, s)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(symbols, "zeta", zeta)
+        for module in (symbols, solver, transforms):
+            monkeypatch.setattr(module, "eval_symbol", recording_eval)
+        ts = np.linspace(0.0, 10.0, 201)
+        assert np.max(np.abs(solve_generalized(f, J, gic)(ts) - np.exp(-0.5 * ts))) < 1e-6
+        assert sum(1 for keys in calls if keys) >= 10
+        assert points[0] < 18_000
 
 
 class TestClassicalIVP:

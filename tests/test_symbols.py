@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from nlode import special_functions, symbols
 from nlode.symbols import (
     AnalyticSymbol,
+    Call,
+    Mul,
+    Var,
     DataSequence,
     SymbolSyntaxError,
     build_r_series,
@@ -92,6 +96,48 @@ class TestParser:
         with pytest.raises(SymbolSyntaxError) as info:
             parse_symbol("s + @")
         assert info.value.position == 4
+
+
+class TestEvaluation:
+    ZS = 0.5 + 1j * np.linspace(-50.0, 50.0, 101)
+
+    def record_zeta(self, monkeypatch) -> list:
+        args = []
+
+        def recording(z):
+            args.append(np.array(z))
+            return special_functions.zeta(z)
+
+        monkeypatch.setattr(symbols, "zeta", recording)
+        return args
+
+    def test_shared_zeta_node_evaluated_once(self, monkeypatch):
+        args = self.record_zeta(monkeypatch)
+        val = eval_symbol(parse_symbol("zeta(s + 3)*(zeta(s + 3) - 1)"), self.ZS)
+        assert len(args) == 1
+        z = special_functions.zeta(self.ZS + 3.0)
+        assert np.array_equal(val, z * (z - 1))
+
+    def test_distinct_shifts_evaluated_apart(self, monkeypatch):
+        args = self.record_zeta(monkeypatch)
+        val = eval_symbol(parse_symbol("zeta(s + 2) - zeta(s + 3) + zeta(s + 2)"), self.ZS)
+        assert len(args) == 2
+        z2, z3 = (special_functions.zeta(self.ZS + h) for h in (2.0, 3.0))
+        assert np.array_equal(val, z2 - z3 + z2)
+
+    def test_no_memo_across_evaluations(self, monkeypatch):
+        args = self.record_zeta(monkeypatch)
+        f = parse_symbol("zeta(s + 3)")
+        eval_symbol(f, self.ZS)
+        eval_symbol(f, self.ZS + 1.0)
+        assert len(args) == 2 and not np.array_equal(args[0], args[1])
+
+    def test_call_leaf(self):
+        f = AnalyticSymbol(Mul(Call(np.exp), Var("s")))
+        assert np.array_equal(eval_symbol(f, self.ZS), np.exp(self.ZS) * self.ZS)
+        assert eval_symbol(f, 1.0) == pytest.approx(math.e)
+        with pytest.raises(TypeError):
+            taylor_coefficients(f, 2)
 
 
 class TestTaylorCoefficients:
