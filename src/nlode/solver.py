@@ -39,6 +39,7 @@ from .transforms import (
     BromwichConfig,
     Forcing,
     LineSampler,
+    _power_fit,
     hardy_membership,
     smoothness_order,
     verify_forcing,
@@ -268,17 +269,13 @@ def decay_fit(g: Callable, radii=DECAY_RADII) -> dict:
     points = np.array([r * np.exp(1j * a) for r in radii for a in angles])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.abs(np.asarray(g(points), np.complex128))
-    mask = np.isfinite(vals) & (vals > 0)
-    n_finite = int(mask.sum())
+    n_finite = int(np.count_nonzero(np.isfinite(vals) & (vals > 0)))
     if n_finite < 6:
         raise HypothesisError(
             "decay check failed: fewer than 6 finite probes of r/f at large |s|"
         )
-    lx = np.log(np.abs(points[mask]))
-    lv = np.log(vals[mask])
-    design = np.stack([lx, np.ones_like(lx)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, lv, rcond=None)
-    return {"q": -float(slope), "C": float(math.exp(min(intercept, 700.0))), "n_finite": n_finite}
+    q, c, _ = _power_fit(np.abs(points), vals)
+    return {"q": q, "C": c, "n_finite": n_finite}
 
 
 def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float) -> list:

@@ -379,10 +379,7 @@ def _series(node, m: int) -> np.ndarray:
         return g
     if isinstance(node, ZetaNode):
         rho = 0.5 * min(1.0, node.shift - 1.0)
-        theta = 2.0 * np.pi * np.arange(ZETA_CAUCHY_NODES) / ZETA_CAUCHY_NODES
-        samples = zeta(node.shift + rho * np.exp(1j * theta))
-        coeffs = np.fft.fft(samples)[:m] / ZETA_CAUCHY_NODES
-        return coeffs / rho ** np.arange(m)
+        return cauchy_taylor_at(zeta, node.shift, m - 1, rho, ZETA_CAUCHY_NODES)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -157,6 +157,14 @@ class TestSolveGeneralized:
         exact = c1 * np.exp(-ts) + c2 * np.exp(-2.0 * ts) + A * np.exp(0.8 * ts)
         assert np.max(np.abs(sol(ts) - exact)) < 1e-7
 
+    def test_polynomial_times_exponential_forcing(self):
+        # the forcing gate accepts t^5 e^{-t}, whose t^5 factor outlives e^{-t}
+        f = parse_symbol("s + 2")
+        J = forcing_from_text("t^5*exp(-1*t)")
+        ts = np.linspace(0.0, 4.0, 41)
+        ref = classical_ode_reference(f, J, [0.0], ts)
+        assert np.max(np.abs(solve_generalized(f, J, None)(ts) - ref)) < 1e-10
+
     def test_zeta_symbol_past_height_cap_warns(self):
         # the reference fit samples |Im s| up to 100 y_max: at the default
         # y_max = 200 that ends at the cap, beyond it zeta warns

@@ -44,7 +44,6 @@ class TestForcing:
     def test_exp_decay_closed_form(self):
         J = forcing_from_text("exp(-3*t)")
         assert J.laplace(1.0) == pytest.approx(0.25)
-        assert J.decay_hint == pytest.approx(3.0)
         assert not J.is_zero
 
     def test_zero(self):
@@ -96,9 +95,37 @@ class TestForcing:
             assert abs(num - J.laplace(s)) < 1e-8
 
     def test_verify_forcing(self):
-        out = verify_forcing(forcing_from_text("exp(-2*t)"))
-        assert out["ok"]
-        assert out["max_error"] < 1e-8
+        # a t^n factor outlives the e^{-t} tail, and a slow decay runs far
+        for text, re_min in [("exp(-2*t)", 0.7), ("t^5*exp(-1*t)", 0.7),
+                             ("t^5*exp(-1*t)", 1.0), ("t^3*exp(-0.001*t)", 0.7)]:
+            out = verify_forcing(forcing_from_text(text), re_min=re_min)
+            assert out["ok"], text
+            assert out["max_error"] < 1e-8
+
+    @pytest.mark.parametrize("text,re_min", [
+        ("exp(0.6*t)", 0.7), ("exp(0.65*t)", 0.7), ("exp(0.67*t)", 0.7),
+        ("exp(0.8*t)", 1.5), ("exp(-1000*t)", 0.7),
+    ])
+    def test_verify_forcing_accepts(self, text, re_min):
+        assert verify_forcing(forcing_from_text(text), re_min=re_min)["ok"]
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.5, 2.0)])
+    def test_verify_indicator_with_jumps_on_panel_edges(self, a, b):
+        assert verify_forcing(builtin_forcing("indicator", a=a, b=b))["ok"]
+
+    @pytest.mark.parametrize("text,match", [
+        ("exp(0.68*t)", "overflows"), ("exp(2*t)", "does not decay"),
+    ])
+    def test_verify_forcing_refuses(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            verify_forcing(forcing_from_text(text), re_min=0.7)
+
+    def test_forward_rule_bounded_by_t_cap(self):
+        # e^{-st} J(t) = e^{-0.05 t} at s = 1 needs a horizon near 460
+        J = forcing_from_text("exp(0.95*t)")
+        assert abs(laplace_forward(J, 1.0) - 20.0) < 1e-8
+        with pytest.raises(ValueError, match="tail truncation"):
+            laplace_forward(J, 1.0, t_cap=400.0)
 
     def test_forcing_that_overflows_before_it_decays_fails_fast(self):
         # e^{-st} J(t) falls only like e^{-0.01 t} at Re(s) = 0.7, so J
