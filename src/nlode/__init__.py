@@ -6,7 +6,7 @@ functions, transform machinery, the solvers, verification oracles, and
 a batch CLI.
 """
 
-from .special_functions import ZetaShift, gamma_ln, inverse_zeta_bound_check, zeta, zeta_shift_eval
+from .special_functions import gamma_ln, inverse_zeta_bound_check, zeta
 from .symbols import (
     AnalyticSymbol,
     DataSequence,
@@ -64,7 +64,6 @@ __all__ = [
     "ResiduePolynomials",
     "Solution",
     "SymbolSyntaxError",
-    "ZetaShift",
     "apply_truncated_series",
     "assemble_ivp_system",
     "bromwich_invert",
@@ -91,5 +90,4 @@ __all__ = [
     "solve_with_poles",
     "taylor_coefficients",
     "zeta",
-    "zeta_shift_eval",
 ]

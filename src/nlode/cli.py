@@ -9,6 +9,7 @@ Config files are flat key = value text with two optional sections,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -61,8 +62,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         t0, t1, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid must be t0:t1:n with numeric fields: {exc}") from None
-    if t0 < 0 or t1 <= t0 or n < 2:
-        raise ConfigError("grid needs 0 <= t0 < t1 and n >= 2")
+    if not (0 <= t0 < t1 < math.inf) or n < 2:
+        raise ConfigError("grid needs finite 0 <= t0 < t1 and n >= 2")
     return t0, t1, n
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,65 +173,40 @@ def zeta(z):
     return complex(out[0]) if scalar else out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class ZetaShift:
-    """The shifted zeta symbol s -> zeta(s + h)."""
-
-    h: float
-
-    def __post_init__(self) -> None:
-        if not self.h > 1:
-            raise ValueError("shift must exceed 1")
-
-
-def zeta_shift_eval(zs: ZetaShift, s):
-    """zeta(s + h)."""
-    flat, scalar, shape = _as_flat(s)
-    arg = flat + zs.h
-    if np.any(np.abs(arg - 1.0) < 1e-14):
-        raise ValueError(f"zeta-shift pole at s = {1.0 - zs.h}")
-    vals = zeta(arg)
-    vals = np.asarray(vals, dtype=np.complex128)
-    return complex(vals.ravel()[0]) if scalar else vals.reshape(shape)
-
-
-_mobius_cache: np.ndarray | None = None
-
-
 def mobius_values(limit: int) -> np.ndarray:
-    """mu(0), mu(1), ..., mu(limit); the sieve runs once per process."""
-    global _mobius_cache
+    """mu(0), mu(1), ..., mu(limit), by a sieve up to limit."""
+    if limit < 0:
+        raise ValueError(f"Moebius limit must be nonnegative, got {limit}")
     if limit > MOBIUS_LIMIT:
         raise ValueError(f"Moebius sieve capped at {MOBIUS_LIMIT}")
-    if _mobius_cache is None:
-        cap = MOBIUS_LIMIT
-        mu = np.ones(cap + 1, dtype=np.int64)
-        is_prime = np.ones(cap + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, cap + 1):
-            if not is_prime[p]:
-                continue
-            if p * p <= cap:
-                is_prime[p * p:: p] = False
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= cap:
-                mu[sq::sq] = 0
-        mu[0] = 0
-        _mobius_cache = mu
-    return _mobius_cache[: limit + 1]
+    mu = np.ones(limit + 1, dtype=np.int64)
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, limit + 1):
+        if not is_prime[p]:
+            continue
+        sq = p * p
+        if sq <= limit:
+            is_prime[sq::p] = False
+            mu[sq::sq] = 0
+        mu[p::p] *= -1
+    mu[0] = 0
+    return mu
 
 
-def inverse_zeta_bound_check(zs: ZetaShift, sigma: float, y_grid, mobius_n: int = 10**4) -> dict:
-    """Check |1/zeta_h(sigma+iy)| <= (sigma+h)/(sigma+h-1) on a grid.
+def inverse_zeta_bound_check(h: float, sigma: float, y_grid, mobius_n: int = 10**4) -> dict:
+    """Check |1/zeta(sigma+iy+h)| <= (sigma+h)/(sigma+h-1) on a grid.
 
-    Also cross-checks 1/zeta_h against the truncated Moebius series, whose
-    tail is bounded by the integral of n^{-(sigma+h)}.
+    The shift h must exceed 1.  Also cross-checks 1/zeta against the
+    truncated Moebius series, whose tail is bounded by the integral of
+    n^{-(sigma+h)}.
     """
+    if not h > 1:
+        raise ValueError("shift must exceed 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     ys = np.asarray(list(y_grid), dtype=np.float64)
-    a = sigma + zs.h
+    a = sigma + h
     bound = a / (a - 1.0)
     report: dict = {
         "bound": bound,
@@ -245,7 +219,7 @@ def inverse_zeta_bound_check(zs: ZetaShift, sigma: float, y_grid, mobius_n: int 
     }
     if ys.size == 0:
         return report
-    vals = np.asarray(zeta_shift_eval(zs, sigma + 1j * ys), dtype=np.complex128)
+    vals = np.asarray(zeta((sigma + 1j * ys) + h), dtype=np.complex128)
     inv = 1.0 / vals
     mods = np.abs(inv)
     report["max_inverse_modulus"] = float(np.max(mods))
@@ -254,7 +228,7 @@ def inverse_zeta_bound_check(zs: ZetaShift, sigma: float, y_grid, mobius_n: int 
 
     mu = mobius_values(mobius_n)[1:].astype(np.float64)
     ln_n = np.log(np.arange(1, mobius_n + 1, dtype=np.float64))
-    z_line = (sigma + zs.h) + 1j * ys
+    z_line = (sigma + h) + 1j * ys
     block = max(1, _CHUNK // mobius_n)
     partial = np.empty_like(inv)
     for i0 in range(0, z_line.size, block):

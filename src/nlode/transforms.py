@@ -397,12 +397,6 @@ class LineSampler:
                 f"non-decaying integrand on the contour (fitted decay exponent {alpha_f:.3f})"
             )
 
-        def g_fn(y):
-            s_line = sigma + 1j * np.asarray(y, np.float64)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = np.asarray(F(s_line), np.complex128)
-            return out - self._reference(s_line)
-
         self.y_nodes, self.g_vals = np.zeros(0), np.zeros(0, np.complex128)
         self.atom_matched = scale_f < 1e-300 or scale_g <= 1e-12 * scale_f
         self.atom_exact = False
@@ -462,7 +456,7 @@ class LineSampler:
                 order = n
             self.certified_order = order
 
-        self._g_fn = g_fn
+        self._F = F
         self.h, self._mass = math.pi / self.t_max, 0.0
         self._lay(np.arange(-math.floor(y_max / self.h), math.floor(y_max / self.h) + 1))
         self._halve()
@@ -478,7 +472,11 @@ class LineSampler:
     def _lay(self, m: np.ndarray) -> None:
         """Append the level y = h*m, in level order, and update the node mass."""
         y = self.h * m
-        g = self._g_fn(y)
+        s_line = self.sigma + 1j * y
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f_vals = np.asarray(self._F(s_line), np.complex128)
+        ref = self._reference(s_line)
+        g = f_vals - ref
         if not np.all(np.isfinite(g)):
             raise ValueError("transform is not finite on the contour line")
         self._level = self.y_nodes.size
@@ -486,8 +484,7 @@ class LineSampler:
         self.g_vals = np.concatenate([self.g_vals, g])
         # g = F - reference terms carries rounding of order eps*|F|, not
         # eps*|g|, so the rounding floor counts the reference terms too
-        ref = np.abs(self._reference(self.sigma + 1j * y))
-        self._mass = 0.5 * self._mass + self.h * float(np.sum(np.abs(g) + ref))
+        self._mass = 0.5 * self._mass + self.h * float(np.sum(np.abs(g) + np.abs(ref)))
 
     def _halve(self, change: float | None = None) -> None:
         self.h *= 0.5

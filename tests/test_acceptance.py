@@ -32,7 +32,7 @@ from nlode.solver import (
     solve_generalized,
     solve_with_poles,
 )
-from nlode.special_functions import ZetaShift, inverse_zeta_bound_check
+from nlode.special_functions import inverse_zeta_bound_check
 from nlode.symbols import DataSequence, build_r_series, eval_symbol, parse_symbol
 from nlode.transforms import (
     BromwichConfig,
@@ -160,7 +160,7 @@ def test_criterion_05_inverse_zeta_bound():
     bounds_ok = True
     for h in (2.0, 3.0):
         for sigma in (0.25, 1.0, 4.0):
-            out = inverse_zeta_bound_check(ZetaShift(h), sigma, ys)
+            out = inverse_zeta_bound_check(h, sigma, ys)
             total_violations += len(out["violations"])
             bounds_ok &= abs(out["bound"] - (sigma + h) / (sigma + h - 1)) < 1e-12
     ok = total_violations == 0 and bounds_ok

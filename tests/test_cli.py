@@ -50,7 +50,8 @@ class TestGrid:
     def test_parse(self):
         assert _parse_grid("0:10:201") == (0.0, 10.0, 201)
 
-    @pytest.mark.parametrize("bad", ["0:10", "a:b:c", "5:1:10", "0:10:1", "-1:10:5"])
+    @pytest.mark.parametrize("bad", ["0:10", "a:b:c", "5:1:10", "0:10:1", "-1:10:5",
+                                     "nan:10:5", "0:inf:5"])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             _parse_grid(bad)

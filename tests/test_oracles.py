@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from nlode.oracles import (
+    AnalyticVectorProfile,
     apply_truncated_series,
     classical_ode_reference,
     exponential_profile,
     residual_check,
 )
 from nlode.solver import ClassicalIVP, GeneralizedIC, PoleSpec, solve_classical_ivp, solve_generalized
-from nlode.symbols import parse_symbol
-from nlode.transforms import forcing_from_text
+from nlode.symbols import eval_symbol, parse_symbol
+from nlode.transforms import BromwichConfig, forcing_from_text
 
 ZETA_2_5 = 1.3414872572509173
 
@@ -37,14 +38,23 @@ class TestExponentialProfile:
 
 
 class TestTruncatedSeries:
-    def test_eigenvalue_identity_exp(self):
+    # zero coefficients and vanishing terms must not end the series
+    @pytest.mark.parametrize("text", ["exp(s)", "1 + s^3", "exp(s^2)"])
+    def test_eigenvalue_identity_exp(self, text):
         # f(d/dt) e^{-t/k} = f(-1/k) e^{-t/k} for entire f
-        f = parse_symbol("exp(s)")
+        f = parse_symbol(text)
         prof = exponential_profile(2.0)
         ts = np.linspace(0.0, 10.0, 21)
         got = apply_truncated_series(f, prof, ts)
-        expect = math.exp(-0.5) * np.exp(-0.5 * ts)
+        expect = eval_symbol(f, -0.5) * np.exp(-0.5 * ts)
         assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_shift_operator_on_sine(self):
+        # exp(d/dt) sin is sin(t + 1); the even derivatives at t = 0 vanish
+        sine = AnalyticVectorProfile(np.sin,
+                                     lambda n, t: np.sin(np.asarray(t) + 0.5 * n * math.pi))
+        got = apply_truncated_series(parse_symbol("exp(s)"), sine, 0.0)
+        assert abs(got - math.sin(1.0)) < 1e-14
 
     def test_eigenvalue_identity_zeta(self):
         # zeta(s + 3) at s = -1/2 on the k = 2 exponential
@@ -137,6 +147,17 @@ class TestResidualCheck:
         n_used = out["N_used"]
         tail = sum(0.5 ** n / math.factorial(n) for n in range(n_used + 1, 40))
         assert out["sup_residual"] < 2.0 * tail
+
+    def test_no_certified_order_is_loud(self):
+        # a loose quad_tol lets e^{-s}/(s + 1)^2 through with no certified
+        # moment order; with J = 0 an empty series would read as a pass
+        f = parse_symbol("exp(s)*(s + 1)^2")
+        J = forcing_from_text("0")
+        sol = solve_generalized(f, J, GeneralizedIC(parse_symbol("1 + 0*s"), "user-supplied"),
+                                BromwichConfig(sigma=1.0, y_max=50.0, quad_tol=1e-2))
+        assert sol.derivative_order_limit() == -1
+        with pytest.raises(ArithmeticError, match="no derivative order"):
+            residual_check(f, sol, J, np.linspace(0.5, 5.0, 9), N=24)
 
     def test_positive_grid_required(self):
         f = parse_symbol("(s + 1)*(s + 2)")

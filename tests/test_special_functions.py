@@ -12,13 +12,11 @@ import pytest
 from nlode import special_functions
 from nlode.special_functions import (
     HEIGHT_CAP,
-    ZetaShift,
     gamma_ln,
     inverse_zeta_bound_check,
     mobius_values,
     zeta,
     zeta_em,
-    zeta_shift_eval,
 )
 
 # Frozen by tests/oracle_scripts/zeta_constants.py (Dirichlet partial sum
@@ -156,29 +154,6 @@ class TestGammaLn:
         assert np.max(np.abs(vals - [1.0, 1.0, 2.0, 6.0])) < 1e-12
 
 
-class TestZetaShift:
-    def test_shift_evaluation(self):
-        zs = ZetaShift(3.0)
-        assert abs(zeta_shift_eval(zs, -0.5) - ZETA_2_5) < 1e-13
-        assert abs(zeta_shift_eval(zs, 0.0) - ZETA_3) < 1e-13
-
-    def test_trivial_zero(self):
-        # zeta(s + 3) vanishes where s + 3 = -2, i.e. s = -5
-        zs = ZetaShift(3.0)
-        assert abs(zeta_shift_eval(zs, -5.0)) < 1e-12
-
-    def test_invalid_shift(self):
-        with pytest.raises(ValueError):
-            ZetaShift(0.5)
-
-    def test_abscissa(self):
-        zs = ZetaShift(2.0)
-        assert zs.h == 2.0
-        # the pole of zeta(s + 2) sits at s = -1
-        with pytest.raises(ValueError):
-            zeta_shift_eval(zs, -1.0)
-
-
 class TestMobius:
     def test_first_values(self):
         # mu(1..10) = 1, -1, -1, 0, -1, 1, -1, 0, 0, 1
@@ -198,24 +173,38 @@ class TestMobius:
         total = np.sum(mu[1:] / n ** 3)
         assert abs(total - 1.0 / ZETA_3) < 1e-10
 
+    def test_sieve_sized_to_limit(self):
+        assert mobius_values(0).tolist() == [0]
+        assert mobius_values(1).tolist() == [0, 1]
+        assert mobius_values(30).tolist() == mobius_values(1000)[:31].tolist()
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mobius_values(-5)
+
 
 class TestInverseZetaBound:
     def test_bound_holds_on_grid(self):
         ys = np.linspace(-50.0, 50.0, 101)
         for h in (2.0, 3.0):
             for sigma in (0.25, 1.0, 4.0):
-                out = inverse_zeta_bound_check(ZetaShift(h), sigma, ys)
+                out = inverse_zeta_bound_check(h, sigma, ys)
                 assert out["ok"], (h, sigma, out)
                 assert out["violations"] == []
                 assert out["n_points"] == 101
                 assert out["max_inverse_modulus"] <= out["bound"] + 1e-12
 
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    def test_shift_must_exceed_one(self, h):
+        with pytest.raises(ValueError, match="shift must exceed 1"):
+            inverse_zeta_bound_check(h, 1.0, np.array([0.0]))
+
     def test_bound_value(self):
-        out = inverse_zeta_bound_check(ZetaShift(3.0), 1.0, np.array([0.0]))
+        out = inverse_zeta_bound_check(3.0, 1.0, np.array([0.0]))
         # bound is (sigma + h) / (sigma + h - 1) = 4/3
         assert abs(out["bound"] - 4.0 / 3.0) < 1e-15
 
     def test_mobius_series_agrees(self):
-        out = inverse_zeta_bound_check(ZetaShift(3.0), 1.0,
+        out = inverse_zeta_bound_check(3.0, 1.0,
                                        np.linspace(-5.0, 5.0, 11))
         assert out["mobius_max_error"] < 1e-3

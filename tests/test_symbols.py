@@ -25,6 +25,7 @@ from nlode.symbols import (
 )
 
 ZETA_3 = 1.2020569031595942
+ZETA_2_5 = 1.3414872572509173
 ZETA_PRIME_3 = -0.1981262429007202
 
 
@@ -58,7 +59,14 @@ class TestParser:
     def test_zeta_shift(self):
         f = parse_symbol("zeta(s + 3)")
         assert eval_symbol(f, 0.0) == pytest.approx(ZETA_3, abs=1e-13)
+        assert eval_symbol(f, -0.5) == pytest.approx(ZETA_2_5, abs=1e-13)
+        # the trivial zero s + 3 = -2
         assert eval_symbol(f, -5.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_zeta_shift_pole(self):
+        # the pole of zeta(s + 2) sits at s = 1 - 2
+        with pytest.raises(ValueError, match="pole"):
+            eval_symbol(parse_symbol("zeta(s + 2)"), -1.0)
 
     def test_vectorized_eval(self):
         f = parse_symbol("s^2 + 1")
@@ -82,7 +90,7 @@ class TestParser:
 
     @pytest.mark.parametrize("bad", [
         "s +", "(s", "s)", "q + 1", "s^-1", "s^0.5", "s^s", "exp s",
-        "zeta(2*s)", "zeta(s + 0.5)", "zeta(s*s)", "", "1 2",
+        "zeta(2*s)", "zeta(s + 0.5)", "zeta(s + 1)", "zeta(s*s)", "", "1 2",
     ])
     def test_syntax_errors(self, bad):
         with pytest.raises(SymbolSyntaxError):
