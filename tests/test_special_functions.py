@@ -18,6 +18,7 @@ from nlode.special_functions import (
     zeta,
     zeta_em,
 )
+from nlode.symbols import eval_symbol, parse_symbol
 
 # Frozen by tests/oracle_scripts/zeta_constants.py (Dirichlet partial sum
 # of 10^6 terms plus integral tail; cross-checked against mpmath).
@@ -152,6 +153,18 @@ class TestGammaLn:
         zs = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.complex128)
         vals = np.exp(gamma_ln(zs))
         assert np.max(np.abs(vals - [1.0, 1.0, 2.0, 6.0])) < 1e-12
+
+
+class TestZetaShift:
+    def test_shift_evaluation(self):
+        f = parse_symbol("zeta(s + 3)")
+        assert abs(eval_symbol(f, -0.5) - ZETA_2_5) < 1e-13
+        assert abs(eval_symbol(f, 0.0) - ZETA_3) < 1e-13
+
+    def test_trivial_zero(self):
+        # zeta(s + 3) vanishes where s + 3 = -2, i.e. s = -5
+        f = parse_symbol("zeta(s + 3)")
+        assert abs(eval_symbol(f, -5.0)) < 1e-12
 
 
 class TestMobius:
