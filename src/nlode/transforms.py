@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .special_functions import uniform_step
 from .symbols import (
     Add,
     AnalyticSymbol,
@@ -282,18 +283,6 @@ def _check_times(ts: np.ndarray) -> None:
         raise ValueError(f"inverse transform needs a finite t, got t = {bad[0]}")
     if np.any(ts < 0):
         raise ValueError("inverse transform is defined on t >= 0")
-
-
-def _uniform_step(ts: np.ndarray) -> float | None:
-    """The step of an increasing grid of at least CHIRP_MIN_POINTS times
-    that lies within a few ulp of t_0 + j*step; None for any other t set."""
-    if ts.size < CHIRP_MIN_POINTS:
-        return None
-    step = (ts[-1] - ts[0]) / (ts.size - 1)
-    if not step > 0:
-        return None
-    drift = np.max(np.abs(ts - (ts[0] + step * np.arange(ts.size))))
-    return step if drift <= 8.0 * np.finfo(np.float64).eps * ts[-1] else None
 
 
 def _chirp(c: float, n: np.ndarray) -> np.ndarray:
@@ -593,7 +582,7 @@ class LineSampler:
         self._cover(ts_arr)
         sn = (self.sigma + 1j * self.y_nodes) ** n if n else 1.0
         wg = self.h * sn * self.g_vals
-        step = _uniform_step(ts_arr)
+        step = uniform_step(ts_arr, CHIRP_MIN_POINTS)
         k = np.rint(self.y_nodes / self.h).astype(np.int64)
         if step is not None and np.max(np.abs(k), initial=0) + ts_arr.size < CHIRP_MAX_INDEX:
             self._evaluations["chirp_z"] += 1

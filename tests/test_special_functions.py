@@ -15,6 +15,7 @@ from nlode.special_functions import (
     gamma_ln,
     inverse_zeta_bound_check,
     mobius_values,
+    uniform_step,
     zeta,
     zeta_em,
 )
@@ -119,6 +120,19 @@ class TestZeta:
         # about 40 bytes per term of the longest row, 0.8 MB unblocked
         assert peak < 128 * 1024
 
+    @pytest.mark.parametrize("x", [-2.0, -0.5, 0.3])
+    def test_reflection_accurate_at_height(self, x):
+        # left of Re z = 1/2 the sine of the functional equation would
+        # overflow above |Im z| ~ 451 and the product turn NaN
+        mpmath = pytest.importorskip("mpmath")
+        zs = x + 1j * np.array([1e3, -1e3, 1.9e4, -1.9e4])
+        with mpmath.workdps(20):
+            ref = np.array([complex(mpmath.zeta(complex(z))) for z in zs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = zeta(zs)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
     def test_em_term_count_scales_accuracy(self):
         # the Euler-Maclaurin cutoff must grow with the height to stay
         # accurate; spot-check a moderately high point against the
@@ -128,6 +142,95 @@ class TestZeta:
         eta = np.sum((-1.0) ** (n + 1) * n ** (-z))
         ref = eta / (1.0 - 2.0 ** (1.0 - z))
         assert abs(zeta_em(z) - ref) < 1e-9
+
+
+class TestZetaRuns:
+    """The blocked kernel for runs x + i(y_0 + k dy) against zeta_em."""
+
+    STEP = math.pi / 64        # a trapezoid step h of the line sampler
+    ODD = np.arange(1, math.floor(200.0 / STEP) + 1, 2)
+
+    @pytest.fixture
+    def run_calls(self, monkeypatch):
+        calls = []
+        kernel = special_functions._run_sums
+
+        def counted(flat, cuts, step):
+            calls.append(flat.size)
+            return kernel(flat, cuts, step)
+
+        monkeypatch.setattr(special_functions, "_run_sums", counted)
+        return calls
+
+    @pytest.mark.parametrize("zs", [
+        3.01 + 1j * np.linspace(-200.0, 200.0, 4097),                  # Hardy line
+        4.0 + 1j * STEP * np.concatenate([-ODD[::-1], ODD]),            # odd sampler level
+        4.0 + 1j * np.linspace(-200.0, 200.0, 513),                     # contour probes
+        1.5 + 1j * np.linspace(2000.0, -2000.0, 1001),                  # decreasing run
+        1.5 + 1j * np.linspace(100.0, 1900.0, 200),                     # wide ragged part
+    ], ids=["hardy", "odd-level", "probes", "decreasing", "ragged"])
+    def test_matches_direct_sums(self, zs, run_calls):
+        got = zeta(zs)
+        assert run_calls == [zs.size]
+        ref = zeta_em(zs)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+    def test_reflected_run_is_decreasing(self, run_calls):
+        zs = -0.5 + 1j * np.linspace(-300.0, 300.0, 257)
+        got = zeta(zs)
+        assert run_calls == [zs.size]
+        w = zs
+        pref = np.exp(w * math.log(2.0) + (w - 1.0) * math.log(math.pi) + gamma_ln(1.0 - w))
+        ref = pref * np.sin(0.5 * np.pi * w) * zeta_em(1.0 - w)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("zs", [
+        1.5 + 1j * np.linspace(-200.0, 200.0, 63),                      # one short of a block
+        4.0 + 1j * np.geomspace(1.0, 2e4, 256),                         # geometric fit window
+        np.linspace(3.0, 4.0, 100) + 1j * np.linspace(-200.0, 200.0, 100),  # mixed real parts
+        1.5 + 1j * (np.linspace(-200.0, 200.0, 100) + 1e-9 * (np.arange(100) == 50)),
+    ], ids=["63-points", "geomspace", "mixed-real", "one-moved"])
+    def test_other_batches_keep_direct_bits(self, zs, run_calls):
+        assert np.array_equal(zeta(zs), zeta_em(zs))
+        assert run_calls == []
+
+    @pytest.mark.parametrize("x", [0.6, 1.5, 4.0])
+    def test_run_accurate_up_to_height_cap(self, x, run_calls):
+        mpmath = pytest.importorskip("mpmath")
+        zs = x + 1j * np.linspace(-HEIGHT_CAP, HEIGHT_CAP, 129)
+        got = zeta(zs)
+        assert run_calls == [zs.size]
+        pick = np.r_[0:zs.size:11, zs.size - 1]
+        with mpmath.workdps(20):
+            ref = np.array([complex(mpmath.zeta(complex(z))) for z in zs[pick]])
+        assert np.max(np.abs(got[pick] - ref) / np.abs(ref)) <= 1e-10
+
+    def test_memory_bounded_per_block(self, monkeypatch):
+        # the n range is summed in column blocks: the peak follows _CHUNK,
+        # not the height (41 MB at the default _CHUNK, which takes 2e4 in
+        # one block)
+        zs = 1.5 + 1j * np.linspace(-2e4, 2e4, 4097)
+        ref = zeta(zs)
+        monkeypatch.setattr(special_functions, "_CHUNK", 1 << 15)
+        tracemalloc.start()
+        try:
+            got = zeta(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+        # about 1.4 MB, 0.8 MB of it the batch-sized arrays of the tail
+        assert peak < 2 * 1024 * 1024
+
+    def test_uniform_step(self):
+        ys = np.linspace(-200.0, 200.0, 4097)
+        assert uniform_step(ys, 64) == 400.0 / 4096
+        assert uniform_step(self.STEP * np.concatenate([-self.ODD[::-1], self.ODD]), 64) is not None
+        assert uniform_step(ys[:63], 64) is None
+        assert uniform_step(ys[::-1], 64) is None
+        moved = ys.copy()
+        moved[100] += 1e-9
+        assert uniform_step(moved, 64) is None
 
 
 class TestGammaLn:
