@@ -39,6 +39,7 @@ from .solver import (
     find_zeros,
     laurent_coefficients,
     residue_sum_eval,
+    solve,
     solve_classical_ivp,
     solve_generalized,
     solve_with_poles,
@@ -85,6 +86,7 @@ __all__ = [
     "residual_check",
     "residue_sum_eval",
     "smoothness_order",
+    "solve",
     "solve_classical_ivp",
     "solve_generalized",
     "solve_with_poles",

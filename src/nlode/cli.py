@@ -16,20 +16,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .oracles import residual_check
-from .solver import (
-    ClassicalIVP,
-    GeneralizedIC,
-    HypothesisError,
-    PoleSpec,
-    hypothesis_gates,
-    solve_classical_ivp,
-    solve_generalized,
-    solve_with_poles,
-)
+from .solver import GeneralizedIC, HypothesisError, hypothesis_gates, solve
 from .symbols import parse_symbol
 from .transforms import BromwichConfig, builtin_forcing, forcing_from_text
 
-MODES = ("generalized", "classical-ivp", "poles-given", "diagnose")
+# The data fields each mode takes, as ProblemConfig attributes.  A solve
+# mode requires every field it takes and rejects the others; diagnose
+# takes any of them and checks the problem they describe.
+_MODE_FIELDS = {
+    "generalized": ("gic_text",),
+    "classical-ivp": ("poles", "initial_values"),
+    "poles-given": ("gic_text", "poles"),
+    "diagnose": ("gic_text", "poles", "initial_values"),
+}
+MODES = tuple(_MODE_FIELDS)
+_FIELD_NAMES = {"gic_text": "the field: gic", "poles": "a [poles] section",
+                "initial_values": "an [initial_values] section"}
 _KEYS = ("mode", "symbol", "forcing", "gic", "sigma", "y_max", "quad_tol",
          "grid", "output_csv", "output_report")
 
@@ -111,6 +113,8 @@ def parse_config_text(text: str) -> ProblemConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r} (line {lineno})")
+        if key in values:
+            raise ConfigError(f"key {key!r} given twice (line {lineno})")
         values[key] = value
 
     if "mode" not in values:
@@ -140,24 +144,20 @@ def parse_config_text(text: str) -> ProblemConfig:
 
 
 def _validate_mode_fields(cfg: ProblemConfig) -> None:
-    if cfg.mode == "generalized" and cfg.gic_text is None:
-        raise ConfigError("generalized mode requires the field: gic")
-    if cfg.mode == "poles-given":
-        if cfg.gic_text is None:
-            raise ConfigError("poles-given mode requires the field: gic")
-        if not cfg.poles:
-            raise ConfigError("poles-given mode requires a [poles] section")
-    if cfg.mode == "classical-ivp":
-        if not cfg.poles:
-            raise ConfigError("classical-ivp mode requires a [poles] section")
-        if not cfg.initial_values:
-            raise ConfigError("classical-ivp mode requires an [initial_values] section")
-        k = sum(order for _, _, order in cfg.poles)
-        if len(cfg.initial_values) != k:
-            raise ConfigError(
-                f"initial_values must supply K = {k} entries, got {len(cfg.initial_values)}"
-            )
-    if cfg.mode in ("generalized", "poles-given", "classical-ivp") and cfg.output_csv is None:
+    if cfg.mode == "diagnose":
+        return
+    for name, text in _FIELD_NAMES.items():
+        given = getattr(cfg, name) not in (None, ())
+        if given and name not in _MODE_FIELDS[cfg.mode]:
+            raise ConfigError(f"{cfg.mode} mode does not take {text}")
+        if not given and name in _MODE_FIELDS[cfg.mode]:
+            raise ConfigError(f"{cfg.mode} mode requires {text}")
+    k = sum(order for _, _, order in cfg.poles)
+    if cfg.initial_values and len(cfg.initial_values) != k:
+        raise ConfigError(
+            f"initial_values must supply K = {k} entries, got {len(cfg.initial_values)}"
+        )
+    if cfg.output_csv is None:
         raise ConfigError(f"{cfg.mode} mode requires the field: output_csv")
 
 
@@ -179,14 +179,6 @@ def _build_forcing(text: str):
             params[key] = float(value)
         return builtin_forcing(parts[1], **params)
     return forcing_from_text(text)
-
-
-def _pole_pairs(cfg: ProblemConfig) -> tuple:
-    return tuple((complex(re, im), order) for re, im, order in cfg.poles)
-
-
-def _bromwich_config(cfg: ProblemConfig) -> BromwichConfig:
-    return BromwichConfig(sigma=cfg.sigma, y_max=cfg.y_max, quad_tol=cfg.quad_tol)
 
 
 def _fmt(x: float) -> str:
@@ -245,39 +237,47 @@ def _report_lines(cfg: ProblemConfig, diagnostics: dict, extra: dict) -> list[st
 
 
 def _load_problem(config_path: str, overrides: dict | None):
-    """The config and its parsed symbol, forcing, generalized initial
-    condition (None if absent) and contour settings; a syntax error in any
-    of them is a ConfigError."""
+    """The config and the arguments of solve and hypothesis_gates it
+    names: every data field present, parsed; a syntax error in any of
+    them is a ConfigError."""
     try:
         cfg = _with_overrides(load_config(config_path), overrides)
-        symbol = parse_symbol(cfg.symbol_text)
-        forcing = _build_forcing(cfg.forcing_text)
-        gic = None if cfg.gic_text is None else \
-            GeneralizedIC(parse_symbol(cfg.gic_text), "user-supplied")
-        return cfg, (symbol, forcing, gic, _bromwich_config(cfg))
+        args = {"f": parse_symbol(cfg.symbol_text), "J": _build_forcing(cfg.forcing_text),
+                "cfg": BromwichConfig(sigma=cfg.sigma, y_max=cfg.y_max, quad_tol=cfg.quad_tol)}
+        if cfg.gic_text is not None:
+            args["r"] = GeneralizedIC(parse_symbol(cfg.gic_text), "user-supplied")
+        if cfg.poles:
+            args["poles"] = tuple((complex(re, im), order) for re, im, order in cfg.poles)
+        if cfg.initial_values:
+            args["initial_values"] = cfg.initial_values
+        return cfg, args
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _print_gates(args: dict) -> int:
+    """Print the PASS/FAIL/SKIP table of the problem's hypothesis gates."""
+    rows = list(hypothesis_gates(**args))
+    print("nlode diagnose report")
+    for line in _gate_table(rows):
+        print(line)
+    failed = any(status == "FAIL" for _, status, _, _ in rows)
+    print(f"result: {'FAIL' if failed else 'PASS'}")
+    return 2 if failed else 0
 
 
 def run(config_path: str, overrides: dict | None = None) -> int:
     """Solve the configured problem; write CSV and report."""
     try:
-        cfg, (symbol, forcing, gic, bcfg) = _load_problem(config_path, overrides)
+        cfg, args = _load_problem(config_path, overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if cfg.mode == "diagnose":
-        return diagnose(config_path, overrides)
+        return _print_gates(args)
 
     try:
-        if cfg.mode == "generalized":
-            solution = solve_generalized(symbol, forcing, gic, bcfg)
-        elif cfg.mode == "poles-given":
-            solution = solve_with_poles(symbol, forcing, gic, PoleSpec(_pole_pairs(cfg)), bcfg)
-        else:
-            ivp = ClassicalIVP(symbol, forcing, PoleSpec(_pole_pairs(cfg)), cfg.initial_values)
-            solution, _ = solve_classical_ivp(ivp, bcfg)
-
+        solution = solve(**args)
         t0, t1, n = cfg.grid
         ts = np.linspace(t0, t1, n)
         bro, res = solution.eval_parts(ts)
@@ -286,7 +286,7 @@ def run(config_path: str, overrides: dict | None = None) -> int:
         sample = positive[np.unique(np.linspace(0, positive.size - 1, 17).astype(int))] \
             if positive.size else positive
         try:
-            rep = residual_check(symbol, solution, forcing, sample, N=24, tol=1e-4)
+            rep = residual_check(args["f"], solution, args["J"], sample, N=24, tol=1e-4)
             residual = {"residual_sup": f"{rep['sup_residual']:.6e}",
                         "residual_N_used": str(rep["N_used"]),
                         "residual_ok": "yes" if rep["ok"] else "no",
@@ -315,27 +315,11 @@ def diagnose(config_path: str, overrides: dict | None = None) -> int:
     """Run only the hypothesis gates of the configured solve and print a
     PASS/FAIL/SKIP table."""
     try:
-        cfg, (symbol, forcing, gic, bcfg) = _load_problem(config_path, overrides)
+        _, args = _load_problem(config_path, overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # a solve mode checks only the fields its solver takes
-    poles = _pole_pairs(cfg) or None
-    initial = cfg.initial_values or None
-    if cfg.mode == "generalized":
-        poles, initial = None, None
-    elif cfg.mode == "poles-given":
-        initial = None
-    elif cfg.mode == "classical-ivp":
-        gic = None
-    rows = list(hypothesis_gates(symbol, forcing, bcfg, r=gic, poles=poles,
-                                 initial_values=initial))
-    print("nlode diagnose report")
-    for line in _gate_table(rows):
-        print(line)
-    failed = any(status == "FAIL" for _, status, _, _ in rows)
-    print(f"result: {'FAIL' if failed else 'PASS'}")
-    return 2 if failed else 0
+    return _print_gates(args)
 
 
 def _with_overrides(cfg: ProblemConfig, overrides: dict | None) -> ProblemConfig:

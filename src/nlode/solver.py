@@ -1,16 +1,18 @@
 """Solvers for the nonlocal equation f(d/dt) phi = J on t >= 0.
 
-Three entry points share the same transform-side machinery:
+One entry point, solve(f, J, r, poles, initial_values), takes the path
+its data select; the transform-side machinery is shared:
 
-- solve_generalized inverts (L(J) + r)/f directly on the contour line;
-- solve_with_poles splits the solution into a Bromwich part from L(J)/f
-  and residue polynomials of r/f at declared poles;
-- solve_classical_ivp constructs the residue coefficients, and with them
-  the generalized initial condition r0, from finitely many local initial
-  values.
+- r alone (or no data) inverts (L(J) + r)/f directly on the contour line;
+- r with declared poles splits the solution into a Bromwich part from
+  L(J)/f and residue polynomials of r/f at the poles;
+- poles with local initial values constructs the residue coefficients,
+  and with them the generalized initial condition r0, from the data.
 
-Each first drains hypothesis_gates, the ordered solvability checks that
-`nlode diagnose` prints, and raises HypothesisError at the first FAIL.
+solve_generalized, solve_with_poles and solve_classical_ivp name these
+three paths.  solve first drains hypothesis_gates, the ordered
+solvability checks that `nlode diagnose` prints, and raises
+HypothesisError at the first FAIL.
 """
 
 from __future__ import annotations
@@ -200,24 +202,21 @@ class Solution:
             self._line = LineSampler(self.bromwich_transform, self.config)
         return self._line
 
-    def bromwich_part(self, t) -> np.ndarray:
-        """Inverse transform of the Bromwich factor; one-sided value at t = 0."""
+    def _parts(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
+        """n-th t-derivatives of the Bromwich part (one-sided at t = 0) and
+        of the residue part."""
         ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if self.bromwich_transform is None:
-            return np.zeros(ts.shape, dtype=np.complex128)
-        return self.sampler().derivative_values(0, ts)
-
-    def residue_part(self, t) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if self.poles is None or self.residue is None:
-            return np.zeros(ts.shape, dtype=np.complex128)
-        return np.asarray(residue_sum_eval(self.residue, self.poles, ts))
+        bro = (np.zeros(ts.shape, dtype=np.complex128) if self.bromwich_transform is None
+               else self.sampler().derivative_values(n, ts))
+        res = (np.zeros(ts.shape, dtype=np.complex128) if self.poles is None or self.residue is None
+               else residue_derivative_values(self.residue, self.poles, n, ts))
+        return bro, res
 
     def eval_parts(self, t) -> tuple[np.ndarray, np.ndarray]:
-        return self.bromwich_part(t), self.residue_part(t)
+        return self._parts(0, t)
 
     def eval(self, t):
-        bro, res = self.eval_parts(t)
+        bro, res = self._parts(0, t)
         total = bro + res
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return complex(total[0])
@@ -233,13 +232,8 @@ class Solution:
 
     def nth_derivative(self, n: int, t) -> np.ndarray:
         """n-th derivative of the solution on t > 0 (t >= 0 for n = 0)."""
-        ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.zeros(ts.shape, dtype=np.complex128)
-        if self.bromwich_transform is not None:
-            out += self.sampler().derivative_values(n, ts)
-        if self.poles is not None and self.residue is not None:
-            out += residue_derivative_values(self.residue, self.poles, n, ts)
-        return out
+        bro, res = self._parts(n, t)
+        return bro + res
 
 
 def _as_gic(r) -> GeneralizedIC:
@@ -555,11 +549,10 @@ def hypothesis_gates(f, J: Forcing, cfg: BromwichConfig | None = None, r=None,
     for: analytic-right-half-plane, contour-nonvanishing,
     forcing-transform, hardy-membership, decay-of-r-over-f,
     smoothness-order, pole-constraints and conditioning.  The arguments
-    name the problem as the solvers take it: without poles the Hardy gate
-    tests (L(J) + r)/f (solve_generalized); with poles, given as a
-    PoleSpec or (omega, order) pairs, it tests L(J)/f (solve_with_poles);
-    initial values add the classical IVP's smoothness and conditioning
-    gates (solve_classical_ivp).  Each solver drains these rows and raises
+    are those of solve: without poles the Hardy gate tests (L(J) + r)/f;
+    with poles, given as a PoleSpec or (omega, order) pairs, it tests
+    L(J)/f; initial values add the classical IVP's smoothness and
+    conditioning gates.  solve drains these rows and raises
     HypothesisError at the first FAIL.
     """
     gic = _as_gic(r)
@@ -576,75 +569,70 @@ _DIAGNOSTIC_KEYS = {
 }
 
 
-def _run_gates(rows, mode: str) -> dict:
-    """Drain gate rows into a diagnostics dict; raise at the first FAIL."""
+def solve(f, J: Forcing, r=None, poles=None, initial_values=None,
+          cfg: BromwichConfig | None = None) -> Solution:
+    """Solve f(d/dt) phi = J by the path its data select.
+
+    r alone, or no data, is the generalized path (r = 0 when absent); r
+    with poles, a PoleSpec or (omega, order) pairs, the residue split;
+    poles with initial values phi(0), ..., phi^{K-1}(0), the classical
+    IVP, whose constructed r0 becomes solution.gic.  r with initial
+    values, or initial values without poles, is a ValueError.  The
+    arguments are those of hypothesis_gates: their rows go to
+    diagnostics["gates"], the first FAIL raises HypothesisError, and
+    diagnostics["mode"] names the path (generalized, poles-given or
+    classical-ivp).
+    """
+    if initial_values is not None and (r is not None or poles is None):
+        raise ValueError("initial values need declared poles and no r")
+    cfg = cfg or BromwichConfig()
+    gic = _as_gic(r)
+    F, g = _transforms(f, J, gic, split=poles is not None)
+    mode = "generalized" if poles is None else \
+        "poles-given" if initial_values is None else "classical-ivp"
     diagnostics: dict = {"mode": mode, "gates": []}
-    for name, status, detail, data in rows:
+    for name, status, detail, data in _gate_rows(f, J, F, g, cfg, poles, initial_values):
         diagnostics["gates"].append((name, status, detail))
         if data is not None and name in _DIAGNOSTIC_KEYS:
             diagnostics[_DIAGNOSTIC_KEYS[name]] = data
         if status == "FAIL":
             raise HypothesisError(detail, diagnostics)
-    return diagnostics
-
-
-def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | None = None) -> Solution:
-    """Solve f(d/dt) phi = J with generalized initial condition r.
-
-    The solution transform is (L(J) + r)/f; it must be in the Hardy
-    space, and r/f must decay at large |s| (see hypothesis_gates).
-    """
-    cfg = cfg or BromwichConfig()
-    gic = _as_gic(r)
-    F, g = _transforms(f, J, gic, split=False)
-    diagnostics = _run_gates(_gate_rows(f, J, F, g, cfg, None, None), "generalized")
-    return Solution(f, J, gic, cfg, F, diagnostics=diagnostics)
-
-
-def solve_with_poles(f: AnalyticSymbol, J: Forcing, r, poles: PoleSpec,
-                     cfg: BromwichConfig | None = None) -> Solution:
-    """Residue-expansion solve: Bromwich part from L(J)/f, residue
-    polynomials from the Laurent coefficients of r/f at the declared poles."""
-    cfg = cfg or BromwichConfig()
-    gic = _as_gic(r)
-    F0, g = _transforms(f, J, gic, split=True)
-    diagnostics = _run_gates(_gate_rows(f, J, F0, g, cfg, poles, None), "poles-given")
-    if g is None:
-        rp = ResiduePolynomials.zeros(poles)
+    if poles is None:
+        return Solution(f, J, gic, cfg, F, diagnostics=diagnostics)
+    poles = poles if isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
+    solution = Solution(f, J, gic, cfg, F, poles=poles, diagnostics=diagnostics)
+    if initial_values is None:
+        solution.residue = _laurent_residues(g, poles)
     else:
-        blocks = []
-        for (omega, order), radius in zip(poles.poles, _default_radii(poles)):
-            coeffs = laurent_coefficients(g, omega, order, radius)
-            blocks.append(tuple(coeffs))
-            top = abs(coeffs[-1])
-            scale = max(1.0, max(abs(c) for c in coeffs))
-            if order > 1 and top < 1e-10 * scale:
-                warnings.warn(
-                    f"pole order at {omega} may be overstated: leading Laurent "
-                    f"coefficient {top:.2e} is negligible",
-                    stacklevel=2,
-                )
-        rp = ResiduePolynomials(tuple(blocks))
-    return Solution(f, J, gic, cfg, F0, poles=poles, residue=rp, diagnostics=diagnostics)
+        _fit_initial_values(solution, ClassicalIVP(f, J, poles, initial_values))
+    return solution
 
 
-def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
-                        ) -> tuple[Solution, GeneralizedIC]:
-    """Solve a classical IVP and return the solution plus the constructed r0.
+def _laurent_residues(g, poles: PoleSpec) -> ResiduePolynomials:
+    """Residue polynomials of r/f at the declared poles."""
+    if g is None:
+        return ResiduePolynomials.zeros(poles)
+    blocks = []
+    for (omega, order), radius in zip(poles.poles, _default_radii(poles)):
+        coeffs = laurent_coefficients(g, omega, order, radius)
+        blocks.append(tuple(coeffs))
+        top = abs(coeffs[-1])
+        scale = max(1.0, max(abs(c) for c in coeffs))
+        if order > 1 and top < 1e-10 * scale:
+            warnings.warn(
+                f"pole order at {omega} may be overstated: leading Laurent "
+                f"coefficient {top:.2e} is negligible",
+                stacklevel=3,
+            )
+    return ResiduePolynomials(tuple(blocks))
 
-    r0(s) = f(s) * sum a_{j,i} (j-1)! / (s - omega_i)^j, the closed-form
-    transform of the residue part times f.
-    """
-    cfg = cfg or BromwichConfig()
+
+def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
+    """Residue coefficients from the moment system of the initial values,
+    and r0 = f * (closed-form transform of the residue part) as solution.gic."""
     K = ivp.poles.K
-    F0, _ = _transforms(ivp.f, ivp.forcing, zero_ic(), split=True)
-    diagnostics = _run_gates(
-        _gate_rows(ivp.f, ivp.forcing, F0, None, cfg, ivp.poles, ivp.initial_values),
-        "classical-ivp",
-    )
-    solution = Solution(ivp.f, ivp.forcing, None, cfg, F0, poles=ivp.poles,
-                        diagnostics=diagnostics)
-    if F0 is None:
+    diagnostics = solution.diagnostics
+    if solution.bromwich_transform is None:
         Ln = np.zeros(K, dtype=np.complex128)
     else:
         sampler = solution.sampler()
@@ -658,23 +646,18 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
     for _, order in ivp.poles.poles:
         blocks.append(tuple(complex(v) for v in a[idx:idx + order]))
         idx += order
-    rp = ResiduePolynomials(tuple(blocks))
+    solution.residue = ResiduePolynomials(tuple(blocks))
 
+    # r0/f = sum a_{j,i} (j-1)! / (s - omega_i)^j; K >= 1, so it has a term
     var = Var(ivp.f.var_name)
     tree = None
-    for (omega, order), coeffs in zip(ivp.poles.poles, rp.coefficients):
+    for (omega, _), coeffs in zip(ivp.poles.poles, solution.residue.coefficients):
         for j, a_j in enumerate(coeffs, start=1):
             term = Div(Const(a_j * math.factorial(j - 1)), Pow(Sub(var, Const(omega)), j))
             tree = term if tree is None else Add(tree, term)
-    r0_tree = Mul(ivp.f.expr, tree if tree is not None else Const(0j))
-    gic = GeneralizedIC(AnalyticSymbol(r0_tree, ivp.f.var_name), "constructed-from-IVP")
-
-    def r0_over_f(s):
-        return eval_symbol(AnalyticSymbol(tree, ivp.f.var_name), s) if tree is not None else 0j
-
-    diagnostics["r0_over_f_decay"] = decay_fit(r0_over_f) if tree is not None else None
-
-    solution.gic, solution.residue = gic, rp
+    solution.gic = GeneralizedIC(AnalyticSymbol(Mul(ivp.f.expr, tree), ivp.f.var_name),
+                                 "constructed-from-IVP")
+    diagnostics["r0_over_f_decay"] = decay_fit(_symbol_eval(AnalyticSymbol(tree, ivp.f.var_name)))
 
     recovered = derivatives_at_zero(solution.eval, range(K))
     errors = [abs(recovered[n] - ivp.initial_values[n]) for n in range(K)]
@@ -683,9 +666,35 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
         warnings.warn(
             f"initial values reproduced to only {max(errors):.2e}; "
             "check conditioning and quadrature settings",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return solution, gic
+
+
+def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | None = None) -> Solution:
+    """Solve f(d/dt) phi = J with generalized initial condition r.
+
+    The solution transform is (L(J) + r)/f; it must be in the Hardy
+    space, and r/f must decay at large |s| (see hypothesis_gates).
+    """
+    return solve(f, J, r, cfg=cfg)
+
+
+def solve_with_poles(f: AnalyticSymbol, J: Forcing, r, poles: PoleSpec,
+                     cfg: BromwichConfig | None = None) -> Solution:
+    """Residue-expansion solve: Bromwich part from L(J)/f, residue
+    polynomials from the Laurent coefficients of r/f at the declared poles."""
+    return solve(f, J, r, poles, cfg=cfg)
+
+
+def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
+                        ) -> tuple[Solution, GeneralizedIC]:
+    """Solve a classical IVP and return the solution plus the constructed r0.
+
+    r0(s) = f(s) * sum a_{j,i} (j-1)! / (s - omega_i)^j, the closed-form
+    transform of the residue part times f.
+    """
+    return (solution := solve(ivp.f, ivp.forcing, poles=ivp.poles,
+                              initial_values=ivp.initial_values, cfg=cfg)), solution.gic
 
 
 def _rect_tuple(rect) -> tuple[float, float, float, float]:

@@ -20,6 +20,7 @@ grids) is summed as a dense exp(i t y) matmul.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -63,12 +64,12 @@ class BromwichConfig:
     quad_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("contour abscissa sigma must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("contour abscissa sigma must be positive and finite")
         if not (self.y_max > 0 and math.isfinite(self.y_max)):
             raise ValueError("truncation half-width y_max must be positive and finite")
-        if not self.quad_tol > 0:
-            raise ValueError("quad_tol must be positive")
+        if not (self.quad_tol > 0 and math.isfinite(self.quad_tol)):
+            raise ValueError("quad_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,16 @@ class Forcing:
         return eval_symbol(self.closed_form_laplace, s)
 
 
+def _terms_product(left: dict, right: dict) -> dict:
+    """Terms of the product of two {(power m, rate a): coefficient} sums."""
+    out: dict = {}
+    for (m1, a1), c1 in left.items():
+        for (m2, a2), c2 in right.items():
+            key = (m1 + m2, a1 + a2)
+            out[key] = out.get(key, 0j) + c1 * c2
+    return out
+
+
 def poly_exp_terms(node) -> dict:
     """Decompose a t-expression into {(power m, rate a): coefficient}.
 
@@ -100,23 +111,14 @@ def poly_exp_terms(node) -> dict:
         return {(0, 0j): node.value}
     if isinstance(node, Var):
         return {(1, 0j): 1.0 + 0j}
-    if isinstance(node, Sub):
-        out = dict(poly_exp_terms(node.left))
+    if isinstance(node, (Add, Sub)):
+        op = operator.add if isinstance(node, Add) else operator.sub
+        out = poly_exp_terms(node.left)
         for key, c in poly_exp_terms(node.right).items():
-            out[key] = out.get(key, 0j) - c
-        return out
-    if isinstance(node, Add):
-        out = dict(poly_exp_terms(node.left))
-        for key, c in poly_exp_terms(node.right).items():
-            out[key] = out.get(key, 0j) + c
+            out[key] = op(out.get(key, 0j), c)
         return out
     if isinstance(node, Mul):
-        out: dict = {}
-        for (m1, a1), c1 in poly_exp_terms(node.left).items():
-            for (m2, a2), c2 in poly_exp_terms(node.right).items():
-                key = (m1 + m2, a1 + a2)
-                out[key] = out.get(key, 0j) + c1 * c2
-        return out
+        return _terms_product(poly_exp_terms(node.left), poly_exp_terms(node.right))
     if isinstance(node, Div):
         right = poly_exp_terms(node.right)
         if set(right) <= {(0, 0j)}:
@@ -129,12 +131,7 @@ def poly_exp_terms(node) -> dict:
         out = {(0, 0j): 1.0 + 0j}
         base = poly_exp_terms(node.base)
         for _ in range(node.exponent):
-            nxt: dict = {}
-            for (m1, a1), c1 in out.items():
-                for (m2, a2), c2 in base.items():
-                    key = (m1 + m2, a1 + a2)
-                    nxt[key] = nxt.get(key, 0j) + c1 * c2
-            out = nxt
+            out = _terms_product(out, base)
         return out
     if isinstance(node, Exp):
         arg = poly_exp_terms(node.arg)

@@ -83,6 +83,8 @@ class TestParseConfig:
         ("mode = diagnose\nsymbol = s\n[poles]\n-1 0\n", "re im order"),
         ("mode = diagnose\nsymbol = s\n[poles]\na b c\n", "not numeric"),
         ("mode = diagnose\nsymbol = s\n[initial_values]\n1 2 3\n", "re"),
+        ("mode = diagnose\nsymbol = s\nsigma = 2\nsigma = 0.5\n",
+         r"'sigma' given twice \(line 4\)"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -98,6 +100,16 @@ class TestParseConfig:
         ("mode = classical-ivp\nsymbol = s\noutput_csv = x.csv\n"
          "[poles]\n-1 0 2\n[initial_values]\n1\n", "initial_values must supply"),
         ("mode = generalized\nsymbol = s\ngic = s\n", "output_csv"),
+        ("mode = generalized\nsymbol = s\ngic = s\noutput_csv = x.csv\n"
+         "[poles]\n-1 0 1\n", r"generalized mode does not take a \[poles\]"),
+        ("mode = generalized\nsymbol = s\ngic = s\noutput_csv = x.csv\n"
+         "[initial_values]\n1\n", r"generalized mode does not take an \[initial_values\]"),
+        ("mode = poles-given\nsymbol = s\ngic = s\noutput_csv = x.csv\n"
+         "[poles]\n-1 0 1\n[initial_values]\n1\n",
+         r"poles-given mode does not take an \[initial_values\]"),
+        ("mode = classical-ivp\nsymbol = s\ngic = s\noutput_csv = x.csv\n"
+         "[poles]\n-1 0 1\n[initial_values]\n1\n",
+         "classical-ivp mode does not take the field: gic"),
     ])
     def test_mode_field_requirements(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -291,6 +303,19 @@ class TestSolveAndDiagnoseAgree:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("name", ["damped_oscillator_ivp", "exp_symbol_eigenfunction",
+                                      "zeta_symbol_ivp"])
+    @pytest.mark.filterwarnings("ignore:derivative orders truncated")
+    def test_diagnose_prints_the_report_gates(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert diagnose(config_path(f"{name}.cfg")) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert run(config_path(f"{name}.cfg")) == 0
+        report = (tmp_path / f"{name}.report.txt").read_text().splitlines()
+        gates = report[report.index("gates:") + 1:]
+        assert printed[1:-1] == [line[2:] for line in gates]
+        assert len(gates) == 8 and all(line.startswith("  ") for line in gates)
+
     def test_report_flags_truncated_residual(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.warns(UserWarning, match="truncated"):
@@ -351,6 +376,13 @@ class TestMain:
     def test_diagnose_subcommand(self, capsys):
         assert main(["diagnose", config_path("diagnose_pole_at_origin.cfg")]) == 2
         assert "result: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--ymax", "--tol"])
+    def test_non_finite_override_is_config_error(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", write_cfg(tmp_path, FAST_IVP), flag, "inf"]) == 1
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "fast.csv").exists()
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit) as exc:

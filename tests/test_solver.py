@@ -21,10 +21,12 @@ from nlode.solver import (
     decay_fit,
     derivatives_at_zero,
     find_zeros,
+    hypothesis_gates,
     laurent_coefficients,
     predict_derivative_at_zero,
     residue_derivative_values,
     residue_sum_eval,
+    solve,
     solve_classical_ivp,
     solve_generalized,
     solve_with_poles,
@@ -332,6 +334,42 @@ class TestComposedTransforms:
         assert np.max(np.abs(solve_generalized(f, J, gic)(ts) - np.exp(-0.5 * ts))) < 1e-6
         assert sum(1 for keys in calls if keys) >= 10
         assert points[0] < 18_000
+
+
+class TestSolve:
+    """One solve: the data select the path; its gates are hypothesis_gates'."""
+
+    F2, J2 = "(s + 1)*(s + 2)", "exp(-3*t)"
+
+    def args(self, **data):
+        return {"f": parse_symbol(self.F2), "J": forcing_from_text(self.J2),
+                "cfg": BromwichConfig(), **data}
+
+    @pytest.mark.parametrize("data,mode", [
+        ({"r": GeneralizedIC(parse_symbol("s + 3"))}, "generalized"),
+        ({"r": GeneralizedIC(parse_symbol("s + 3")), "poles": ((-1 + 0j, 1), (-2 + 0j, 1))},
+         "poles-given"),
+        ({"poles": ((-1 + 0j, 1), (-2 + 0j, 1)), "initial_values": (1.0, 0.0)},
+         "classical-ivp"),
+    ], ids=["generalized", "poles-given", "classical-ivp"])
+    def test_gates_are_hypothesis_gates(self, data, mode):
+        args = self.args(**data)
+        rows = [row[:3] for row in hypothesis_gates(**args)]
+        sol = solve(**args)
+        assert sol.diagnostics["gates"] == rows
+        assert sol.diagnostics["mode"] == mode
+        ts = np.linspace(0.0, 4.0, 9)
+        exact = 2.5 * np.exp(-ts) - 2.0 * np.exp(-2 * ts) + 0.5 * np.exp(-3 * ts)
+        assert np.max(np.abs(sol(ts) - exact)) < 1e-7
+
+    @pytest.mark.parametrize("data", [
+        {"r": GeneralizedIC(parse_symbol("s + 3")), "poles": ((-1 + 0j, 1), (-2 + 0j, 1)),
+         "initial_values": (1.0, 0.0)},
+        {"initial_values": (1.0, 0.0)},
+    ], ids=["r-with-initial-values", "initial-values-without-poles"])
+    def test_rejects_conflicting_data(self, data):
+        with pytest.raises(ValueError, match="initial values need declared poles and no r"):
+            solve(**self.args(**data))
 
 
 class TestClassicalIVP:

@@ -33,10 +33,11 @@ class TestBromwichConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"sigma": -1.0}, {"y_max": 0.0},
-        {"y_max": math.inf}, {"quad_tol": 0.0},
+        {"y_max": math.inf}, {"quad_tol": 0.0}, {"sigma": math.inf}, {"quad_tol": math.inf},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # each bad value is rejected by name, before any quadrature runs
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             BromwichConfig(**kwargs)
 
 
