@@ -16,13 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .oracles import residual_check
-from .solver import GeneralizedIC, HypothesisError, hypothesis_gates, solve
+from .solver import (ClassicalIVP, GeneralizedIC, HypothesisError, PoleSpec, hypothesis_gates,
+                     solve_classical_ivp, solve_generalized, solve_with_poles)
 from .symbols import parse_symbol
 from .transforms import BromwichConfig, builtin_forcing, forcing_from_text
 
 # The data fields each mode takes, as ProblemConfig attributes.  A solve
 # mode requires every field it takes and rejects the others; diagnose
-# takes any of them and checks the problem they describe.
+# takes any of them and checks them as solve would.
 _MODE_FIELDS = {
     "generalized": ("gic_text",),
     "classical-ivp": ("poles", "initial_values"),
@@ -34,6 +35,13 @@ _FIELD_NAMES = {"gic_text": "the field: gic", "poles": "a [poles] section",
                 "initial_values": "an [initial_values] section"}
 _KEYS = ("mode", "symbol", "forcing", "gic", "sigma", "y_max", "quad_tol",
          "grid", "output_csv", "output_report")
+# section header: what one line holds, its shape, its field counts, its parse
+_SECTIONS = {
+    "[poles]": ("pole", "'re im order'", (3,),
+                lambda p: (float(p[0]), float(p[1]), int(p[2]))),
+    "[initial_values]": ("initial value", "'re [im]'", (1, 2),
+                         lambda p: complex(float(p[0]), float(p[1]) if len(p) == 2 else 0.0)),
+}
 
 
 class ConfigError(ValueError):
@@ -71,40 +79,26 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 def parse_config_text(text: str) -> ProblemConfig:
     values: dict = {}
-    poles: list = []
-    initial: list = []
+    rows: dict = {header: [] for header in _SECTIONS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            if line == "[poles]":
-                section = "poles"
-            elif line == "[initial_values]":
-                section = "initial_values"
-            else:
+            if line not in _SECTIONS:
                 raise ConfigError(f"unknown section {line} (line {lineno})")
+            section = line
             continue
-        if section == "poles":
+        if section is not None:
+            what, shape, counts, parse = _SECTIONS[section]
             parts = line.split()
-            if len(parts) != 3:
-                raise ConfigError(f"pole line needs 're im order' (line {lineno})")
+            if len(parts) not in counts:
+                raise ConfigError(f"{what} line needs {shape} (line {lineno})")
             try:
-                poles.append((float(parts[0]), float(parts[1]), int(parts[2])))
+                rows[section].append(parse(parts))
             except ValueError:
-                raise ConfigError(f"pole line is not numeric (line {lineno})") from None
-            continue
-        if section == "initial_values":
-            parts = line.split()
-            if len(parts) not in (1, 2):
-                raise ConfigError(f"initial value line needs 're [im]' (line {lineno})")
-            try:
-                re = float(parts[0])
-                im = float(parts[1]) if len(parts) == 2 else 0.0
-            except ValueError:
-                raise ConfigError(f"initial value line is not numeric (line {lineno})") from None
-            initial.append(complex(re, im))
+                raise ConfigError(f"{what} line is not numeric (line {lineno})") from None
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -136,8 +130,8 @@ def parse_config_text(text: str) -> ProblemConfig:
         grid=_parse_grid(values.get("grid", "0:10:201")),
         output_csv=values.get("output_csv"),
         output_report=values.get("output_report"),
-        poles=tuple(poles),
-        initial_values=tuple(initial),
+        poles=tuple(rows["[poles]"]),
+        initial_values=tuple(rows["[initial_values]"]),
     )
     _validate_mode_fields(cfg)
     return cfg
@@ -257,13 +251,26 @@ def _load_problem(config_path: str, overrides: dict | None):
 
 def _print_gates(args: dict) -> int:
     """Print the PASS/FAIL/SKIP table of the problem's hypothesis gates."""
-    rows = list(hypothesis_gates(**args))
+    try:
+        rows = list(hypothesis_gates(**args))
+    except ValueError as exc:
+        print(f"hypothesis failure: {exc}", file=sys.stderr)
+        return 2
     print("nlode diagnose report")
     for line in _gate_table(rows):
         print(line)
     failed = any(status == "FAIL" for _, status, _, _ in rows)
     print(f"result: {'FAIL' if failed else 'PASS'}")
     return 2 if failed else 0
+
+
+def _solve(mode: str, args: dict):
+    """solve(**args), entered through the named solver of the mode; those
+    three names are the solver layer's boundary in perfbench/tracer.py."""
+    if mode == "classical-ivp":
+        ivp = ClassicalIVP(args["f"], args["J"], PoleSpec(args["poles"]), args["initial_values"])
+        return solve_classical_ivp(ivp, args["cfg"])[0]
+    return (solve_generalized if mode == "generalized" else solve_with_poles)(**args)
 
 
 def run(config_path: str, overrides: dict | None = None) -> int:
@@ -277,7 +284,7 @@ def run(config_path: str, overrides: dict | None = None) -> int:
         return _print_gates(args)
 
     try:
-        solution = solve(**args)
+        solution = _solve(cfg.mode, args)
         t0, t1, n = cfg.grid
         ts = np.linspace(t0, t1, n)
         bro, res = solution.eval_parts(ts)
@@ -323,18 +330,12 @@ def diagnose(config_path: str, overrides: dict | None = None) -> int:
 
 
 def _with_overrides(cfg: ProblemConfig, overrides: dict | None) -> ProblemConfig:
-    if not overrides:
-        return cfg
-    updates = {}
-    if overrides.get("sigma") is not None:
-        updates["sigma"] = float(overrides["sigma"])
-    if overrides.get("ymax") is not None:
-        updates["y_max"] = float(overrides["ymax"])
-    if overrides.get("tol") is not None:
-        updates["quad_tol"] = float(overrides["tol"])
-    if overrides.get("grid") is not None:
-        updates["grid"] = _parse_grid(overrides["grid"])
-    return replace(cfg, **updates) if updates else cfg
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    updates = {name: float(given[k]) for k, name in
+               (("sigma", "sigma"), ("ymax", "y_max"), ("tol", "quad_tol")) if k in given}
+    if "grid" in given:
+        updates["grid"] = _parse_grid(given["grid"])
+    return replace(cfg, **updates)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,7 @@
 """Solvers for the nonlocal equation f(d/dt) phi = J on t >= 0.
 
-One entry point, solve(f, J, r, poles, initial_values), takes the path
-its data select; the transform-side machinery is shared:
+One entry point, solve(f, J, *, r, poles, initial_values, cfg), takes
+the path its data select; the transform-side machinery is shared:
 
 - r alone (or no data) inverts (L(J) + r)/f directly on the contour line;
 - r with declared poles splits the solution into a Bromwich part from
@@ -18,6 +18,7 @@ HypothesisError at the first FAIL.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -234,14 +235,6 @@ class Solution:
         """n-th derivative of the solution on t > 0 (t >= 0 for n = 0)."""
         bro, res = self._parts(n, t)
         return bro + res
-
-
-def _as_gic(r) -> GeneralizedIC:
-    if isinstance(r, GeneralizedIC):
-        return r
-    if r is None:
-        return zero_ic()
-    return GeneralizedIC(r, "user-supplied")
 
 
 def _symbol_eval(f) -> Callable:
@@ -541,22 +534,32 @@ def _gate_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_values):
             f"exceeds {CONDITION_LIMIT:.0e}"), cond)
 
 
-def hypothesis_gates(f, J: Forcing, cfg: BromwichConfig | None = None, r=None,
-                     poles=None, initial_values=None):
+def _problem(f, J: Forcing, r, poles, initial_values) -> tuple:
+    """(gic, F, g) of the data hypothesis_gates and solve take.  Initial
+    values fix the residues at the declared poles, so they need poles and
+    exclude r; anything else is a ValueError."""
+    if initial_values is not None and (r is not None or poles is None):
+        raise ValueError("initial values need declared poles and no r")
+    gic = r if isinstance(r, GeneralizedIC) else zero_ic() if r is None else GeneralizedIC(r)
+    return (gic, *_transforms(f, J, gic, split=poles is not None))
+
+
+def hypothesis_gates(f, J: Forcing, *, r=None, poles=None, initial_values=None,
+                     cfg: BromwichConfig | None = None):
     """The solvability hypotheses of one problem, checked in a fixed order.
 
     Yields rows (name, status, detail, data), status PASS, FAIL or SKIP,
     for: analytic-right-half-plane, contour-nonvanishing,
     forcing-transform, hardy-membership, decay-of-r-over-f,
     smoothness-order, pole-constraints and conditioning.  The arguments
-    are those of solve: without poles the Hardy gate tests (L(J) + r)/f;
+    are those of solve, and data that solve refuses raise the same
+    ValueError here.  Without poles the Hardy gate tests (L(J) + r)/f;
     with poles, given as a PoleSpec or (omega, order) pairs, it tests
     L(J)/f; initial values add the classical IVP's smoothness and
     conditioning gates.  solve drains these rows and raises
     HypothesisError at the first FAIL.
     """
-    gic = _as_gic(r)
-    F, g = _transforms(f, J, gic, split=poles is not None)
+    _, F, g = _problem(f, J, r, poles, initial_values)
     yield from _gate_rows(f, J, F, g, cfg or BromwichConfig(), poles, initial_values)
 
 
@@ -569,7 +572,7 @@ _DIAGNOSTIC_KEYS = {
 }
 
 
-def solve(f, J: Forcing, r=None, poles=None, initial_values=None,
+def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
           cfg: BromwichConfig | None = None) -> Solution:
     """Solve f(d/dt) phi = J by the path its data select.
 
@@ -583,11 +586,8 @@ def solve(f, J: Forcing, r=None, poles=None, initial_values=None,
     diagnostics["mode"] names the path (generalized, poles-given or
     classical-ivp).
     """
-    if initial_values is not None and (r is not None or poles is None):
-        raise ValueError("initial values need declared poles and no r")
+    gic, F, g = _problem(f, J, r, poles, initial_values)
     cfg = cfg or BromwichConfig()
-    gic = _as_gic(r)
-    F, g = _transforms(f, J, gic, split=poles is not None)
     mode = "generalized" if poles is None else \
         "poles-given" if initial_values is None else "classical-ivp"
     diagnostics: dict = {"mode": mode, "gates": []}
@@ -608,6 +608,15 @@ def solve(f, J: Forcing, r=None, poles=None, initial_values=None,
     return solution
 
 
+def _warn(message: str) -> None:
+    """Warn at the first caller outside this module: the line that called
+    solve or one of the named solvers."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _laurent_residues(g, poles: PoleSpec) -> ResiduePolynomials:
     """Residue polynomials of r/f at the declared poles."""
     if g is None:
@@ -619,11 +628,8 @@ def _laurent_residues(g, poles: PoleSpec) -> ResiduePolynomials:
         top = abs(coeffs[-1])
         scale = max(1.0, max(abs(c) for c in coeffs))
         if order > 1 and top < 1e-10 * scale:
-            warnings.warn(
-                f"pole order at {omega} may be overstated: leading Laurent "
-                f"coefficient {top:.2e} is negligible",
-                stacklevel=3,
-            )
+            _warn(f"pole order at {omega} may be overstated: leading Laurent "
+                  f"coefficient {top:.2e} is negligible")
     return ResiduePolynomials(tuple(blocks))
 
 
@@ -663,11 +669,8 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
     errors = [abs(recovered[n] - ivp.initial_values[n]) for n in range(K)]
     diagnostics["initial_value_errors"] = errors
     if max(errors) > 1e-3:
-        warnings.warn(
-            f"initial values reproduced to only {max(errors):.2e}; "
-            "check conditioning and quadrature settings",
-            stacklevel=3,
-        )
+        _warn(f"initial values reproduced to only {max(errors):.2e}; "
+              "check conditioning and quadrature settings")
 
 
 def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | None = None) -> Solution:
@@ -676,14 +679,14 @@ def solve_generalized(f: AnalyticSymbol, J: Forcing, r, cfg: BromwichConfig | No
     The solution transform is (L(J) + r)/f; it must be in the Hardy
     space, and r/f must decay at large |s| (see hypothesis_gates).
     """
-    return solve(f, J, r, cfg=cfg)
+    return solve(f, J, r=r, cfg=cfg)
 
 
 def solve_with_poles(f: AnalyticSymbol, J: Forcing, r, poles: PoleSpec,
                      cfg: BromwichConfig | None = None) -> Solution:
     """Residue-expansion solve: Bromwich part from L(J)/f, residue
     polynomials from the Laurent coefficients of r/f at the declared poles."""
-    return solve(f, J, r, poles, cfg=cfg)
+    return solve(f, J, r=r, poles=poles, cfg=cfg)
 
 
 def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None

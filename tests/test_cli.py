@@ -239,6 +239,17 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "pairwise distinct" in out
 
+    @pytest.mark.parametrize("gic", ["s + 3", "2*s + 9"], ids=["consistent", "contradicting"])
+    def test_r_with_initial_values_fails(self, tmp_path, capsys, gic):
+        # initial values fix the residues themselves: solve refuses r with
+        # them, and diagnose reports that rather than passing the gates
+        text = ("mode = diagnose\nsymbol = (s + 1)*(s + 2)\nforcing = exp(-3*t)\n"
+                f"gic = {gic}\n[poles]\n-1 0 1\n-2 0 1\n[initial_values]\n1\n0\n")
+        assert diagnose(write_cfg(tmp_path, text)) == 2
+        captured = capsys.readouterr()
+        assert "result: PASS" not in captured.out
+        assert "initial values need declared poles and no r" in captured.err
+
     def test_broken_config_is_exit_1(self, tmp_path, capsys):
         assert diagnose(str(tmp_path / "nope.cfg")) == 1
         assert "config error" in capsys.readouterr().err

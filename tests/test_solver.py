@@ -370,6 +370,26 @@ class TestSolve:
     def test_rejects_conflicting_data(self, data):
         with pytest.raises(ValueError, match="initial values need declared poles and no r"):
             solve(**self.args(**data))
+        with pytest.raises(ValueError, match="initial values need declared poles and no r"):
+            list(hypothesis_gates(**self.args(**data)))
+
+    def test_data_arguments_are_keywords(self):
+        args = self.args()
+        for entry in (solve, hypothesis_gates):
+            with pytest.raises(TypeError):
+                entry(args["f"], args["J"], args["cfg"])
+
+    def test_warning_names_the_caller(self):
+        # r/f = (s + 3)/((s + 1)(s + 2)) has a simple pole where f has a
+        # double zero; the warning points at the line that called the solver
+        f = parse_symbol("(s + 1)^2*(s + 2)")
+        r = GeneralizedIC(parse_symbol("(s + 1)*(s + 3)"))
+        poles = ((-1 + 0j, 2), (-2 + 0j, 1))
+        with pytest.warns(UserWarning, match="may be overstated") as caught:
+            solve_with_poles(f, forcing_from_text(self.J2), r, poles)
+        with pytest.warns(UserWarning, match="may be overstated") as caught_solve:
+            solve(f, forcing_from_text(self.J2), r=r, poles=poles)
+        assert [w.filename for w in (*caught, *caught_solve)] == [__file__, __file__]
 
 
 class TestClassicalIVP:
