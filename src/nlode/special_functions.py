@@ -2,8 +2,13 @@
 
 The zeta evaluator combines a truncated Dirichlet sum with Euler-Maclaurin
 corrections for Re(z) >= 1/2 and switches to the reflection functional
-equation on the left.  Each point cuts its Dirichlet sum at its own height,
-max(64, ceil|Im z|), so its cost and its value depend on that point alone.
+equation on the left.  Each point z = x + iT cuts its Dirichlet sum at
+N = max(64, ceil(T rho)), rho = min(1, max(T, 1)^{-(x - 1/2)/(2m + 1 + x)})
+for Euler-Maclaurin order m: the shortest cut whose order-m remainder,
+about (|z|/2 pi N)^{2m+1} N^{-x} (Edwards, Riemann's Zeta Function, 6.4),
+is no larger than that of N = T on the critical line at the same height.
+So the cut is max(64, ceil T) at x = 1/2 and shrinks as x grows, and the
+cost and value of a point depend on that point alone.
 
 The Dirichlet sums have two kernels.  A batch that is a run of at least
 _RUN_BLOCK points x + i(y_0 + k dy) with one real part (a Hardy line, the
@@ -16,8 +21,8 @@ at many equally spaced heights.  Every other batch (single points, the
 geometric fit window, mixed real parts) takes zeta_em's direct sums, one
 exp per term.  The cut is the same in both, and a value on a run matches
 zeta_em to rounding, not bit for bit.  Against mpmath the relative error
-stays below 1e-10 up to the height cap |Im z| = 2e4 (at Re z = 0.6, 1.5
-and 4, and left of 1/2 at Re z = -2, -0.5 and 0.3); zeta warns above it.
+stays below 1e-10 up to the height cap |Im z| = 2e4 (at Re z from 0.6 to
+10, and left of 1/2 at Re z = -2, -0.5 and 0.3); zeta warns above it.
 A Moebius sieve backs the inverse-zeta bound check.
 """
 
@@ -120,8 +125,9 @@ def uniform_step(xs: np.ndarray, min_points: int) -> float | None:
 def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER):
     """Euler-Maclaurin continuation, valid for Re(z) > 1 - 2*em_order.
 
-    Each point sums its own Dirichlet terms n < N = max(n_terms, ceil|Im z|, 2),
-    so the correction terms keep shrinking at height, a low point costs no
+    Each point sums its own Dirichlet terms n < N = max(n_terms, ceil(|Im z| rho), 2),
+    with rho <= 1 the factor of the module docstring (1 at Re z <= 1/2), so
+    the correction terms keep shrinking at height, a low point costs no
     more than its own cut, and a value does not depend on the rest of its
     batch.  Points sharing a cut are summed together, in blocks of at most
     _CHUNK matrix entries; a point whose row alone is longer sums it in
@@ -136,13 +142,20 @@ def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER
 
 def _euler_maclaurin(flat: np.ndarray, n_terms: int, em_order: int,
                      step: float | None) -> np.ndarray:
-    """zeta_em on a flat batch: the direct Dirichlet sums when step is None,
-    else those of the run x + i(y_0 + k*step) by _run_sums, then the tail."""
+    """zeta_em on a flat batch: each point's cut, the direct Dirichlet sums
+    when step is None, else those of the run x + i(y_0 + k*step) by
+    _run_sums, then the tail."""
     if np.any(np.abs(flat - 1.0) < 1e-14):
         raise ValueError("zeta pole at z = 1")
     if not np.all(np.isfinite(flat.imag)):
         raise ValueError(f"zeta needs a finite Im z, got z = {flat[~np.isfinite(flat.imag)][0]}")
-    cuts = np.maximum(np.ceil(np.abs(flat.imag)), max(int(n_terms), 2)).astype(np.int64)
+    # the order-m remainder at cut N is about (|z|/2 pi N)^{2m+1} N^{-Re z};
+    # N = |Im z| rho makes it no larger than that of N = |Im z| at Re z = 1/2
+    # (fmax: a non-finite Re z gives rho NaN and a NaN value at any cut)
+    height = np.abs(flat.imag)
+    x = np.maximum(flat.real, 0.5)
+    rho = np.maximum(height, 1.0) ** ((0.5 - x) / (2 * em_order + 1 + x))
+    cuts = np.fmax(np.ceil(height * rho), max(int(n_terms), 2)).astype(np.int64)
     out = _direct_sums(flat, cuts) if step is None else _run_sums(flat, cuts, step)
     groups, member = np.unique(cuts, return_inverse=True)
     nf = cuts.astype(np.float64)
@@ -235,9 +248,9 @@ def zeta(z):
     x + i(y_0 + k*dy) of at least _RUN_BLOCK = 64 points with one real part,
     increasing or decreasing, its Dirichlet sums come from the blocked
     products of _run_sums; any other set takes zeta_em's direct sums.
-    Either way each point sums n < max(64, ceil|Im z|), so the cut depends
-    on the point alone, and a value on a run matches zeta_em to rounding,
-    not bit for bit.
+    Either way each point sums n < max(64, ceil(|Im z| rho)), the cut of
+    the module docstring, which depends on the point alone, and a value on
+    a run matches zeta_em to rounding, not bit for bit.
     """
     flat, scalar, shape = _as_flat(z)
     if flat.size == 0:

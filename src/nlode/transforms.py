@@ -74,11 +74,16 @@ class BromwichConfig:
 
 @dataclass(frozen=True)
 class Forcing:
-    """Right-hand side J(t) with an optional closed-form transform."""
+    """Right-hand side J(t) with an optional closed-form transform.
+
+    breakpoints are the times where J jumps; laplace_forward puts a panel
+    edge on each, so its rule never integrates across a jump.
+    """
 
     j_eval: Callable
     closed_form_laplace: AnalyticSymbol | None = None
     label: str = ""
+    breakpoints: tuple[float, ...] = ()
 
     @property
     def is_zero(self) -> bool:
@@ -191,7 +196,8 @@ def builtin_forcing(name: str, **params) -> Forcing:
             Sub(Exp(Mul(Const(-a + 0j), Var("s"))), Exp(Mul(Const(-b + 0j), Var("s")))),
             Var("s"),
         )
-        return Forcing(j_eval, AnalyticSymbol(tree, "s"), label=f"indicator[{a},{b})")
+        return Forcing(j_eval, AnalyticSymbol(tree, "s"), label=f"indicator[{a},{b})",
+                       breakpoints=(a, b))
     raise ValueError(f"unknown builtin forcing {name!r}")
 
 
@@ -200,12 +206,13 @@ def laplace_forward(J: Forcing, s: complex, tol: float = 1e-10, t_cap: float = 1
 
     One fixed composite rule: 20-point Gauss-Legendre on the panels with
     edges 0, 2^-10, 2^-9, ..., 1, 2, 3, ..., ceil(H), graded toward t = 0
-    where a fast decay lives, evaluated in one vectorised call.  The
-    horizon H is 128, or further out where the integrand, extrapolated
-    along its decay between t = 64 and t = 128, falls below tol.  A
-    non-decaying integrand, a J that overflows before H and an H beyond
-    t_cap raise ValueError before any node is laid, so one call costs at
-    most 20 (ceil(t_cap) + 10) integrand points.
+    where a fast decay lives, plus J's breakpoints below ceil(H), evaluated
+    in one vectorised call.  The horizon H is 128, or further out where the
+    integrand, extrapolated along its decay between t = 64 and t = 128,
+    falls below tol.  A non-decaying integrand, a J that overflows before
+    H and an H beyond t_cap raise ValueError before any node is laid, so
+    one call costs at most 20 (ceil(t_cap) + 10 + len(breakpoints))
+    integrand points.
     """
     s = complex(s)
     if s.real <= 0:
@@ -233,6 +240,9 @@ def laplace_forward(J: Forcing, s: complex, tol: float = 1e-10, t_cap: float = 1
 
     edges = np.concatenate([[0.0], 2.0 ** np.arange(-10, 1),
                             np.arange(2.0, math.ceil(horizon) + 1)])
+    if J.breakpoints:
+        jumps = np.asarray(J.breakpoints, dtype=np.float64)
+        edges = np.union1d(edges, jumps[(jumps > 0) & (jumps < edges[-1])])
     half = 0.5 * np.diff(edges)[:, None]
     x20, w20 = _GL20
     t = (edges[:-1, None] + half * (1.0 + x20)).ravel()

@@ -30,6 +30,35 @@ ZETA_2_5 = 1.3414872572509173
 ZETA_3_PLUS_10I = complex(1.0995639043266732, -0.0491986732154643)
 ZETA_PRIME_3 = -0.1981262429007202
 
+# real parts right of 1/2 where the Euler-Maclaurin cut shrinks with Re z
+RIGHT_OF_HALF = [0.6, 1.1, 1.5, 2.0, 3.01, 4.0, 6.0, 10.0]
+
+
+@pytest.fixture
+def cuts_of(monkeypatch):
+    """The Dirichlet cut of each point of a zeta_em batch, read off the
+    direct-sum kernel."""
+    seen = []
+    kernel = special_functions._direct_sums
+
+    def recorded(flat, cuts):
+        seen.append(cuts.copy())
+        return kernel(flat, cuts)
+
+    monkeypatch.setattr(special_functions, "_direct_sums", recorded)
+
+    def cuts(zs):
+        seen.clear()
+        zeta_em(np.asarray(zs, dtype=np.complex128))
+        return seen[0]
+
+    return cuts
+
+
+def height_cut(zs):
+    """The cut max(64, ceil|Im z|), sized for the critical line."""
+    return np.maximum(np.ceil(np.abs(np.imag(zs))), 64).astype(np.int64)
+
 
 class TestZeta:
     def test_reference_points(self):
@@ -70,6 +99,12 @@ class TestZeta:
         with pytest.raises(ValueError, match="finite Im z"):
             zeta_em(complex(3.0, height))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_real_part_is_nan(self, x, cuts_of):
+        with np.errstate(all="ignore"):
+            assert cuts_of([complex(x, 5e3)]).tolist() == [64]
+            assert np.isnan(zeta_em(complex(x, 5e3)))
+
     def test_derivative_at_three(self):
         h = 1e-5
         dz = (zeta(3 + h) - zeta(3 - h)) / (2 * h)
@@ -82,10 +117,10 @@ class TestZeta:
         assert np.isfinite(val)
         assert any("height" in str(w.message).lower() for w in caught)
 
-    @pytest.mark.parametrize("x", [0.6, 1.5, 4.0])
+    @pytest.mark.parametrize("x", RIGHT_OF_HALF)
     def test_accurate_up_to_height_cap(self, x):
         mpmath = pytest.importorskip("mpmath")
-        zs = x + 1j * np.geomspace(1e3, HEIGHT_CAP, 12)
+        zs = x + 1j * np.geomspace(1e2, HEIGHT_CAP, 12)
         with mpmath.workdps(20):
             ref = np.array([complex(mpmath.zeta(complex(z))) for z in zs])
         with warnings.catch_warnings():
@@ -94,21 +129,65 @@ class TestZeta:
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
     def test_cut_depends_only_on_the_point(self):
-        # each point sums up to its own height, whatever else is in the batch
+        # each point sums up to its own cut, whatever else is in the batch
         low = 3.0 + 1.0j
         assert zeta_em([low, 3.0 + 2e4j])[0] == zeta_em(low)
         grid = 3.01 + 1j * np.linspace(-200.0, 200.0, 4097)
         batch = zeta_em(grid)
         for i in range(0, grid.size, 64):
             assert batch[i] == zeta_em(grid[i])
+        rng = np.random.default_rng(5)
+        heights = rng.choice([-1, 1], 96) * np.geomspace(1.0, HEIGHT_CAP, 96)
+        mixed = rng.choice(RIGHT_OF_HALF + [0.5], 96) + 1j * heights
+        batch = zeta_em(mixed)
+        for i in range(mixed.size):
+            assert batch[i] == zeta_em(mixed[i])
 
-    def test_memory_bounded_per_point(self, monkeypatch):
+    def test_cut_is_the_height_on_the_critical_line_and_low_down(self, cuts_of):
+        ys = np.array([0.0, 1.0, -40.0, 63.5, 64.0, 64.2, -100.0, 999.5, 1e4, -HEIGHT_CAP])
+        assert np.array_equal(cuts_of(0.5 + 1j * ys), height_cut(1j * ys))
+        low = np.add.outer(RIGHT_OF_HALF + [-2.0], 1j * np.linspace(-64.0, 64.0, 33)).ravel()
+        assert np.all(cuts_of(low) == 64)
+
+    def test_cut_never_exceeds_the_height(self, cuts_of):
+        rng = np.random.default_rng(3)
+        heights = rng.choice([-1, 1], 400) * np.geomspace(1.0, 1e5, 400)
+        zs = rng.uniform(-3.0, 12.0, 400) + 1j * heights
+        cuts = cuts_of(zs)
+        assert np.all((cuts >= 64) & (cuts <= height_cut(zs)))
+        assert np.all(cuts[zs.real <= 0.5] == height_cut(zs[zs.real <= 0.5]))
+
+    def test_cut_is_the_shortest_that_matches_the_critical_line(self, cuts_of):
+        # in logs, the model remainder (T / 2 pi N)^{2m+1} N^{-x} at N = cut
+        # is at most that of N = T at x = 1/2, and at N = cut - 1 above it
+        x = np.repeat([0.6, 1.5, 4.0, 10.0], 50)
+        t = np.tile(np.geomspace(1e3, HEIGHT_CAP, 50), 4)
+        cuts = cuts_of(x + 1j * t)
+        assert np.all(cuts > 64)
+        q = 2 * special_functions.DEFAULT_EM_ORDER + 1
+
+        def excess(n):
+            return q * np.log(t / n) - x * np.log(n) + 0.5 * np.log(t)
+
+        assert np.all(excess(cuts) <= 1e-12)
+        assert np.all(excess(cuts - 1.0) > 0.0)
+
+    def test_fit_window_term_count(self, cuts_of):
+        # the reference fit of a zeta(s + 3) line sampler at sigma = 1:
+        # geomspace(y_max, 100 y_max, 128) and its mirror, y_max = 200;
+        # 1,112,282 terms when every point cut at its height
+        ys = np.geomspace(200.0, 2e4, 128)
+        cuts = cuts_of(4.0 + 1j * np.concatenate([-ys[::-1], ys]))
+        assert int(np.sum(cuts - 1)) == 252_418
+
+    def test_memory_bounded_per_point(self, monkeypatch, cuts_of):
         # a row longer than _CHUNK terms is summed in column blocks: its
         # value moves only by summation order, and the peak follows the
         # block size, not the height; a row within one block keeps its bits
         zs = np.array([2.0 + 2e4j, 0.6 - 1.2e4j, 3.0 + 1.0j, 3.0 + 900.0j])
         ref = zeta_em(zs)
         monkeypatch.setattr(special_functions, "_CHUNK", 1024)
+        assert np.all(cuts_of(zs[:2]) > 1024)
         tracemalloc.start()
         try:
             got = zeta_em(zs)
@@ -117,7 +196,7 @@ class TestZeta:
             tracemalloc.stop()
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
         assert np.array_equal(got[2:], ref[2:])
-        # about 40 bytes per term of the longest row, 0.8 MB unblocked
+        # about 40 bytes per term of the longest row, 0.45 MB unblocked
         assert peak < 128 * 1024
 
     @pytest.mark.parametrize("x", [-2.0, -0.5, 0.3])
@@ -125,7 +204,8 @@ class TestZeta:
         # left of Re z = 1/2 the sine of the functional equation would
         # overflow above |Im z| ~ 451 and the product turn NaN
         mpmath = pytest.importorskip("mpmath")
-        zs = x + 1j * np.array([1e3, -1e3, 1.9e4, -1.9e4])
+        ys = np.geomspace(1e2, HEIGHT_CAP, 8)
+        zs = x + 1j * np.concatenate([ys, -ys])
         with mpmath.workdps(20):
             ref = np.array([complex(mpmath.zeta(complex(z))) for z in zs])
         with warnings.catch_warnings():
@@ -194,7 +274,7 @@ class TestZetaRuns:
         assert np.array_equal(zeta(zs), zeta_em(zs))
         assert run_calls == []
 
-    @pytest.mark.parametrize("x", [0.6, 1.5, 4.0])
+    @pytest.mark.parametrize("x", RIGHT_OF_HALF)
     def test_run_accurate_up_to_height_cap(self, x, run_calls):
         mpmath = pytest.importorskip("mpmath")
         zs = x + 1j * np.linspace(-HEIGHT_CAP, HEIGHT_CAP, 129)

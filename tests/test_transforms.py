@@ -110,9 +110,12 @@ class TestForcing:
     def test_verify_forcing_accepts(self, text, re_min):
         assert verify_forcing(forcing_from_text(text), re_min=re_min)["ok"]
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.5, 2.0), (0.3, 1.7), (0.3, 300.0)])
     def test_verify_indicator_with_jumps_on_panel_edges(self, a, b):
-        assert verify_forcing(builtin_forcing("indicator", a=a, b=b))["ok"]
+        # the indicator's jumps are its breakpoints, so they fall on panel
+        # edges wherever they are; one past the horizon lays no panel
+        out = verify_forcing(builtin_forcing("indicator", a=a, b=b))
+        assert out["ok"] and out["max_error"] < 1e-14
 
     @pytest.mark.parametrize("text,match", [
         ("exp(0.68*t)", "overflows"), ("exp(2*t)", "does not decay"),
