@@ -8,13 +8,14 @@ check converges exponentially.  The split is fitted on a window beyond
 the truncation half-width, so the remainder decays like the first
 neglected reference order and the truncation tail is negligible.
 
-The trapezoid nodes are y = h k with integer k, so on t_j = t_0 + j dt the
-line sum of the remainder is a chirp-z transform in k.  A uniform grid of
-at least CHIRP_MIN_POINTS times is evaluated that way, by Bluestein's FFT
-convolution centred on k = 0 with chirp phases reduced mod 2 pi exactly,
-and differs from the dense sum by rounding alone.  Every other t set (the
-settle probes, derivative stencils at 0+, the residual sample, irregular
-grids) is summed as a dense exp(i t y) matmul.
+The trapezoid nodes are y = h k with integer k, and h/2 pi is a power of
+two, so the phase of node k at time t is exactly c k turns, c = t h/2 pi.
+Both line-sum kernels reduce their phases mod 1 exactly (_turns).  A
+uniform grid of at least CHIRP_MIN_POINTS times is a chirp-z transform in
+k, evaluated by Bluestein's FFT convolution centred on k = 0.  Every other
+t set (the settle probes, derivative stencils at 0+, the residual sample,
+short or irregular grids) goes to the blocked kernel, which splits k into
+blocks of B and needs about 2 sqrt(N) phases per time for N nodes.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ LINE_PROBES = 8
 MAX_LINE_NODES = 1 << 20
 HARDY_NODES = 4097
 SMOOTHNESS_FIT_POINTS = 32
-CHIRP_MIN_POINTS = 32         # fewer uniform times go to the dense kernel
+CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
+PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
 
 
 @dataclass(frozen=True)
@@ -292,23 +294,28 @@ def _check_times(ts: np.ndarray) -> None:
         raise ValueError("inverse transform is defined on t >= 0")
 
 
-def _chirp(c: float, n: np.ndarray) -> np.ndarray:
-    """exp(2 pi i c n^2), with c n^2 reduced mod 1 exactly.
+def _turns(c, m: np.ndarray) -> np.ndarray:
+    """c m reduced mod 1 into [-1/2, 1/2], for integer-valued floats m and
+    a scalar c or a column of them.
 
-    c splits into a head short enough that head * n^2 is an exact float,
-    whose fraction is then exact too, plus a tail whose product with n^2
-    is small; in plain float64, c n^2 would carry a phase error of order
-    eps * c n^2.
+    Each c splits into a head short enough that head * m is an exact float
+    for every m, whose fraction is then exact too, plus a tail whose
+    product with m is small; in plain float64, c m would carry an error of
+    order eps * c m.
     """
-    n2 = np.square(n.astype(np.float64))
-    bits = 53 - int(np.max(n2, initial=1.0)).bit_length()
-    exponent = math.frexp(c)[1] - bits
-    head = math.ldexp(round(math.ldexp(c, -exponent)), exponent)
-    x = head * n2
+    bits = 53 - int(np.max(np.abs(m), initial=1.0)).bit_length()
+    exponent = np.frexp(c)[1] - bits
+    head = np.ldexp(np.rint(np.ldexp(c, -exponent)), exponent)
+    x = head * m
     x -= np.rint(x)
-    x += (c - head) * n2
+    x += (c - head) * m
     x -= np.rint(x)
-    return np.exp(2j * math.pi * x)
+    return x
+
+
+def _chirp(c: float, n: np.ndarray) -> np.ndarray:
+    """exp(2 pi i c n^2), with c n^2 reduced mod 1 exactly."""
+    return np.exp(2j * math.pi * _turns(c, np.square(n.astype(np.float64))))
 
 
 def _chirp_z(k: np.ndarray, w: np.ndarray, t0y: np.ndarray, c: float,
@@ -332,6 +339,38 @@ def _chirp_z(k: np.ndarray, w: np.ndarray, t0y: np.ndarray, c: float,
     return _chirp(c, np.arange(n_t)) * conv
 
 
+def _blocked_sums(k: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_m w_m e^{2 pi i c_j k_m} for each c_j, over integer node indices k.
+
+    Each index splits as k = B q + r, 0 <= r < B, with B a power of two
+    near sqrt(k_max - k_min) and the blocks aligned to multiples of B, so
+    block q = 0 holds the large central nodes.  With the weights scattered
+    into a Q x B table A, the sum is sum_q e^{2 pi i c B q} sum_r A[q, r]
+    e^{2 pi i c r}: B + Q phases per time instead of one per node, from
+    exactly reduced turns, and one matrix-vector product per time, so a
+    time's value does not depend on the other times in the call (a matrix
+    product over all times rounds differently for different row counts).
+    Times go in chunks whose phase tables hold at most PHASE_TABLE_CAP
+    entries.
+    """
+    out = np.zeros(c.shape, dtype=np.complex128)
+    if k.size == 0:
+        return out
+    lo, hi = int(k.min()), int(k.max())
+    shift = (hi - lo).bit_length() // 2
+    q_lo, q_hi = lo >> shift, hi >> shift
+    table = np.zeros((q_hi - q_lo + 1, 1 << shift), dtype=np.complex128)
+    table[(k >> shift) - q_lo, k & ((1 << shift) - 1)] = w   # the nodes hold each k once
+    r = np.arange(table.shape[1], dtype=np.float64)
+    bq = np.ldexp(np.arange(q_lo, q_hi + 1, dtype=np.float64), shift)
+    chunk = max(1, PHASE_TABLE_CAP // max(table.shape))
+    for i0 in range(0, c.size, chunk):
+        cc = c[i0:i0 + chunk, None]
+        inner = np.matmul(table, np.exp(2j * math.pi * _turns(cc, r))[:, :, None])[:, :, 0]
+        out[i0:i0 + chunk] = np.sum(np.exp(2j * math.pi * _turns(cc, bq)) * inner, axis=1)
+    return out
+
+
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
@@ -352,7 +391,7 @@ class LineSampler:
         if not math.isfinite(t_max):
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
-        self._evaluations = {"chirp_z": 0, "dense": 0}   # t-evaluations per kernel
+        self._evaluations = {"chirp_z": 0, "blocked": 0}   # t-evaluations per kernel
         # power-of-two t budgets, so the grid of a larger budget nests
         # under halving and an extension reuses every sample
         self.t_max = 1.0
@@ -492,8 +531,8 @@ class LineSampler:
         self._lay(np.concatenate([-odd[::-1], odd]))
 
     def _line_sums(self, probes: np.ndarray, start: int, stop: int | None) -> np.ndarray:
-        y, g = self.y_nodes[start:stop], self.g_vals[start:stop]
-        return np.array([np.exp(1j * t * y) @ g for t in probes])
+        k = np.rint(self.y_nodes[start:stop] / self.h).astype(np.int64)
+        return _blocked_sums(k, self.g_vals[start:stop], probes * (self.h / (2.0 * math.pi)))
 
     def _settle(self) -> None:
         # Trapezoid rule on y = h*k, |y| <= y_max.  Its error at t is the
@@ -577,12 +616,13 @@ class LineSampler:
         """e^{sigma t}/2pi times the line sum of h (sigma + iy)^n g e^{ity},
         plus the reference terms' closed-form n-th derivative.
 
-        The line sum has two kernels.  On an increasing grid of at least
-        CHIRP_MIN_POINTS times, uniform to within a few ulp, it is a
-        chirp-z transform over the integer node index k = y/h (_chirp_z),
+        The line sum has two kernels over the integer node index k = y/h.
+        On an increasing grid of at least CHIRP_MIN_POINTS times, uniform
+        to within a few ulp, it is a chirp-z transform (_chirp_z),
         O((N + J) log(N + J)) for N nodes and J times.  Any other t set
         (the derivative stencils at 0+, the residual sample, short or
-        irregular grids) gets the dense exp(i t y) matmul.
+        irregular grids) goes to the blocked kernel (_blocked_sums), with
+        about 2 sqrt(N) phases and N multiply-adds per time.
         """
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         _check_times(ts_arr)
@@ -598,12 +638,9 @@ class LineSampler:
             out = _chirp_z(k, wg, ts_arr[0] * self.y_nodes,
                            step * (self.h / (4.0 * math.pi)), ts_arr.size)
         else:
-            self._evaluations["dense"] += 1
-            out = np.zeros(ts_arr.shape, dtype=np.complex128)
-            chunk = max(1, (1 << 22) // max(1, self.y_nodes.size))
-            for i0 in range(0, ts_arr.size, chunk):
-                tt = ts_arr[i0:i0 + chunk, None]
-                out[i0:i0 + chunk] = np.exp(1j * tt * self.y_nodes[None, :]) @ wg
+            self._evaluations["blocked"] += 1
+            # h/2pi is a power of two, so the turns c = t h/2pi are exact
+            out = _blocked_sums(k, wg, ts_arr * (self.h / (2.0 * math.pi)))
         out *= np.exp(self.sigma * ts_arr) / (2.0 * math.pi)
         out += self._atom_inverse(n, ts_arr, midpoint_at_zero)
         return out

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from nlode import transforms
 from nlode.transforms import (
     BromwichConfig,
     MATCHED_MOMENT_ORDER,
@@ -20,6 +21,7 @@ from nlode.transforms import (
     laplace_forward,
     smoothness_order,
     verify_forcing,
+    _blocked_sums,
 )
 from test_acceptance import INVERSION_PAIRS
 
@@ -286,14 +288,26 @@ class TestLineSampler:
 
 
 def dense_line_values(sampler, n, ts, midpoint_at_zero=False):
-    """The inverse transform with its line sum formed as one dense
-    exp(i t y) matmul, operation for operation as the dense kernel does."""
+    """The inverse transform with its line sum formed naively in float64:
+    one exp(i t y) per node and time, then one matmul."""
     sn = (sampler.sigma + 1j * sampler.y_nodes) ** n if n else 1.0
     wg = sampler.h * sn * sampler.g_vals
     out = np.exp(1j * ts[:, None] * sampler.y_nodes[None, :]) @ wg
     out *= np.exp(sampler.sigma * ts) / (2.0 * math.pi)
     out += sampler._atom_inverse(n, ts, midpoint_at_zero)
     return out
+
+
+def extended_line_values(sampler, n, ts):
+    """The bare scaled line sum e^{sigma t}/2pi sum h (sigma + iy)^n g e^{ity}
+    in extended precision (np.clongdouble), on the grid nodes y = h k."""
+    k = np.rint(sampler.y_nodes / sampler.h).astype(np.longdouble)
+    y = np.longdouble(sampler.h) * k
+    w = np.longdouble(sampler.h) * (sampler.sigma + 1j * y) ** n \
+        * sampler.g_vals.astype(np.clongdouble)
+    t = np.asarray(ts, dtype=np.longdouble)
+    sums = np.exp(1j * t[:, None] * y[None, :]) @ w
+    return sums * np.exp(sampler.sigma * t) / (2.0 * np.pi)
 
 
 def line_rounding(sampler, n, ts):
@@ -312,7 +326,9 @@ def without_reference_terms(sampler, monkeypatch):
 
 
 class TestLineKernels:
-    """The chirp-z kernel on uniform grids against the dense line sum."""
+    """The chirp-z kernel on uniform grids against the dense line sum, and
+    the blocked kernel on every other t set against an extended-precision
+    line sum."""
 
     CFG = BromwichConfig()
     UNIFORM = np.linspace(0.05, 10.0, 200)
@@ -326,7 +342,7 @@ class TestLineKernels:
         for F, _ in INVERSION_PAIRS:
             sampler = LineSampler(F, BromwichConfig(sigma=sigma), 10.0)
             got = without_reference_terms(sampler, monkeypatch).values(self.UNIFORM)
-            assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 1, "dense": 0}
+            assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
             dense = dense_line_values(sampler, 0, self.UNIFORM)
             assert np.max(np.abs(got - dense) / line_rounding(sampler, 0, self.UNIFORM)) \
                 <= self.BOUND
@@ -353,24 +369,89 @@ class TestLineKernels:
             sampler = LineSampler(lambda s: 0.0 * s, self.CFG)
         assert sampler.atom_exact and sampler.y_nodes.size == 0
         assert np.array_equal(sampler.values(self.UNIFORM), np.zeros(self.UNIFORM.size))
-        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 1, "dense": 0}
+        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
 
-    @pytest.mark.parametrize("ts", [
+    T_SETS = [
         np.linspace(0.0, 10.0, 17),                 # the residual sample's size
         np.linspace(0.1, 3.0, 31),                  # one short of the chirp-z minimum
         np.arange(1.0, 7.0) * 1e-3,                 # a derivative stencil at 0+
         np.geomspace(0.01, 10.0, 64),
         np.linspace(0.05, 10.0, 200) + np.where(np.arange(200) == 100, 1e-9, 0.0),
         np.linspace(10.0, 0.05, 200),               # decreasing
-    ], ids=["short", "below-minimum", "stencil", "geometric", "perturbed", "decreasing"])
-    def test_dense_kernel_is_pinned(self, ts):
-        # every t set the chirp-z kernel does not take keeps the dense bits
+    ]
+    T_IDS = ["short", "below-minimum", "stencil", "geometric", "perturbed", "decreasing"]
+
+    @pytest.mark.parametrize("ts", T_SETS, ids=T_IDS)
+    def test_blocked_kernel_accuracy(self, ts, monkeypatch):
+        # every t set the chirp-z kernel does not take is within a few
+        # rounding scales of the extended-precision line sum (about 2.8 at
+        # most over these sets, on this transform and the corpus at sigma = 1)
         sampler = LineSampler(lambda s: 1.0 / ((s + 1.0) ** 2 + 1.0), self.CFG, 16.0)
-        assert np.array_equal(sampler.values(ts), dense_line_values(sampler, 0, ts, True))
+        without_reference_terms(sampler, monkeypatch)
         positive = ts[ts > 0]
-        assert np.array_equal(sampler.derivative_values(2, positive),
-                              dense_line_values(sampler, 2, positive))
-        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 0, "dense": 2}
+        for n, t in ((0, ts), (2, positive)):
+            got = sampler.values(t) if n == 0 else sampler.derivative_values(n, t)
+            err = np.abs(got - extended_line_values(sampler, n, t)).astype(np.float64)
+            assert np.max(err / line_rounding(sampler, n, t)) <= self.BOUND
+        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 0, "blocked": 2}
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_blocked_kernel_beats_naive_sum(self, n, monkeypatch):
+        # up to t = 16 the exactly reduced phases keep the blocked kernel
+        # no further from the extended-precision sum than one float64
+        # exp(i t y) per node, which rounds t y; blocking with unreduced
+        # phases is several times further
+        ts = np.linspace(1.0, 16.0, 16)
+        for F, _ in INVERSION_PAIRS:
+            sampler = LineSampler(F, self.CFG, 16.0)
+            got = without_reference_terms(sampler, monkeypatch).derivative_values(n, ts)
+            exact = extended_line_values(sampler, n, ts)
+            naive = dense_line_values(sampler, n, ts)
+            assert np.max(np.abs(got - exact)) <= np.max(np.abs(naive - exact))
+
+    @pytest.mark.parametrize("k", [
+        np.zeros(0, np.int64),                      # no nodes
+        np.array([7]),                              # a single node
+        np.arange(-2037, 2038, 2),                  # odd k only: one settle level
+        np.arange(-2036, 2037, 2),                  # even k only: the coarse prefix
+        np.arange(-300, 0),                         # all negative
+    ], ids=["empty", "single", "odd", "even", "negative"])
+    def test_blocked_kernel_edges(self, k):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        c = np.array([0.0, 1.0, 2.5, 16.0]) / 128.0   # t h/2pi with h = pi/64, t = 0 first
+        got = _blocked_sums(k, w, c)
+        turns = c.astype(np.longdouble)[:, None] * k.astype(np.longdouble)[None, :]
+        exact = np.exp(2j * np.pi * turns) @ w.astype(np.clongdouble)
+        assert np.max(np.abs(got - exact), initial=0.0) <= 8.0 * EPS * np.sum(np.abs(w))
+
+    @pytest.mark.parametrize("cap", [1, 200])
+    def test_blocked_kernel_chunks_keep_bits(self, cap, monkeypatch):
+        # memory stays bounded by chunking the t axis, and a time's value
+        # does not depend on which other times share its chunk
+        sampler = LineSampler(lambda s: 1.0 / ((s + 1.0) ** 2 + 1.0), self.CFG, 16.0)
+        ts = np.geomspace(0.01, 10.0, 64)
+        whole = sampler.derivative_values(1, ts)
+        monkeypatch.setattr(transforms, "PHASE_TABLE_CAP", cap)
+        assert np.array_equal(sampler.derivative_values(1, ts), whole)
+        assert np.array_equal(sampler.derivative_values(1, ts[5:6]), whole[5:6])
+
+
+class TestNodeCounts:
+    """Node counts the settle loop reached while its probe sums were dense
+    exp(i t y) sums; the settle decisions rest on those sums, so a decision
+    flipped by the blocked kernel's rounding shows here."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_inversion_corpus(self, sigma):
+        counts = [LineSampler(F, BromwichConfig(sigma=sigma), 10.0).diagnostics()["n_nodes"]
+                  for F, _ in INVERSION_PAIRS]
+        assert counts == [4075] * len(INVERSION_PAIRS)
+
+    @pytest.mark.parametrize("budget, nodes", [(1.0, 4075), (16.0, 4075), (64.0, 16297)])
+    def test_budgets(self, budget, nodes):
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0), BromwichConfig(), budget)
+        assert sampler.diagnostics()["n_nodes"] == nodes
 
 
 class TestHardy:
