@@ -377,9 +377,11 @@ def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
 
     Stencil weights come from a small Vandermonde solve on nodes k*h,
     k = 1..n+4, exact through degree n+3.  Higher orders use a larger h
-    to keep the h^{-n} noise amplification in check.
+    to keep the h^{-n} noise amplification in check.  Every order's
+    stencil points go to fn in one call; an fn that does not return one
+    value per point is called point by point.
     """
-    out = []
+    weights, stencils = [], []
     for n in orders:
         n = int(n)
         step = h if n <= 1 else h * 10.0
@@ -388,13 +390,16 @@ def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
         V = np.vander(ks, m, increasing=True).T  # V[p, j] = k_j^p
         e = np.zeros(m)
         e[n] = math.factorial(n)
-        w = np.linalg.solve(V, e) / step ** n
-        ts = ks * step
-        vals = np.asarray(fn(ts), np.complex128)
-        if vals.shape != ts.shape:
-            vals = np.array([fn(float(t)) for t in ts], np.complex128)
-        out.append(complex(np.sum(w * vals)))
-    return out
+        weights.append(np.linalg.solve(V, e) / step ** n)
+        stencils.append(ks * step)
+    if not stencils:
+        return []
+    ts = np.concatenate(stencils)
+    vals = np.asarray(fn(ts), np.complex128)
+    if vals.shape != ts.shape:
+        vals = np.array([fn(float(t)) for t in ts], np.complex128)
+    splits = np.cumsum([w.size for w in weights])[:-1]
+    return [complex(np.sum(w * v)) for w, v in zip(weights, np.split(vals, splits))]
 
 
 def _tree(x) -> object:

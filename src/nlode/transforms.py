@@ -203,52 +203,69 @@ def builtin_forcing(name: str, **params) -> Forcing:
     raise ValueError(f"unknown builtin forcing {name!r}")
 
 
-def laplace_forward(J: Forcing, s: complex, tol: float = 1e-10, t_cap: float = 1e4) -> complex:
-    """Numerical transform integral_0^inf e^{-st} J(t) dt for Re(s) > 0.
+def laplace_forward(J: Forcing, s, tol: float = 1e-10, t_cap: float = 1e4):
+    """Numerical transform integral_0^inf e^{-st} J(t) dt for Re(s) > 0, at
+    a scalar s (returns a complex) or a 1-D array of them (returns an array).
 
     One fixed composite rule: 20-point Gauss-Legendre on the panels with
     edges 0, 2^-10, 2^-9, ..., 1, 2, 3, ..., ceil(H), graded toward t = 0
-    where a fast decay lives, plus J's breakpoints below ceil(H), evaluated
-    in one vectorised call.  The horizon H is 128, or further out where the
-    integrand, extrapolated along its decay between t = 64 and t = 128,
-    falls below tol.  A non-decaying integrand, a J that overflows before
-    H and an H beyond t_cap raise ValueError before any node is laid, so
-    one call costs at most 20 (ceil(t_cap) + 10 + len(breakpoints))
-    integrand points.
+    where a fast decay lives, plus J's breakpoints below ceil(H).  The
+    horizon H is 128, or further out where the integrand, extrapolated
+    along its decay between t = 64 and t = 128, falls below tol.  A
+    non-decaying integrand, a J that overflows before H and an H beyond
+    t_cap raise ValueError, for the first such s in order, before any node
+    is laid, so one call costs at most 20 (ceil(t_cap) + 10 +
+    len(breakpoints)) points of J.
+
+    The panels are laid once, out to the largest horizon, and J is
+    evaluated once on them.  Each s sums over its own prefix of panels,
+    the rule it would get alone: a shorter horizon's edges, breakpoints
+    included, are a prefix of a longer one's.
     """
-    s = complex(s)
-    if s.real <= 0:
-        raise ValueError("laplace_forward requires Re(s) > 0")
-
-    def integrand(t):
-        return np.exp(-s * np.asarray(t, np.complex128)) * np.asarray(J.j_eval(t), np.complex128)
-
+    ss = np.asarray(s, dtype=np.complex128)
+    if ss.ndim > 1:
+        raise ValueError("laplace_forward takes a scalar s or a 1-D array of s")
+    probes = [complex(z) for z in np.atleast_1d(ss)]
     with np.errstate(over="ignore", invalid="ignore"):
-        near, far = np.abs(integrand(np.array([64.0, 128.0])))
-    if not (np.isfinite(far) and (far < near or far == 0.0)):
-        raise ValueError(f"forcing does not decay against e^(-st) at s = {s:.3g}")
-    # a slow decay lets J(t) overflow, making e^(-st)*J(t) inf*0, long
-    # before the integrand falls below tol
-    horizon = 128.0
-    if far > tol:
-        horizon = 128.0 + 64.0 * math.log(far / tol) / math.log(near / far)
+        j_probe = np.asarray(J.j_eval(np.array([64.0, 128.0])), np.complex128)
+    horizons = []
+    for z in probes:
+        if z.real <= 0:
+            raise ValueError("laplace_forward requires Re(s) > 0")
         with np.errstate(over="ignore", invalid="ignore"):
-            at_horizon = J.j_eval(np.array([horizon]))
-        if not np.all(np.isfinite(at_horizon)):
-            raise ValueError(f"forcing overflows at t = {horizon:.4g} before e^(-st) J(t) "
-                             f"decays below {tol:.1e} at s = {s:.3g}")
-    if horizon > t_cap:
-        raise ValueError("tail truncation failure: forcing decays too slowly for the tolerance")
+            near, far = np.abs(np.exp(-z * np.array([64.0 + 0j, 128.0 + 0j])) * j_probe)
+        if not (np.isfinite(far) and (far < near or far == 0.0)):
+            raise ValueError(f"forcing does not decay against e^(-st) at s = {z:.3g}")
+        # a slow decay lets J(t) overflow, making e^(-st)*J(t) inf*0, long
+        # before the integrand falls below tol
+        horizon = 128.0
+        if far > tol:
+            horizon = 128.0 + 64.0 * math.log(far / tol) / math.log(near / far)
+            with np.errstate(over="ignore", invalid="ignore"):
+                at_horizon = J.j_eval(np.array([horizon]))
+            if not np.all(np.isfinite(at_horizon)):
+                raise ValueError(f"forcing overflows at t = {horizon:.4g} before e^(-st) J(t) "
+                                 f"decays below {tol:.1e} at s = {z:.3g}")
+        if horizon > t_cap:
+            raise ValueError("tail truncation failure: forcing decays too slowly for the tolerance")
+        horizons.append(horizon)
 
     edges = np.concatenate([[0.0], 2.0 ** np.arange(-10, 1),
-                            np.arange(2.0, math.ceil(horizon) + 1)])
+                            np.arange(2.0, math.ceil(max(horizons, default=128.0)) + 1)])
     if J.breakpoints:
         jumps = np.asarray(J.breakpoints, dtype=np.float64)
         edges = np.union1d(edges, jumps[(jumps > 0) & (jumps < edges[-1])])
     half = 0.5 * np.diff(edges)[:, None]
     x20, w20 = _GL20
     t = (edges[:-1, None] + half * (1.0 + x20)).ravel()
-    return complex(np.sum((half * w20).ravel() * integrand(t)))
+    weights = (half * w20).ravel()
+    t_c = t.astype(np.complex128)
+    j_vals = np.asarray(J.j_eval(t), np.complex128)
+    # the panels of horizon H end at edge ceil(H)
+    ends = 20 * np.searchsorted(edges, [math.ceil(hz) for hz in horizons])
+    out = np.array([np.sum(weights[:n] * (np.exp(-z * t_c[:n]) * j_vals[:n]))
+                    for z, n in zip(probes, ends)], dtype=np.complex128)
+    return complex(out[0]) if ss.ndim == 0 else out
 
 
 def verify_forcing(J: Forcing, tol: float = 1e-8, n_probes: int = 10,
@@ -257,28 +274,33 @@ def verify_forcing(J: Forcing, tol: float = 1e-8, n_probes: int = 10,
     with real parts from re_min upward."""
     if J.closed_form_laplace is None:
         return {"ok": False, "max_error": math.inf, "reason": "no closed-form transform"}
-    errs = []
-    for k in range(n_probes):
-        s = re_min + 0.3 * k + 1j * (0.5 * k - 2.25)
-        q = laplace_forward(J, s, tol=min(tol * 1e-2, 1e-10))
-        c = complex(np.asarray(J.laplace(np.complex128(s))))
-        errs.append(abs(q - c))
-    worst = max(errs)
+    ss = np.array([re_min + 0.3 * k + 1j * (0.5 * k - 2.25) for k in range(n_probes)])
+    q = laplace_forward(J, ss, tol=min(tol * 1e-2, 1e-10))
+    worst = max(abs(complex(qk) - complex(np.asarray(J.laplace(sk)))) for qk, sk in zip(q, ss))
     return {"ok": worst <= tol, "max_error": worst, "probes": n_probes}
 
 
 def _power_fit(xs: np.ndarray, ms: np.ndarray) -> tuple[float, float, float]:
     """Fit |g| ~ C x^{-alpha}; returns (alpha, C, max log-residual), with C
-    capped at e^700 so it stays finite."""
+    capped at e^700 so it stays finite.
+
+    The least-squares line through (log x, log |g|) in closed form, centred
+    on the means.  Fewer than 4 usable points, or a single x, give
+    (nan, nan, inf): no slope is determined.
+    """
     mask = np.isfinite(ms) & (ms > 0)
     if mask.sum() < 4:
         return math.nan, math.nan, math.inf
     lx = np.log(xs[mask])
     lm = np.log(ms[mask])
-    design = np.stack([lx, np.ones_like(lx)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, lm, rcond=None)
-    resid = float(np.max(np.abs(design @ np.array([slope, intercept]) - lm)))
-    return -float(slope), float(math.exp(min(intercept, 700.0))), resid
+    if lx.min() == lx.max():
+        return math.nan, math.nan, math.inf
+    mx, mm = float(np.mean(lx)), float(np.mean(lm))
+    dx, dm = lx - mx, lm - mm
+    slope = float(dx @ dm) / float(dx @ dx)
+    intercept = mm - slope * mx
+    resid = float(np.max(np.abs(dm - slope * dx)))
+    return -slope, float(math.exp(min(intercept, 700.0))), resid
 
 
 MATCHED_MOMENT_ORDER = 4
@@ -498,10 +520,24 @@ class LineSampler:
         self._settle()
 
     def _reference(self, s: np.ndarray) -> np.ndarray:
-        """Sum of the fitted reference terms gamma_k / (s + b)^k."""
-        out = np.zeros(np.shape(s), dtype=np.complex128)
-        for k in range(1, N_ATOMS + 1):
-            out += self.gammas[k - 1] * (s + self.b) ** (-k)
+        """Sum of the fitted reference terms gamma_k / (s + b)^k.
+
+        With w = s + b and N = N_ATOMS, term k is gamma_k w^{N-k} / w^N:
+        one division per node.  A power of two w^p squares w^{p/2}, and
+        any other w^j is w^{j-p} w^p with p the largest power of two below
+        j, so w^j is at most floor(log2 j) + 1 products deep, as with
+        numpy's integer power.  Horner's rule in 1/w, or products of 1/w,
+        round more at the small far-out terms and move the inverse
+        transform measurably.
+        """
+        pw = [None, s + self.b]
+        for j in range(2, N_ATOMS + 1):
+            p = 1 << (j.bit_length() - 1)
+            pw.append(pw[p // 2] * pw[p // 2] if p == j else pw[j - p] * pw[p])
+        inv = 1.0 / pw[N_ATOMS]
+        out = self.gammas[N_ATOMS - 1] * inv
+        for k in range(1, N_ATOMS):
+            out += self.gammas[k - 1] * (pw[N_ATOMS - k] * inv)
         return out
 
     def _lay(self, m: np.ndarray) -> None:

@@ -479,11 +479,11 @@ class TestClassicalIVP:
         assert len(builds) == 1
 
     def test_kernel_counts(self):
-        # the initial-value check samples a short stencil once per order
-        # (blocked kernel); a 201-point grid is one chirp-z evaluation
+        # the initial-value check samples every order's short stencil in
+        # one call (blocked kernel); a 201-point grid is one chirp-z evaluation
         sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
         sol(np.linspace(0.0, 10.0, 201))
-        assert sol.sampler().diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 2}
+        assert sol.sampler().diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 1}
 
     def test_derivative_prediction(self):
         ivp = self.make((1.0, 0.0))
@@ -525,6 +525,28 @@ class TestDerivativesAtZero:
         tols = [1e-10, 1e-8, 1e-5, 1e-3]
         for g, e, tol in zip(got, expect, tols):
             assert abs(g - e) < tol
+
+    def test_one_call_for_every_order(self):
+        # the stencils of all orders go to fn together; a solution's value
+        # at a time does not depend on the other times in the call, so each
+        # order is bit for bit what a call for that order alone gives
+        sol, _ = solve_classical_ivp(TestClassicalIVP().make((1.0, 0.0)))
+        calls = []
+
+        def counting(t):
+            calls.append(np.size(t))
+            return sol.eval(t)
+
+        got = derivatives_at_zero(counting, [0, 1, 2])
+        assert calls == [4 + 5 + 6]
+        assert got == [derivatives_at_zero(sol.eval, [n])[0] for n in (0, 1, 2)]
+
+    def test_scalar_only_fn_is_called_point_by_point(self):
+        def scalar_only(t):
+            return math.exp(-2.0 * t) if np.ndim(t) == 0 else 0.0
+
+        got = derivatives_at_zero(scalar_only, [0, 1])
+        assert abs(got[0] - 1.0) < 1e-10 and abs(got[1] + 2.0) < 1e-8
 
 
 class TestFindZeros:

@@ -21,7 +21,10 @@ from nlode.transforms import (
     laplace_forward,
     smoothness_order,
     verify_forcing,
+    N_ATOMS,
+    Forcing,
     _blocked_sums,
+    _power_fit,
 )
 from test_acceptance import INVERSION_PAIRS
 
@@ -138,6 +141,47 @@ class TestForcing:
         # overflows long before the integrand drops below the tolerance
         with pytest.raises(ValueError, match="overflows"):
             verify_forcing(forcing_from_text("exp(0.69*t)"))
+
+    # e^{-st} J(t) decays like e^{-(Re s - 0.65) t}, so the probes reach the
+    # horizons 460, 230 and 154, and the jumps at 200.5 and 300.25 fall
+    # between them
+    SLOW_JUMPS = Forcing(lambda t: np.exp(0.65 * np.asarray(t, np.float64))
+                         * (1.0 + (np.asarray(t) >= 200.5) - 0.5 * (np.asarray(t) >= 300.25)),
+                         breakpoints=(0.3, 1.7, 200.5, 300.25))
+
+    @pytest.mark.parametrize("J", [
+        forcing_from_text("exp(-3*t)"),
+        forcing_from_text("t^3*exp(-t/2)"),
+        builtin_forcing("indicator", a=0.3, b=1.7),
+        SLOW_JUMPS,
+    ], ids=["exp", "poly-exp", "indicator", "slow-with-jumps"])
+    def test_forward_transform_of_many_s_is_the_scalar_calls(self, J):
+        # one panel set out to the largest horizon, each s summed over its
+        # own prefix: bit for bit the rule that s gets alone
+        ss = np.array([0.7, 0.75, 0.8, 1.3 - 2j, 2.0 + 0.5j])
+        many = laplace_forward(J, ss)
+        assert many.shape == ss.shape
+        assert np.array_equal(many, [laplace_forward(J, s) for s in ss])
+
+    def test_forward_transform_evaluates_forcing_once_on_its_nodes(self):
+        J = forcing_from_text("t^3*exp(-t/2)")
+        sizes = []
+
+        def counting(t):
+            sizes.append(np.size(t))
+            return J.j_eval(t)
+
+        out = verify_forcing(Forcing(counting, J.closed_form_laplace))
+        assert out["ok"] and out["probes"] == 10
+        assert len([n for n in sizes if n > 2]) == 1   # the rest are horizon probes
+
+    @pytest.mark.parametrize("ss,match", [
+        ([0.7, 0.5], "overflows"), ([0.5, 0.7], "does not decay"),
+        ([1.0, -0.5, 0.5], "requires Re"),
+    ])
+    def test_forward_transform_refuses_the_first_failing_s(self, ss, match):
+        with pytest.raises(ValueError, match=match):
+            laplace_forward(forcing_from_text("exp(0.68*t)"), np.array(ss))
 
 
 class TestBromwichInvert:
@@ -286,6 +330,24 @@ class TestLineSampler:
             vals = bromwich_invert(F, ts)
             assert np.max(np.abs(vals - exact)) < 1e-9
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_reference_terms_within_rounding(self, sigma):
+        # one division per node and products of powers of s + b stay
+        # within a few eps of the extended-precision sum of the terms,
+        # scaled by sum_k |gamma_k| |s + b|^-k (about 4 on the corpus)
+        for F, _ in INVERSION_PAIRS:
+            sampler = LineSampler(F, BromwichConfig(sigma=sigma), 10.0)
+            s = sigma + 1j * np.concatenate([sampler.y_nodes, np.linspace(-200.0, 200.0, 513)])
+            w = s.astype(np.clongdouble) + sampler.b
+            gammas = sampler.gammas.astype(np.clongdouble)
+            exact = sum(gammas[k - 1] / w ** k for k in range(1, N_ATOMS + 1))
+            scale = sum(np.abs(sampler.gammas[k - 1]) * np.abs(s + sampler.b) ** -k
+                        for k in range(1, N_ATOMS + 1))
+            err = np.abs(sampler._reference(s) - exact).astype(np.float64)
+            assert np.max(err / scale) <= 8.0 * EPS
+
 
 def dense_line_values(sampler, n, ts, midpoint_at_zero=False):
     """The inverse transform with its line sum formed naively in float64:
@@ -316,6 +378,29 @@ def line_rounding(sampler, n, ts):
     mass = sampler.h * np.sum(np.abs((sampler.sigma + 1j * sampler.y_nodes) ** n
                                      * sampler.g_vals))
     return EPS * np.exp(sampler.sigma * ts) * mass / (2.0 * math.pi)
+
+
+class TestPowerFit:
+    def test_agrees_with_least_squares(self):
+        rng = np.random.default_rng(5)
+        for alpha, c, noise in [(2.0, 3.0, 0.0), (1.3, 0.02, 0.1), (7.5, 1e40, 0.5)]:
+            xs = np.geomspace(1.0, 1e3, 64)
+            ms = c * xs ** -alpha * np.exp(noise * rng.standard_normal(xs.size))
+            design = np.stack([np.log(xs), np.ones(xs.size)], axis=1)
+            (slope, intercept), *_ = np.linalg.lstsq(design, np.log(ms), rcond=None)
+            resid = np.max(np.abs(design @ np.array([slope, intercept]) - np.log(ms)))
+            got_alpha, got_c, got_resid = _power_fit(xs, ms)
+            assert abs(got_alpha + slope) <= 1e-12 * max(1.0, abs(slope))
+            assert abs(math.log(got_c) - intercept) <= 1e-12 * max(1.0, abs(intercept))
+            assert abs(got_resid - resid) <= 1e-12
+
+    @pytest.mark.parametrize("xs,ms", [
+        (np.full(8, 3.0), np.geomspace(1.0, 2.0, 8)),              # a single x
+        (np.arange(1.0, 9.0), np.array([1.0, 0.5, np.nan, np.inf, 0.0, -1.0, 0.1, 0.0])),
+    ], ids=["constant-x", "three-finite"])
+    def test_degenerate_data_gives_no_fit(self, xs, ms):
+        alpha, c, resid = _power_fit(xs, ms)
+        assert math.isnan(alpha) and math.isnan(c) and resid == math.inf
 
 
 def without_reference_terms(sampler, monkeypatch):
