@@ -22,7 +22,6 @@ from .transforms import (
     Forcing,
     bromwich_invert,
     builtin_forcing,
-    compute_Ln,
     forcing_from_text,
     hardy_norm,
     laplace_forward,
@@ -38,7 +37,6 @@ from .solver import (
     assemble_ivp_system,
     find_zeros,
     laurent_coefficients,
-    residue_sum_eval,
     solve,
     solve_classical_ivp,
     solve_generalized,
@@ -71,7 +69,6 @@ __all__ = [
     "build_r_series",
     "builtin_forcing",
     "classical_ode_reference",
-    "compute_Ln",
     "eval_symbol",
     "exponential_profile",
     "find_zeros",
@@ -84,7 +81,6 @@ __all__ = [
     "laurent_coefficients",
     "parse_symbol",
     "residual_check",
-    "residue_sum_eval",
     "smoothness_order",
     "solve",
     "solve_classical_ivp",

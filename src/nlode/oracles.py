@@ -179,10 +179,10 @@ def residual_check(f: AnalyticSymbol, solution, J: Forcing, t_grid,
         raise ValueError("t_grid must be a nonempty 1-d array")
     notes: list[str] = []
     n_used = N
-    if isinstance(solution, Solution) and solution.bromwich_transform is not None:
+    if isinstance(solution, Solution) and solution.line is not None:
         if np.any(ts <= 0):
             raise ValueError("residual grid must be strictly positive for a Bromwich part")
-        supported = solution.derivative_order_limit()
+        supported = solution.line.certified_order
         significant = np.flatnonzero(taylor_coefficients(f, N))
         needed = int(significant[-1]) if significant.size else 0
         if supported < min(N, needed):

@@ -11,8 +11,12 @@ the path its data select; the transform-side machinery is shared:
 
 solve_generalized, solve_with_poles and solve_classical_ivp name these
 three paths.  solve first drains hypothesis_gates, the ordered
-solvability checks that `nlode diagnose` prints, and raises
-HypothesisError at the first FAIL.
+solvability checks that `nlode diagnose` prints: analytic-right-half-plane,
+contour-nonvanishing, forcing-transform, hardy-membership,
+decay-of-r-over-f, smoothness-order, pole-constraints, conditioning and
+line-quadrature.  It raises HypothesisError at the first FAIL.  The last
+row builds the one LineSampler of the solve, kept as solution.line;
+nothing else builds one for a Solution.
 """
 
 from __future__ import annotations
@@ -157,14 +161,6 @@ class ClassicalIVP:
             )
 
 
-def residue_sum_eval(rp: ResiduePolynomials, poles: PoleSpec, t):
-    """Sum of P_i(t) e^{omega_i t}."""
-    out = residue_derivative_values(rp, poles, 0, t)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(out[0])
-    return out
-
-
 def residue_derivative_values(rp: ResiduePolynomials, poles: PoleSpec, n: int, t):
     """n-th t-derivative of the residue sum, exact via the Leibniz rule,
     each polynomial evaluated in Horner form."""
@@ -185,30 +181,24 @@ def residue_derivative_values(rp: ResiduePolynomials, poles: PoleSpec, n: int, t
 
 @dataclass
 class Solution:
-    """Bromwich part plus residue part, with the diagnostics of the solve."""
+    """Bromwich part, from the sampler `line` that the line-quadrature gate
+    built (None without one), plus residue part, with the solve's diagnostics."""
 
     f: AnalyticSymbol
     forcing: Forcing
     gic: GeneralizedIC | None
     config: BromwichConfig
-    bromwich_transform: Callable | None
+    line: LineSampler | None
     poles: PoleSpec | None = None
     residue: ResiduePolynomials | None = None
     diagnostics: dict = field(default_factory=dict)
-    _line: LineSampler | None = field(default=None, init=False, compare=False, repr=False)
-
-    def sampler(self) -> LineSampler:
-        """The one line sampler of the Bromwich transform, built on first use."""
-        if self._line is None:
-            self._line = LineSampler(self.bromwich_transform, self.config)
-        return self._line
 
     def _parts(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
         """n-th t-derivatives of the Bromwich part (one-sided at t = 0) and
         of the residue part."""
         ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        bro = (np.zeros(ts.shape, dtype=np.complex128) if self.bromwich_transform is None
-               else self.sampler().derivative_values(n, ts))
+        bro = (np.zeros(ts.shape, dtype=np.complex128) if self.line is None
+               else self.line.derivative_values(n, ts))
         res = (np.zeros(ts.shape, dtype=np.complex128) if self.poles is None or self.residue is None
                else residue_derivative_values(self.residue, self.poles, n, ts))
         return bro, res
@@ -224,12 +214,6 @@ class Solution:
         return total
 
     __call__ = eval
-
-    def derivative_order_limit(self) -> int:
-        """Largest derivative order the Bromwich moments support."""
-        if self.bromwich_transform is None:
-            return 10 ** 6
-        return self.sampler().certified_order
 
     def nth_derivative(self, n: int, t) -> np.ndarray:
         """n-th derivative of the solution on t > 0 (t >= 0 for n = 0)."""
@@ -442,6 +426,32 @@ def _verdict(ok: bool, passed: str, failed: str) -> tuple[str, str]:
 
 
 def _gate_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_values):
+    """The rows of hypothesis_gates: the eight hypothesis checks, then the
+    line quadrature, which builds the solve's one LineSampler as its data
+    only when no earlier row failed."""
+    failed = False
+    for row in _hypothesis_rows(f, J, F, g, cfg, poles, initial_values):
+        failed = failed or row[1] == "FAIL"
+        yield row
+    if F is None or failed:
+        yield ("line-quadrature", "SKIP",
+               "J = 0: no Bromwich part" if F is None else "an earlier gate failed", None)
+        return
+    try:
+        line = LineSampler(F, cfg)
+    except ValueError as exc:
+        yield "line-quadrature", "FAIL", str(exc), None
+        return
+    # the initial-value system needs the moments L_0 .. L_{K-1}
+    K = 0 if initial_values is None else len(initial_values)
+    yield ("line-quadrature", *_verdict(
+        line.certified_order >= K - 1,
+        f"{line.y_nodes.size} nodes, certified order {line.certified_order}",
+        f"certified moment order {line.certified_order} is below K - 1 = {K - 1}; "
+        "the Bromwich part cannot match the requested initial data"), line)
+
+
+def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_values):
     f_eval = _symbol_eval(f)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         near = np.abs(np.asarray(f_eval(np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j), np.complex128))
@@ -556,13 +566,16 @@ def hypothesis_gates(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     Yields rows (name, status, detail, data), status PASS, FAIL or SKIP,
     for: analytic-right-half-plane, contour-nonvanishing,
     forcing-transform, hardy-membership, decay-of-r-over-f,
-    smoothness-order, pole-constraints and conditioning.  The arguments
-    are those of solve, and data that solve refuses raise the same
-    ValueError here.  Without poles the Hardy gate tests (L(J) + r)/f;
-    with poles, given as a PoleSpec or (omega, order) pairs, it tests
-    L(J)/f; initial values add the classical IVP's smoothness and
-    conditioning gates.  solve drains these rows and raises
-    HypothesisError at the first FAIL.
+    smoothness-order, pole-constraints, conditioning and line-quadrature.
+    The arguments are those of solve, and data that solve refuses raise
+    the same ValueError here.  Without poles the Hardy gate tests
+    (L(J) + r)/f; with poles, given as a PoleSpec or (omega, order) pairs,
+    it tests L(J)/f; initial values add the classical IVP's smoothness and
+    conditioning gates.  The last row builds the LineSampler of that
+    transform, with the initial values' K moments certified, and carries
+    it as its data; it is SKIP without a Bromwich part or after a FAIL.
+    solve drains these rows, raises HypothesisError at the first FAIL and
+    inverts the transform with that sampler.
     """
     _, F, g = _problem(f, J, r, poles, initial_values)
     yield from _gate_rows(f, J, F, g, cfg or BromwichConfig(), poles, initial_values)
@@ -596,16 +609,19 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     mode = "generalized" if poles is None else \
         "poles-given" if initial_values is None else "classical-ivp"
     diagnostics: dict = {"mode": mode, "gates": []}
+    line = None
     for name, status, detail, data in _gate_rows(f, J, F, g, cfg, poles, initial_values):
         diagnostics["gates"].append((name, status, detail))
         if data is not None and name in _DIAGNOSTIC_KEYS:
             diagnostics[_DIAGNOSTIC_KEYS[name]] = data
         if status == "FAIL":
             raise HypothesisError(detail, diagnostics)
+        if name == "line-quadrature":
+            line = data
     if poles is None:
-        return Solution(f, J, gic, cfg, F, diagnostics=diagnostics)
+        return Solution(f, J, gic, cfg, line, diagnostics=diagnostics)
     poles = poles if isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
-    solution = Solution(f, J, gic, cfg, F, poles=poles, diagnostics=diagnostics)
+    solution = Solution(f, J, gic, cfg, line, poles=poles, diagnostics=diagnostics)
     if initial_values is None:
         solution.residue = _laurent_residues(g, poles)
     else:
@@ -643,11 +659,10 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
     and r0 = f * (closed-form transform of the residue part) as solution.gic."""
     K = ivp.poles.K
     diagnostics = solution.diagnostics
-    if solution.bromwich_transform is None:
+    if solution.line is None:
         Ln = np.zeros(K, dtype=np.complex128)
     else:
-        sampler = solution.sampler()
-        Ln = np.array([sampler.moment(n) for n in range(K)], dtype=np.complex128)
+        Ln = np.array([solution.line.moment(n) for n in range(K)], dtype=np.complex128)
     diagnostics["Ln"] = [complex(v) for v in Ln]
     matrix, rhs = assemble_ivp_system(ivp, Ln)
     a = np.linalg.solve(matrix, rhs)

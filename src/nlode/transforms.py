@@ -734,17 +734,6 @@ def bromwich_invert(F: Callable, t, cfg: BromwichConfig | None = None):
     return complex(vals[0]) if ts.ndim == 0 else vals
 
 
-def compute_Ln(F: Callable, n_list, cfg: BromwichConfig | None = None) -> list[complex]:
-    """Moments L_n = (1/2*pi*i) integral s^n F(s) ds along the contour line.
-
-    Each L_n equals the n-th one-sided derivative at t = 0 of the inverse
-    transform of F.
-    """
-    cfg = cfg or BromwichConfig()
-    sampler = LineSampler(F, cfg)
-    return [sampler.moment(int(n)) for n in n_list]
-
-
 def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0, y_max: float = 200.0,
                n_nodes: int = HARDY_NODES) -> float:
     """Truncated vertical-line mean mu_p(F, x) on |y| <= y_max.

@@ -121,10 +121,7 @@ def test_criterion_03_ivp_data_reproduction():
         fd = derivatives_at_zero(sol.eval, list(range(K + 1)))
         worst_iv = max(worst_iv,
                        max(abs(fd[n] - complex(data[n])) for n in range(K)))
-        if sol.bromwich_transform is None:
-            LK = 0j
-        else:
-            LK = sol.sampler().moment(K)
+        LK = 0j if sol.line is None else sol.line.moment(K)
         predicted = predict_derivative_at_zero(sol.poles, sol.residue, K, LK)
         worst_pred = max(worst_pred, abs(predicted - fd[K]))
     ok = worst_iv < 1e-4 and worst_pred < 1e-3

@@ -10,12 +10,14 @@ import pytest
 from nlode.cli import (
     ConfigError,
     _build_forcing,
+    _load_problem,
     _parse_grid,
     diagnose,
     main,
     parse_config_text,
     run,
 )
+from nlode.solver import HypothesisError, hypothesis_gates, solve
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -325,7 +327,9 @@ class TestSolveAndDiagnoseAgree:
         report = (tmp_path / f"{name}.report.txt").read_text().splitlines()
         gates = report[report.index("gates:") + 1:]
         assert printed[1:-1] == [line[2:] for line in gates]
-        assert len(gates) == 8 and all(line.startswith("  ") for line in gates)
+        _, args = _load_problem(config_path(f"{name}.cfg"), None)
+        assert len(gates) == len(list(hypothesis_gates(**args)))
+        assert all(line.startswith("  ") for line in gates)
 
     def test_report_flags_truncated_residual(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -338,6 +342,57 @@ class TestSolveAndDiagnoseAgree:
         gates = [line.split()[:2] for line in lines[lines.index("gates:") + 1:]]
         assert ["hardy-membership", "PASS"] in gates
         assert ["decay-of-r-over-f", "PASS"] in gates
+
+
+# transforms that pass every hypothesis check but that the line quadrature
+# cannot invert: zeta(s + 3) is flat on the line, so L(J)/f decays only
+# like L(J), and the indicator's e^{-as} - e^{-bs} oscillates along it
+LINE_REFUSED = {
+    "zeta-exp": ("zeta(s + 3)", "exp(-1*t)", "truncation tail is not summable"),
+    "zeta-t-exp": ("zeta(s + 3)", "t*exp(-1*t)", "truncation-tail estimate 2.321e-04"),
+    "zeta-t3-exp": ("zeta(s + 3)", "t^3*exp(-1*t)", "truncation-tail estimate 1.656e-08"),
+    "indicator": ("s + 2", "builtin indicator a=0.3 b=1.7", "truncation-tail estimate 2.289e-03"),
+}
+
+
+class TestDiagnoseAgreesWithSolve:
+    """diagnose refuses exactly what solve refuses, with the same detail,
+    and whatever it passes evaluates."""
+
+    @staticmethod
+    def check(path, capsys):
+        _, args = _load_problem(path, None)
+        rows = list(hypothesis_gates(**args))
+        code = diagnose(path)
+        printed = capsys.readouterr().out.splitlines()
+        failed = [row for row in rows if row[1] == "FAIL"]
+        if not failed:
+            assert code == 0
+            values = solve(**args)(np.linspace(0.0, 10.0, 201))
+            assert np.all(np.isfinite(values))
+            return None
+        name, _, detail, _ = failed[0]
+        with pytest.raises(HypothesisError) as info:
+            solve(**args)
+        assert str(info.value) == detail
+        assert info.value.report["gates"][-1] == failed[0][:3]
+        assert code == 2
+        assert any(line.split()[:2] == [name, "FAIL"] and line.endswith("  " + detail)
+                   for line in printed)
+        return failed[0]
+
+    @pytest.mark.parametrize("case", sorted(LINE_REFUSED))
+    def test_line_quadrature_refusal(self, case, tmp_path, capsys):
+        symbol, forcing, message = LINE_REFUSED[case]
+        path = write_cfg(tmp_path, f"mode = diagnose\nsymbol = {symbol}\nforcing = {forcing}\n")
+        name, _, detail, _ = self.check(path, capsys)
+        assert name == "line-quadrature" and detail.startswith(message)
+
+    @pytest.mark.parametrize("name", ["damped_oscillator_ivp", "exp_symbol_eigenfunction",
+                                      "zeta_symbol_ivp", "diagnose_pole_at_origin"])
+    def test_shipped_config(self, name, capsys):
+        failed = self.check(config_path(f"{name}.cfg"), capsys)
+        assert (failed is None) == (name != "diagnose_pole_at_origin")
 
 
 class TestGoldenAccuracy:

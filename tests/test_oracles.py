@@ -155,7 +155,7 @@ class TestResidualCheck:
         J = forcing_from_text("0")
         sol = solve_generalized(f, J, GeneralizedIC(parse_symbol("1 + 0*s"), "user-supplied"),
                                 BromwichConfig(sigma=1.0, y_max=50.0, quad_tol=1e-2))
-        assert sol.derivative_order_limit() == -1
+        assert sol.line.certified_order == -1
         with pytest.raises(ArithmeticError, match="no derivative order"):
             residual_check(f, sol, J, np.linspace(0.5, 5.0, 9), N=24)
 

@@ -25,7 +25,6 @@ from nlode.solver import (
     laurent_coefficients,
     predict_derivative_at_zero,
     residue_derivative_values,
-    residue_sum_eval,
     solve,
     solve_classical_ivp,
     solve_generalized,
@@ -77,7 +76,7 @@ class TestDataStructures:
         # P(t) = a_1 + a_2 t with a = (2, 3)
         rp = ResiduePolynomials(((2.0, 3.0),))
         ts = np.array([0.0, 1.0])
-        vals = residue_sum_eval(rp, poles, ts)
+        vals = residue_derivative_values(rp, poles, 0, ts)
         assert np.allclose(vals, (2.0 + 3.0 * ts) * np.exp(-ts))
 
     def test_residue_derivative(self):
@@ -459,11 +458,13 @@ class TestClassicalIVP:
             ("smoothness-order", "PASS"),
             ("pole-constraints", "PASS"),
             ("conditioning", "PASS"),
+            ("line-quadrature", "PASS"),
         ]
 
     def test_one_sampler_per_solve(self, monkeypatch):
-        # the moments, the values on t <= 10 and the residual check's
-        # derivatives all come from one sampler, grown on demand
+        # the line-quadrature gate builds the one sampler; the moments, the
+        # values on t <= 10 and the residual check's derivatives all come
+        # from it, grown on demand
         builds = []
         build = LineSampler.__init__
 
@@ -472,24 +473,43 @@ class TestClassicalIVP:
             build(sampler, *args, **kwargs)
 
         monkeypatch.setattr(LineSampler, "__init__", counted)
-        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
         ts = np.linspace(0.0, 10.0, 201)
+        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
         sol(ts)
         residual_check(sol.f, sol, sol.forcing, ts[1:])
         assert len(builds) == 1
+        sol = solve_generalized(*eigen_problem("exp(s)", 2.0))
+        assert len(builds) == 2 and sol.line is not None
+        sol(ts)
+        assert len(builds) == 2
+        # after a FAIL the gates build none
+        rows = list(hypothesis_gates(parse_symbol("1/(s)"), forcing_from_text("exp(-1*t)"),
+                                     r=parse_symbol("1/(s + 1)")))
+        assert rows[0][1] == "FAIL" and rows[-1][:2] == ("line-quadrature", "SKIP")
+        assert len(builds) == 2
+
+    def test_uncertified_moments_fail_at_the_gate(self):
+        # K = 6 initial values need the moments L_0 .. L_5, but the sampler
+        # of this L(J)/f certifies only order 4; smoothness allows M = 5
+        K = 6
+        f = parse_symbol("*".join(f"(s + {k})" for k in range(1, K + 1)))
+        poles = tuple((-float(k), 1) for k in range(1, K + 1))
+        with pytest.raises(HypothesisError, match="certified moment order 4 is below K - 1 = 5"):
+            solve(f, forcing_from_text("exp(-7*t)"), poles=poles,
+                  initial_values=(1.0,) + (0.0,) * (K - 1), cfg=BromwichConfig(y_max=100.0))
 
     def test_kernel_counts(self):
         # the initial-value check samples every order's short stencil in
         # one call (blocked kernel); a 201-point grid is one chirp-z evaluation
         sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
         sol(np.linspace(0.0, 10.0, 201))
-        assert sol.sampler().diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 1}
+        assert sol.line.diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 1}
 
     def test_derivative_prediction(self):
         ivp = self.make((1.0, 0.0))
         sol, _ = solve_classical_ivp(ivp)
         predicted = predict_derivative_at_zero(sol.poles, sol.residue, 2,
-                                               sol.sampler().moment(2))
+                                               sol.line.moment(2))
         fd = derivatives_at_zero(sol.eval, [2])[0]
         assert abs(predicted - fd) < 1e-3
 

@@ -14,7 +14,6 @@ from nlode.transforms import (
     bromwich_invert,
     builtin_forcing,
     LineSampler,
-    compute_Ln,
     forcing_from_text,
     hardy_membership,
     hardy_norm,
@@ -249,9 +248,10 @@ class TestLineSampler:
         with pytest.raises(ValueError, match="certified order"):
             sampler.moment(MATCHED_MOMENT_ORDER + 1)
 
-    def test_compute_Ln_third_derivative(self):
+    def test_moment_third_derivative(self):
         # phi = t^3 e^{-t} / 6 has phi'''(0) = 1
-        out = compute_Ln(lambda s: 1.0 / (s + 1.0) ** 4, [0, 1, 2, 3])
+        sampler = LineSampler(lambda s: 1.0 / (s + 1.0) ** 4, self.CFG)
+        out = [sampler.moment(n) for n in range(4)]
         assert np.max(np.abs(np.array(out) - [0.0, 0.0, 0.0, 1.0])) < 1e-8
 
     def test_derivative_values(self):
