@@ -25,7 +25,6 @@ from .transforms import (
     forcing_from_text,
     hardy_norm,
     laplace_forward,
-    smoothness_order,
 )
 from .solver import (
     ClassicalIVP,
@@ -81,7 +80,6 @@ __all__ = [
     "laurent_coefficients",
     "parse_symbol",
     "residual_check",
-    "smoothness_order",
     "solve",
     "solve_classical_ivp",
     "solve_generalized",

@@ -215,7 +215,6 @@ def _report_lines(cfg: ProblemConfig, diagnostics: dict, extra: dict) -> list[st
         f"grid: {cfg.grid[0]:g}:{cfg.grid[1]:g}:{cfg.grid[2]}",
         f"hardy_sup: {hardy['sup']:.6e}" if hardy else "hardy_sup: n/a",
         f"hardy_bounded: {'yes' if hardy and hardy['bounded'] else 'no' if hardy else 'n/a'}",
-        f"smoothness_order_M: {diagnostics.get('smoothness_order') if diagnostics.get('smoothness_order') is not None else 'n/a'}",
         f"condition_number: {diagnostics['condition_number']:.6e}"
         if "condition_number" in diagnostics else "condition_number: n/a",
         f"decay_q: {decay['q']:.4f}" if decay else "decay_q: n/a",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +50,6 @@ N_ATOMS = 8
 LINE_PROBES = 8
 MAX_LINE_NODES = 1 << 20
 HARDY_NODES = 4097
-SMOOTHNESS_FIT_POINTS = 32
 CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
@@ -599,21 +597,11 @@ class LineSampler:
             if not self.atom_exact:
                 # a fresh build compares pi/(2 budget) with pi/budget first;
                 # a grid already that fine is compared as it stands, so an
-                # extension lays no node a fresh build would not
+                # extension lays no node a fresh build would not.  Node order
+                # is free: both line-sum kernels place a node by its index k.
                 while self.h > math.pi / (2.0 * budget):
                     self._halve()
-                self._reorder()
                 self._settle()
-
-    def _reorder(self) -> None:
-        """Put the nodes in the level order of a fresh build at t_max, so
-        that an extended sampler sums exactly as a fresh one does."""
-        k = np.rint(self.y_nodes / self.h).astype(np.int64)
-        top = round(math.pi / (self.t_max * self.h))   # level 0 holds multiples of top
-        lowbit = np.where(k == 0, top, k & -k)
-        order = np.lexsort((k, -np.minimum(lowbit, top)))
-        self.y_nodes, self.g_vals = self.y_nodes[order], self.g_vals[order]
-        self._level = int(np.count_nonzero(lowbit > 1))
 
     def _atom_moment(self, n: int) -> complex:
         total = 0j
@@ -790,36 +778,3 @@ def hardy_membership(F: Callable, p: float = 2.0, x_grid=(0.01, 0.1, 1.0),
         "bounded": not unbounded,
         "flags": flags,
     }
-
-
-def smoothness_order(F: Callable, sigma: float = 1.0, n_cap: int = 6,
-                     y_max: float = 200.0) -> int:
-    """Largest M <= n_cap with M < alpha - 1, alpha the fitted decay of |F|.
-
-    Faster-than-any-power decay (fitted alpha beyond n_cap + 2) returns
-    n_cap; fit failures return a conservative 0 with a warning.
-    """
-    ys = np.geomspace(y_max / 4.0, y_max, SMOOTHNESS_FIT_POINTS)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(F(sigma + 1j * ys), np.complex128)
-    mods = np.abs(vals)
-    if not np.all(np.isfinite(mods)):
-        warnings.warn("smoothness fit failed: non-finite samples; returning M = 0", stacklevel=2)
-        return 0
-    if np.max(mods) < 1e-280:
-        # underflow plateau: decay is faster than any power resolvable here
-        return int(n_cap)
-    alpha, _, fit_resid = _power_fit(ys, mods)
-    if not math.isfinite(alpha):
-        warnings.warn("smoothness fit failed: degenerate samples; returning M = 0", stacklevel=2)
-        return 0
-    if alpha > n_cap + 2.0:
-        return int(n_cap)
-    if fit_resid > 1.5:
-        warnings.warn(
-            f"smoothness fit is not power-like (max log deviation {fit_resid:.2f}); returning M = 0",
-            stacklevel=2,
-        )
-        return 0
-    m = int(math.floor(alpha - 1.0 - 1e-12))
-    return max(0, min(int(n_cap), m))

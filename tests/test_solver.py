@@ -134,6 +134,18 @@ class TestSolveGeneralized:
         with pytest.raises(HypothesisError, match="vanishes"):
             solve_generalized(f, forcing_from_text("exp(-1*t)"), zero_ic())
 
+    def test_growing_polynomial_does_not_vanish_on_contour(self):
+        # |f| of (s + 1)...(s + 6) spans 5040 to 6.4e13 on |y| <= 200, yet f
+        # has no zero near the line; phi is the partial-fraction sum of
+        # 1/((s + 1)...(s + 7))
+        f = parse_symbol("*".join(f"(s + {k})" for k in range(1, 7)))
+        sol = solve(f, forcing_from_text("exp(-7*t)"))
+        assert ("contour-nonvanishing", "PASS") in [row[:2] for row in sol.diagnostics["gates"]]
+        ts = np.linspace(0.0, 10.0, 201)
+        roots = -np.arange(1.0, 8.0)
+        exact = sum(np.exp(p * ts) / np.prod([p - q for q in roots if q != p]) for p in roots)
+        assert np.max(np.abs(sol(ts) - exact)) < 1e-12
+
     def test_hardy_gate_failure_reported(self):
         # L(J)/f = 1/s for f = 1 is not in H^2 (pole at the origin)
         f = parse_symbol("0*s + 1")
@@ -440,12 +452,32 @@ class TestClassicalIVP:
 
     def test_smoothness_gate(self):
         # |zeta(s + 3)| is flat on the contour line, so L(J)/f only decays
-        # like 1/|s|: one initial value is supportable, two are not
+        # like 1/|s|: the line sampler cannot sum its truncation tail, let
+        # alone certify the moments of two initial values
         f = parse_symbol("zeta(s + 3)")
         ivp = ClassicalIVP(f, forcing_from_text("exp(-1*t)"),
                            PoleSpec(((-5.0, 1), (-7.0, 1))), (1.0, 0.0))
-        with pytest.raises(HypothesisError, match="smoothness"):
+        with pytest.raises(HypothesisError, match="truncation tail is not summable") as info:
             solve_classical_ivp(ivp)
+        assert info.value.report["gates"][-1][:2] == ("line-quadrature", "FAIL")
+
+    @pytest.mark.parametrize("symbol, poles, forcing", [
+        ("zeta(s + 3)", (-5.0, -7.0), "exp(-1*t)"),
+        ("zeta(s + 3)", (-5.0, -7.0), "exp(-3*t)"),
+        ("zeta(s + 3)", (-5.0, -7.0, -9.0), "t*exp(-1*t)"),
+        ("zeta(s + 2)", (-4.0, -6.0), "exp(-1*t)"),
+    ])
+    def test_moment_refusals_at_line_quadrature(self, symbol, poles, forcing):
+        # the sampler that computes the moments L_0 .. L_{K-1} is the one
+        # judge of them: solve and the gates refuse these at its row
+        args = dict(f=parse_symbol(symbol), J=forcing_from_text(forcing),
+                    poles=tuple((w, 1) for w in poles),
+                    initial_values=(1.0,) + (0.0,) * (len(poles) - 1))
+        with pytest.raises(HypothesisError) as info:
+            solve(**args)
+        failed = [row[:3] for row in hypothesis_gates(**args) if row[1] == "FAIL"]
+        assert info.value.report["gates"][-1][:2] == ("line-quadrature", "FAIL")
+        assert failed[0] == info.value.report["gates"][-1]
 
     def test_gates_recorded_in_order(self):
         sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
@@ -455,7 +487,6 @@ class TestClassicalIVP:
             ("forcing-transform", "PASS"),
             ("hardy-membership", "PASS"),
             ("decay-of-r-over-f", "SKIP"),
-            ("smoothness-order", "PASS"),
             ("pole-constraints", "PASS"),
             ("conditioning", "PASS"),
             ("line-quadrature", "PASS"),
@@ -490,7 +521,7 @@ class TestClassicalIVP:
 
     def test_uncertified_moments_fail_at_the_gate(self):
         # K = 6 initial values need the moments L_0 .. L_5, but the sampler
-        # of this L(J)/f certifies only order 4; smoothness allows M = 5
+        # of this L(J)/f certifies only order 4
         K = 6
         f = parse_symbol("*".join(f"(s + {k})" for k in range(1, K + 1)))
         poles = tuple((-float(k), 1) for k in range(1, K + 1))

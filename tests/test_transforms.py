@@ -18,7 +18,6 @@ from nlode.transforms import (
     hardy_membership,
     hardy_norm,
     laplace_forward,
-    smoothness_order,
     verify_forcing,
     N_ATOMS,
     Forcing,
@@ -570,17 +569,3 @@ class TestHardy:
     def test_membership_unbounded_pole_at_origin(self):
         out = hardy_membership(lambda s: 1.0 / s)
         assert not out["bounded"]
-
-
-class TestSmoothnessOrder:
-    def test_power_decay(self):
-        assert smoothness_order(lambda s: 1.0 / (s + 1.0)) == 0
-        assert smoothness_order(lambda s: 1.0 / (s + 1.0) ** 3) == 1
-        assert smoothness_order(lambda s: 1.0 / (s + 1.0) ** 5) == 3
-
-    def test_entire_decay_hits_cap(self):
-        # |exp(0.001 s^2)| = exp(0.001 (sigma^2 - y^2)) on the line
-        assert smoothness_order(lambda s: np.exp(0.001 * s ** 2), n_cap=6) == 6
-
-    def test_cap_respected(self):
-        assert smoothness_order(lambda s: 1.0 / (s + 1.0) ** 9, n_cap=4) == 4
