@@ -19,10 +19,16 @@ one LineSampler of the solve, kept as solution.line; nothing else builds
 one for a Solution.  With initial values that row is also the one judge
 of the K moments L_0, ..., L_{K-1} the initial-value system needs: the
 sampler that computes them must certify them.
+
+The rows depend on f, J, r, the poles, cfg and K, not on the initial
+values.  One slot keeps the last pass with no callable in its data that
+ran to its end without a warning; a problem of the same content replays
+it, with its own copy of the sampler (diagnostics["gates_reused"]).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 import warnings
@@ -41,8 +47,8 @@ from .symbols import (
     Pow,
     Sub,
     Var,
+    _walk,
     cauchy_taylor_at,
-    eval_symbol,
 )
 from .transforms import (
     BromwichConfig,
@@ -124,12 +130,10 @@ class GeneralizedIC:
         allowed = {"user-supplied", "constructed-from-IVP"}
         if self.provenance not in allowed:
             raise ValueError(f"provenance must be one of {sorted(allowed)}")
-        if not (isinstance(self.r, AnalyticSymbol) or callable(self.r)):
+        if not callable(self.r):
             raise ValueError("r must be an AnalyticSymbol or a callable")
 
     def eval(self, s):
-        if isinstance(self.r, AnalyticSymbol):
-            return eval_symbol(self.r, s)
         return self.r(s)
 
     @property
@@ -223,8 +227,6 @@ class Solution:
 
 
 def _symbol_eval(f) -> Callable:
-    if isinstance(f, AnalyticSymbol):
-        return lambda s: eval_symbol(f, s)
     if callable(f):
         return f
     raise ValueError("symbol must be an AnalyticSymbol or a callable")
@@ -544,13 +546,56 @@ def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_va
 
 
 def _problem(f, J: Forcing, r, poles, initial_values) -> tuple:
-    """(gic, F, g) of the data hypothesis_gates and solve take.  Initial
-    values fix the residues at the declared poles, so they need poles and
-    exclude r; anything else is a ValueError."""
+    """(gic, F, g, initial values as complex) of the data hypothesis_gates
+    and solve take.  Initial values fix the residues at the declared
+    poles, so they need poles and exclude r; anything else is a ValueError."""
     if initial_values is not None and (r is not None or poles is None):
         raise ValueError("initial values need declared poles and no r")
     gic = r if isinstance(r, GeneralizedIC) else zero_ic() if r is None else GeneralizedIC(r)
-    return (gic, *_transforms(f, J, gic, split=poles is not None))
+    values = None if initial_values is None else tuple(map(complex, initial_values))
+    return (gic, *_transforms(f, J, gic, split=poles is not None), values)
+
+
+_checked: list = []  # [(key, rows)]: the one stored pass, one sampler beyond the callers'
+
+
+def _memo_key(f, J: Forcing, gic: GeneralizedIC, poles, cfg: BromwichConfig, initial_values):
+    """What the gate rows depend on: all data but the initial values' own
+    values; None when a part is a callable, whose identity is never a key."""
+    parts = (f, gic.r, J.closed_form_laplace, J.j_eval)
+    if not all(isinstance(x, AnalyticSymbol) for x in parts) \
+            or any(isinstance(node, Call) for x in parts for node in _walk(x.expr)):
+        return None
+    try:
+        spec = poles if poles is None or isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
+    except (TypeError, ValueError):
+        return None
+    return f, J, gic.r, spec, cfg, None if initial_values is None else len(initial_values)
+
+
+def _checked_rows(f, J: Forcing, gic, F, g, cfg: BromwichConfig, poles, initial_values,
+                  drain: bool) -> tuple[list, bool]:
+    """The gate rows of a problem, up to the first FAIL unless drain, and
+    whether they replay the stored pass, of which each caller gets its own
+    deep copy.  A pass's warnings are recorded and issued again after it."""
+    key = _memo_key(f, J, gic, poles, cfg, initial_values)
+    for stored_key, stored_rows in _checked[:]:
+        if stored_key == key:
+            return copy.deepcopy(stored_rows), True
+    rows, caught = [], []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for row in _gate_rows(f, J, F, g, cfg, poles, initial_values):
+                rows.append(row)
+                if row[1] == "FAIL" and not drain:
+                    return rows, False
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    if key is not None and not caught:
+        _checked[:] = [(key, copy.deepcopy(rows))]
+    return rows, False
 
 
 def hypothesis_gates(f, J: Forcing, *, r=None, poles=None, initial_values=None,
@@ -570,10 +615,12 @@ def hypothesis_gates(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     L_0, ..., L_{K-1} the initial-value system needs.  It is SKIP without
     a Bromwich part or after a FAIL.
     solve drains these rows, raises HypothesisError at the first FAIL and
-    inverts the transform with that sampler.
+    inverts the transform with that sampler.  A problem with the content
+    of the stored pass replays it (see the module docstring).
     """
-    _, F, g = _problem(f, J, r, poles, initial_values)
-    yield from _gate_rows(f, J, F, g, cfg or BromwichConfig(), poles, initial_values)
+    gic, F, g, initial_values = _problem(f, J, r, poles, initial_values)
+    yield from _checked_rows(f, J, gic, F, g, cfg or BromwichConfig(), poles, initial_values,
+                             drain=True)[0]
 
 
 # row data kept in Solution.diagnostics, by gate
@@ -596,15 +643,17 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     arguments are those of hypothesis_gates: their rows go to
     diagnostics["gates"], the first FAIL raises HypothesisError, and
     diagnostics["mode"] names the path (generalized, poles-given or
-    classical-ivp).
+    classical-ivp), and diagnostics["gates_reused"] whether the rows
+    replay a stored pass.
     """
-    gic, F, g = _problem(f, J, r, poles, initial_values)
+    gic, F, g, initial_values = _problem(f, J, r, poles, initial_values)
     cfg = cfg or BromwichConfig()
     mode = "generalized" if poles is None else \
         "poles-given" if initial_values is None else "classical-ivp"
-    diagnostics: dict = {"mode": mode, "gates": []}
+    rows, reused = _checked_rows(f, J, gic, F, g, cfg, poles, initial_values, drain=False)
+    diagnostics: dict = {"mode": mode, "gates": [], "gates_reused": reused}
     line = None
-    for name, status, detail, data in _gate_rows(f, J, F, g, cfg, poles, initial_values):
+    for name, status, detail, data in rows:
         diagnostics["gates"].append((name, status, detail))
         if data is not None and name in _DIAGNOSTIC_KEYS:
             diagnostics[_DIAGNOSTIC_KEYS[name]] = data

@@ -91,11 +91,15 @@ class Call:
 
 @dataclass(frozen=True)
 class AnalyticSymbol:
-    """Expression tree plus the analytic metadata the solvers rely on."""
+    """Expression tree plus the analytic metadata the solvers rely on.
+    Calling it evaluates it (eval_symbol); it compares by its content."""
 
     expr: object
     var_name: str = "s"
     taylor_radius_hint: float | None = None
+
+    def __call__(self, s):
+        return eval_symbol(self, s)
 
 
 _TOKEN_RE = re.compile(
@@ -330,14 +334,15 @@ def eval_symbol(f: AnalyticSymbol, s):
     """Evaluate f at complex s (scalar or array).
 
     Overflow produces inf rather than raising; a zeta node evaluated at
-    its pole raises a domain error.
+    its pole raises a domain error.  A scalar s is evaluated as a 1-element
+    array, since numpy's scalar arithmetic rounds unlike its array loops.
     """
-    arr = np.asarray(s, dtype=np.complex128)
-    scalar = arr.ndim == 0
+    scalar = np.ndim(s) == 0
+    arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         val = _eval_node(f.expr, arr)
     out = np.broadcast_to(np.asarray(val, dtype=np.complex128), arr.shape)
-    return complex(out) if scalar else np.array(out)
+    return complex(out[0]) if scalar else np.array(out)
 
 
 def _series(node, m: int) -> np.ndarray:
@@ -419,10 +424,7 @@ def cauchy_taylor_at(f, center: complex, order: int, radius: float,
         raise ValueError("order must be below the node count")
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     ring = center + radius * np.exp(1j * theta)
-    if isinstance(f, AnalyticSymbol):
-        samples = eval_symbol(f, ring)
-    else:
-        samples = np.asarray(f(ring), dtype=np.complex128)
+    samples = np.asarray(f(ring), dtype=np.complex128)
     if not np.all(np.isfinite(samples)):
         raise ValueError("symbol is not finite on the quadrature circle")
     coeffs = np.fft.fft(samples)[: order + 1] / n_nodes

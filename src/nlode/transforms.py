@@ -39,7 +39,6 @@ from .symbols import (
     Pow,
     Sub,
     Var,
-    _eval_node,
     eval_symbol,
     parse_expression,
 )
@@ -161,18 +160,12 @@ def _laplace_tree_from_terms(terms: dict):
 
 
 def forcing_from_text(text: str) -> Forcing:
-    """Build a Forcing from an expression in t (polynomials and exponentials)."""
+    """Build a Forcing from an expression in t (polynomials and exponentials).
+    Its j_eval is the symbol of that t-tree, so two forcings built from one
+    text compare and hash equal."""
     tree = parse_expression(text, "t", allow_zeta=False)
-    terms = poly_exp_terms(tree)
-    laplace = AnalyticSymbol(_laplace_tree_from_terms(terms), "s")
-
-    def j_eval(t):
-        arr = np.asarray(t, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = _eval_node(tree, arr.astype(np.complex128))
-        return np.broadcast_to(np.asarray(val, np.complex128), arr.shape).copy()
-
-    return Forcing(j_eval, laplace, label=text)
+    laplace = AnalyticSymbol(_laplace_tree_from_terms(poly_exp_terms(tree)), "s")
+    return Forcing(AnalyticSymbol(tree, "t"), laplace, label=text)
 
 
 def builtin_forcing(name: str, **params) -> Forcing:
@@ -274,7 +267,7 @@ def verify_forcing(J: Forcing, tol: float = 1e-8, n_probes: int = 10,
         return {"ok": False, "max_error": math.inf, "reason": "no closed-form transform"}
     ss = np.array([re_min + 0.3 * k + 1j * (0.5 * k - 2.25) for k in range(n_probes)])
     q = laplace_forward(J, ss, tol=min(tol * 1e-2, 1e-10))
-    worst = max(abs(complex(qk) - complex(np.asarray(J.laplace(sk)))) for qk, sk in zip(q, ss))
+    worst = float(np.max(np.abs(q - J.laplace(ss))))
     return {"ok": worst <= tol, "max_error": worst, "probes": n_probes}
 
 
@@ -516,6 +509,19 @@ class LineSampler:
         self._lay(np.arange(-math.floor(y_max / self.h), math.floor(y_max / self.h) + 1))
         self._halve()
         self._settle()
+
+    def copy(self) -> "LineSampler":
+        """A sampler on the same nodes with its own t budget and evaluation
+        counts (also deepcopy's).  The two share their arrays, made read-only:
+        an extension rebinds them and never writes into them."""
+        for shared in (self.gammas, self.y_nodes, self.g_vals):
+            shared.flags.writeable = False
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, _evaluations=dict.fromkeys(self._evaluations, 0))
+        return twin
+
+    def __deepcopy__(self, memo) -> "LineSampler":
+        return self.copy()
 
     def _reference(self, s: np.ndarray) -> np.ndarray:
         """Sum of the fitted reference terms gamma_k / (s + b)^k.

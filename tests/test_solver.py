@@ -339,7 +339,7 @@ class TestComposedTransforms:
                 inside[0] = False
 
         monkeypatch.setattr(symbols, "zeta", zeta)
-        for module in (symbols, solver, transforms):
+        for module in (symbols, transforms):
             monkeypatch.setattr(module, "eval_symbol", recording_eval)
         ts = np.linspace(0.0, 10.0, 201)
         assert np.max(np.abs(solve_generalized(f, J, gic)(ts) - np.exp(-0.5 * ts))) < 1e-6
@@ -668,3 +668,115 @@ class TestSolutionObject:
         assert sol.config.sigma == 2.0
         ts = np.linspace(0.0, 5.0, 21)
         assert np.max(np.abs(sol(ts) - np.exp(-0.5 * ts))) < 1e-6
+
+
+class TestCheckedProblemMemo:
+    """Gate rows and the line sampler depend on (f, J, r, poles, cfg, K),
+    not on the initial values: a solve replays the last stored pass."""
+
+    F2, J2 = "(s + 1)*(s + 2)", "exp(-3*t)"
+    TS = np.linspace(0.0, 10.0, 201)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = LineSampler.__init__
+
+        def counted(sampler, *args, **kwargs):
+            built.append(args)
+            build(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(LineSampler, "__init__", counted)
+        return built
+
+    def ivp(self, data):
+        return ClassicalIVP(parse_symbol(self.F2), forcing_from_text(self.J2),
+                            PoleSpec(((-1.0, 1), (-2.0, 1))), tuple(data))
+
+    def test_ten_draws_build_one_sampler(self, builds):
+        draws = np.random.default_rng(7).uniform(-2.0, 2.0, (10, 2))
+        warm = [solve_classical_ivp(self.ivp(data))[0] for data in draws]
+        assert len(builds) == 1
+        assert [sol.diagnostics["gates_reused"] for sol in warm] == [False] + [True] * 9
+        for sol, data in zip(warm, draws):
+            solver._checked.clear()
+            cold, _ = solve_classical_ivp(self.ivp(data))
+            assert not cold.diagnostics["gates_reused"]
+            assert np.array_equal(sol(self.TS), cold(self.TS))
+            for key in ("Ln", "initial_value_errors", "gates"):
+                assert sol.diagnostics[key] == cold.diagnostics[key]
+
+    @pytest.mark.parametrize("case", ["callable-f", "call-leaf", "callable-r", "hand-built-J"])
+    def test_callables_are_never_keys(self, builds, case):
+        f, J = parse_symbol(self.F2), forcing_from_text(self.J2)
+        r = GeneralizedIC(parse_symbol("s + 3"))
+        if case == "callable-f":
+            f = np.polynomial.Polynomial([2.0, 3.0, 1.0])
+        elif case == "call-leaf":
+            f = symbols.AnalyticSymbol(symbols.Mul(symbols.Call(lambda s: s + 1),
+                                                   parse_symbol("s + 2").expr))
+        elif case == "callable-r":
+            r = GeneralizedIC(lambda s: s + 3)
+        else:
+            J = transforms.Forcing(lambda t: np.exp(-3 * np.asarray(t)) + 0j,
+                                   parse_symbol("1/(s + 3)"))
+        exact = 2.5 * np.exp(-self.TS) - 2.0 * np.exp(-2 * self.TS) + 0.5 * np.exp(-3 * self.TS)
+        for n in (1, 2):
+            sol = solve(f, J, r=r)
+            assert len(builds) == n and not sol.diagnostics["gates_reused"]
+            assert np.max(np.abs(sol(self.TS) - exact)) < 1e-7
+
+    def test_text_forcings_compare_equal(self):
+        assert forcing_from_text(self.J2) == forcing_from_text(self.J2)
+        assert hash(forcing_from_text(self.J2)) == hash(forcing_from_text(self.J2))
+        assert forcing_from_text(self.J2) != forcing_from_text("exp(-2*t)")
+
+    def test_solutions_do_not_alias(self):
+        first, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+        second, _ = solve_classical_ivp(self.ivp((0.5, -1.0)))
+        assert second.diagnostics["gates_reused"]
+        values = second(self.TS)
+        nodes = second.line.y_nodes.size
+        first(40.0)
+        assert first.line.y_nodes.size > nodes
+        assert second.line.y_nodes.size == nodes
+        assert np.array_equal(second(self.TS), values)
+        hardy = {**second.diagnostics["hardy"],
+                 "mu_values": list(second.diagnostics["hardy"]["mu_values"])}
+        first.diagnostics["hardy"]["mu_values"].append(1.0)
+        first.diagnostics["hardy"]["sup"] = -1.0
+        third, _ = solve_classical_ivp(self.ivp((0.5, -1.0)))
+        assert second.diagnostics["hardy"] == hardy == third.diagnostics["hardy"]
+        assert np.array_equal(third(self.TS), values)
+
+    def test_a_warning_is_never_hidden(self):
+        f, J, gic = eigen_problem("zeta(s + 3)", 2.0)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="zeta evaluated above the height cap"):
+                sol = solve_generalized(f, J, gic, BromwichConfig(y_max=300.0))
+            assert not sol.diagnostics["gates_reused"]
+
+    def test_gates_then_solve_build_one_sampler(self, builds):
+        args = dict(f=parse_symbol(self.F2), J=forcing_from_text(self.J2),
+                    poles=((-1.0, 1), (-2.0, 1)), initial_values=(1.0, 0.0))
+        rows = list(hypothesis_gates(**args))
+        sol = solve(**args)
+        assert len(builds) == 1 and sol.diagnostics["gates_reused"]
+        assert sol.diagnostics["gates"] == [row[:3] for row in rows]
+        with pytest.raises(ValueError):
+            solve(**{**args, "initial_values": ("one", 0.0)})
+
+    def test_refused_solve_raises_the_same_error(self, builds):
+        args = dict(f=parse_symbol("zeta(s + 3)"), J=forcing_from_text("exp(-1*t)"),
+                    poles=((-5.0, 1), (-7.0, 1)), initial_values=(1.0, 0.0))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(HypothesisError) as info:
+                solve(**args)
+            errors.append((str(info.value), info.value.report["gates"]))
+        assert errors[0] == errors[1] and len(builds) == 2
+        list(hypothesis_gates(**args))
+        with pytest.raises(HypothesisError) as info:
+            solve(**args)
+        assert (str(info.value), info.value.report["gates"]) == errors[0]
+        assert info.value.report["gates_reused"]

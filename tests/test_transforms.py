@@ -161,6 +161,14 @@ class TestForcing:
         assert many.shape == ss.shape
         assert np.array_equal(many, [laplace_forward(J, s) for s in ss])
 
+    @pytest.mark.parametrize("re_min", [1.0, 0.5, 2.0])
+    def test_closed_form_of_many_s_is_the_scalar_calls(self, re_min):
+        # verify_forcing's probes in one call: a symbol's value must not
+        # depend on how it is batched (numpy's scalar z*z rounds otherwise)
+        J = forcing_from_text("t^5*exp(-t) + 2*t*exp(-0.3*t)")
+        ss = np.array([re_min + 0.3 * k + 1j * (0.5 * k - 2.25) for k in range(10)])
+        assert np.array_equal(J.laplace(ss), [J.laplace(s) for s in ss])
+
     def test_forward_transform_evaluates_forcing_once_on_its_nodes(self):
         J = forcing_from_text("t^3*exp(-t/2)")
         sizes = []
