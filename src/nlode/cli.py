@@ -251,7 +251,7 @@ def _load_problem(config_path: str, overrides: dict | None):
 def _print_gates(args: dict) -> int:
     """Print the PASS/FAIL/SKIP table of the problem's hypothesis gates."""
     try:
-        rows = list(hypothesis_gates(**args))
+        rows = hypothesis_gates(**args)
     except ValueError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 2

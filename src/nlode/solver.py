@@ -10,7 +10,7 @@ the path its data select; the transform-side machinery is shared:
   and with them the generalized initial condition r0, from the data.
 
 solve_generalized, solve_with_poles and solve_classical_ivp name these
-three paths.  solve first drains hypothesis_gates, the ordered
+three paths.  solve first runs the rows of hypothesis_gates, the ordered
 solvability checks that `nlode diagnose` prints: analytic-right-half-plane,
 contour-nonvanishing, forcing-transform, hardy-membership,
 decay-of-r-over-f, pole-constraints, conditioning and line-quadrature.
@@ -20,10 +20,14 @@ one for a Solution.  With initial values that row is also the one judge
 of the K moments L_0, ..., L_{K-1} the initial-value system needs: the
 sampler that computes them must certify them.
 
-The rows depend on f, J, r, the poles, cfg and K, not on the initial
-values.  One slot keeps the last pass with no callable in its data that
-ran to its end without a warning; a problem of the same content replays
-it, with its own copy of the sampler (diagnostics["gates_reused"]).
+solve and hypothesis_gates normalize their data once (_Problem) and
+run one pass of the rows, which depend on f, J, r, the poles, cfg and
+K, not on the initial values.  One slot keeps the last pass with no
+callable in its data that ran to its end without zeta warning; a
+problem of the same content replays it, with its own copy of the
+sampler (diagnostics["gates_reused"]).  zeta warns its own caller; the
+pass only notes the warning, in a list that a context variable holds
+for that pass alone.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .special_functions import _height_warnings
 from .symbols import (
     Add,
     AnalyticSymbol,
@@ -226,12 +231,6 @@ class Solution:
         return bro + res
 
 
-def _symbol_eval(f) -> Callable:
-    if callable(f):
-        return f
-    raise ValueError("symbol must be an AnalyticSymbol or a callable")
-
-
 def decay_fit(g: Callable, radii=DECAY_RADII) -> dict:
     """Empirical decay fit |g| ~ C |s|^{-q} on 8 rays at large |s|.
 
@@ -409,8 +408,8 @@ def _transforms(f, J: Forcing, gic: GeneralizedIC, split: bool) -> tuple:
     """
     f_node = _tree(f)
 
-    def over_f(num) -> Callable:
-        return _symbol_eval(AnalyticSymbol(Div(num, f_node)))
+    def over_f(num) -> AnalyticSymbol:
+        return AnalyticSymbol(Div(num, f_node))
 
     lj = _tree(J.laplace if J.closed_form_laplace is None else J.closed_form_laplace)
     r = _tree(gic.r)
@@ -428,38 +427,41 @@ def _verdict(ok: bool, passed: str, failed: str) -> tuple[str, str]:
     return ("PASS", passed) if ok else ("FAIL", failed)
 
 
-def _gate_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_values):
-    """The rows of hypothesis_gates: the seven hypothesis checks, then the
-    line quadrature, which builds the solve's one LineSampler as its data
-    only when no earlier row failed."""
-    failed = False
-    for row in _hypothesis_rows(f, J, F, g, cfg, poles, initial_values):
-        failed = failed or row[1] == "FAIL"
-        yield row
-    if F is None or failed:
-        yield ("line-quadrature", "SKIP",
-               "J = 0: no Bromwich part" if F is None else "an earlier gate failed", None)
-        return
-    try:
-        line = LineSampler(F, cfg)
-    except ValueError as exc:
-        yield "line-quadrature", "FAIL", str(exc), None
-        return
-    # the initial-value system needs the moments L_0 .. L_{K-1}
-    K = 0 if initial_values is None else len(initial_values)
-    yield ("line-quadrature", *_verdict(
-        line.certified_order >= K - 1,
-        f"{line.y_nodes.size} nodes, certified order {line.certified_order}",
-        f"certified moment order {line.certified_order} is below K - 1 = {K - 1}; "
-        "the Bromwich part cannot match the requested initial data"), line)
+class _Problem:
+    """The data of solve and hypothesis_gates, normalized once.  Initial
+    values fix the residues at the declared poles, so they need poles and
+    exclude r; anything else is a ValueError.  poles is None, a PoleSpec,
+    or the ValueError of poles that PoleSpec refuses, which the
+    pole-constraints row reports.  key is what the gate rows depend on:
+    all data but the initial values' own values; None when a part is a
+    callable, whose identity is never a key."""
+
+    def __init__(self, f, J: Forcing, r, poles, initial_values, cfg) -> None:
+        if initial_values is not None and (r is not None or poles is None):
+            raise ValueError("initial values need declared poles and no r")
+        self.f, self.J, self.cfg = f, J, cfg or BromwichConfig()
+        self.gic = r if isinstance(r, GeneralizedIC) else zero_ic() if r is None else GeneralizedIC(r)
+        self.values = None if initial_values is None else tuple(map(complex, initial_values))
+        if poles is not None and not isinstance(poles, PoleSpec):
+            try:
+                poles = PoleSpec(tuple(poles))
+            except ValueError as exc:
+                poles = exc
+        self.poles = poles
+        self.F, self.g = _transforms(f, J, self.gic, split=poles is not None)
+        parts = (f, self.gic.r, J.closed_form_laplace, J.j_eval)
+        keyed = not isinstance(poles, ValueError) \
+            and all(isinstance(x, AnalyticSymbol) for x in parts) \
+            and not any(isinstance(node, Call) for x in parts for node in _walk(x.expr))
+        K = None if self.values is None else len(self.values)
+        self.key = (f, J, self.gic.r, poles, self.cfg, K) if keyed else None
 
 
-def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_values):
-    f_eval = _symbol_eval(f)
+def _hypothesis_rows(p: _Problem):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        near = np.abs(np.asarray(f_eval(np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j), np.complex128))
+        near = np.abs(np.asarray(p.f(np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j), np.complex128))
         on_line = np.abs(np.asarray(
-            f_eval(cfg.sigma + 1j * np.linspace(-cfg.y_max, cfg.y_max, 513)), np.complex128))
+            p.f(p.cfg.sigma + 1j * np.linspace(-p.cfg.y_max, p.cfg.y_max, 513)), np.complex128))
     ok = bool(np.all(np.isfinite(near))) and near[-1] <= 100.0 * max(1.0, near[0])
     yield ("analytic-right-half-plane", *_verdict(
         ok, "|f| bounded near the axis", f"|f| grows to {near[-1]:.3e} approaching the axis"), None)
@@ -476,18 +478,18 @@ def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_va
         neighbours = np.maximum(np.r_[0.0, level[:-1]], np.r_[level[1:], 0.0])
         ok = not np.any(finite & (level < 1e-8 * neighbours))
         yield ("contour-nonvanishing", *_verdict(
-            ok, f"Re(s) = {cfg.sigma:g}",
-            f"symbol vanishes on the contour line Re(s) = {cfg.sigma:g}; shift sigma"), None)
+            ok, f"Re(s) = {p.cfg.sigma:g}",
+            f"symbol vanishes on the contour line Re(s) = {p.cfg.sigma:g}; shift sigma"), None)
 
-    if J.closed_form_laplace is None:
+    if p.J.closed_form_laplace is None:
         yield ("forcing-transform", "FAIL",
                "forcing needs a closed-form transform on the contour line", None)
-    elif J.is_zero:
+    elif p.J.is_zero:
         yield "forcing-transform", "PASS", "zero forcing", None
     else:
         try:
             # probe where the solve uses the transform: on and right of the contour
-            check = verify_forcing(J, re_min=cfg.sigma)
+            check = verify_forcing(p.J, re_min=p.cfg.sigma)
         except (ValueError, ArithmeticError) as exc:
             check = {"ok": False, "max_error": math.nan, "reason": str(exc)}
         error = f"max probe error {check['max_error']:.3e}"
@@ -496,24 +498,24 @@ def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_va
             f"closed-form transform of the forcing fails its quadrature check: "
             f"{check.get('reason', error)}"), None)
 
-    what = "(L(J) + r)/f" if poles is None else "L(J)/f"
-    if F is None and poles is None:
+    what = "(L(J) + r)/f" if p.poles is None else "L(J)/f"
+    if p.F is None and p.poles is None:
         yield ("hardy-membership", "FAIL",
                "both J and r vanish; the solution is identically zero", None)
-    elif F is None:
+    elif p.F is None:
         yield "hardy-membership", "SKIP", "J = 0: no Bromwich part", None
     else:
-        x_grid = tuple(sorted({0.01, 0.1, min(1.0, cfg.sigma), cfg.sigma}))
-        report = hardy_membership(F, 2.0, x_grid=x_grid, y_max=cfg.y_max)
+        x_grid = tuple(sorted({0.01, 0.1, min(1.0, p.cfg.sigma), p.cfg.sigma}))
+        report = hardy_membership(p.F, 2.0, x_grid=x_grid, y_max=p.cfg.y_max)
         yield ("hardy-membership", *_verdict(
             report["bounded"], f"sup mu_2 = {report['sup']:.4e} for {what}",
             f"Hardy membership fails for {what}: line means are not uniformly bounded"), report)
 
-    if g is None:
+    if p.g is None:
         yield "decay-of-r-over-f", "SKIP", "r = 0", None
     else:
         try:
-            fit = decay_fit(g)
+            fit = decay_fit(p.g)
         except HypothesisError as exc:
             yield "decay-of-r-over-f", "FAIL", str(exc), None
         else:
@@ -523,15 +525,16 @@ def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_va
                 fit)
 
     ivp = None
-    if poles is None:
+    if p.poles is None:
         yield "pole-constraints", "SKIP", "no declared poles", None
+    elif isinstance(p.poles, ValueError):
+        yield "pole-constraints", "FAIL", str(p.poles), None
     else:
         try:
-            spec = poles if isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
-            _check_pole_orders(f_eval, spec)
-            if initial_values is not None:
-                ivp = ClassicalIVP(f, J, spec, initial_values)
-            yield "pole-constraints", "PASS", f"K = {spec.K}", None
+            _check_pole_orders(p.f, p.poles)
+            if p.values is not None:
+                ivp = ClassicalIVP(p.f, p.J, p.poles, p.values)
+            yield "pole-constraints", "PASS", f"K = {p.poles.K}", None
         except (HypothesisError, ValueError) as exc:
             yield "pole-constraints", "FAIL", str(exc), None
 
@@ -545,65 +548,58 @@ def _hypothesis_rows(f, J: Forcing, F, g, cfg: BromwichConfig, poles, initial_va
             f"exceeds {CONDITION_LIMIT:.0e}"), cond)
 
 
-def _problem(f, J: Forcing, r, poles, initial_values) -> tuple:
-    """(gic, F, g, initial values as complex) of the data hypothesis_gates
-    and solve take.  Initial values fix the residues at the declared
-    poles, so they need poles and exclude r; anything else is a ValueError."""
-    if initial_values is not None and (r is not None or poles is None):
-        raise ValueError("initial values need declared poles and no r")
-    gic = r if isinstance(r, GeneralizedIC) else zero_ic() if r is None else GeneralizedIC(r)
-    values = None if initial_values is None else tuple(map(complex, initial_values))
-    return (gic, *_transforms(f, J, gic, split=poles is not None), values)
+def _line_row(p: _Problem, failed: bool) -> tuple:
+    """The line-quadrature row: it builds the solve's one LineSampler as
+    its data only when no earlier row failed."""
+    if p.F is None or failed:
+        return ("line-quadrature", "SKIP",
+                "J = 0: no Bromwich part" if p.F is None else "an earlier gate failed", None)
+    try:
+        line = LineSampler(p.F, p.cfg)
+    except ValueError as exc:
+        return "line-quadrature", "FAIL", str(exc), None
+    # the initial-value system needs the moments L_0 .. L_{K-1}
+    K = 0 if p.values is None else len(p.values)
+    return ("line-quadrature", *_verdict(
+        line.certified_order >= K - 1,
+        f"{line.y_nodes.size} nodes, certified order {line.certified_order}",
+        f"certified moment order {line.certified_order} is below K - 1 = {K - 1}; "
+        "the Bromwich part cannot match the requested initial data"), line)
 
 
 _checked: list = []  # [(key, rows)]: the one stored pass, one sampler beyond the callers'
 
 
-def _memo_key(f, J: Forcing, gic: GeneralizedIC, poles, cfg: BromwichConfig, initial_values):
-    """What the gate rows depend on: all data but the initial values' own
-    values; None when a part is a callable, whose identity is never a key."""
-    parts = (f, gic.r, J.closed_form_laplace, J.j_eval)
-    if not all(isinstance(x, AnalyticSymbol) for x in parts) \
-            or any(isinstance(node, Call) for x in parts for node in _walk(x.expr)):
-        return None
-    try:
-        spec = poles if poles is None or isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
-    except (TypeError, ValueError):
-        return None
-    return f, J, gic.r, spec, cfg, None if initial_values is None else len(initial_values)
-
-
-def _checked_rows(f, J: Forcing, gic, F, g, cfg: BromwichConfig, poles, initial_values,
-                  drain: bool) -> tuple[list, bool]:
+def _checked_rows(p: _Problem, drain: bool) -> tuple[list, bool]:
     """The gate rows of a problem, up to the first FAIL unless drain, and
     whether they replay the stored pass, of which each caller gets its own
-    deep copy.  A pass's warnings are recorded and issued again after it."""
-    key = _memo_key(f, J, gic, poles, cfg, initial_values)
+    deep copy.  A pass is stored when it ran to its end, so a refused solve
+    stores nothing, and zeta did not warn in it: zeta notes its warning in
+    the list this pass sets, and warns its own caller as always."""
     for stored_key, stored_rows in _checked[:]:
-        if stored_key == key:
+        if stored_key == p.key:
             return copy.deepcopy(stored_rows), True
-    rows, caught = [], []
+    rows, warned = [], []
+    token = _height_warnings.set(warned)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for row in _gate_rows(f, J, F, g, cfg, poles, initial_values):
-                rows.append(row)
-                if row[1] == "FAIL" and not drain:
-                    return rows, False
+        for row in _hypothesis_rows(p):
+            rows.append(row)
+            if row[1] == "FAIL" and not drain:
+                return rows, False
+        rows.append(_line_row(p, any(row[1] == "FAIL" for row in rows)))
     finally:
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    if key is not None and not caught:
-        _checked[:] = [(key, copy.deepcopy(rows))]
+        _height_warnings.reset(token)
+    if p.key is not None and not warned and (drain or rows[-1][1] != "FAIL"):
+        _checked[:] = [(p.key, copy.deepcopy(rows))]
     return rows, False
 
 
 def hypothesis_gates(f, J: Forcing, *, r=None, poles=None, initial_values=None,
-                     cfg: BromwichConfig | None = None):
+                     cfg: BromwichConfig | None = None) -> list:
     """The solvability hypotheses of one problem, checked in a fixed order.
 
-    Yields rows (name, status, detail, data), status PASS, FAIL or SKIP,
-    for: analytic-right-half-plane, contour-nonvanishing,
+    Returns the rows (name, status, detail, data), status PASS, FAIL or
+    SKIP, of: analytic-right-half-plane, contour-nonvanishing,
     forcing-transform, hardy-membership, decay-of-r-over-f,
     pole-constraints, conditioning and line-quadrature.  The arguments are
     those of solve, and data that solve refuses raise the same ValueError
@@ -614,13 +610,11 @@ def hypothesis_gates(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     initial values it also requires the sampler to certify the K moments
     L_0, ..., L_{K-1} the initial-value system needs.  It is SKIP without
     a Bromwich part or after a FAIL.
-    solve drains these rows, raises HypothesisError at the first FAIL and
+    solve runs these rows, raises HypothesisError at the first FAIL and
     inverts the transform with that sampler.  A problem with the content
     of the stored pass replays it (see the module docstring).
     """
-    gic, F, g, initial_values = _problem(f, J, r, poles, initial_values)
-    yield from _checked_rows(f, J, gic, F, g, cfg or BromwichConfig(), poles, initial_values,
-                             drain=True)[0]
+    return _checked_rows(_Problem(f, J, r, poles, initial_values, cfg), drain=True)[0]
 
 
 # row data kept in Solution.diagnostics, by gate
@@ -646,11 +640,10 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     classical-ivp), and diagnostics["gates_reused"] whether the rows
     replay a stored pass.
     """
-    gic, F, g, initial_values = _problem(f, J, r, poles, initial_values)
-    cfg = cfg or BromwichConfig()
-    mode = "generalized" if poles is None else \
-        "poles-given" if initial_values is None else "classical-ivp"
-    rows, reused = _checked_rows(f, J, gic, F, g, cfg, poles, initial_values, drain=False)
+    p = _Problem(f, J, r, poles, initial_values, cfg)
+    mode = "generalized" if p.poles is None else \
+        "poles-given" if p.values is None else "classical-ivp"
+    rows, reused = _checked_rows(p, drain=False)
     diagnostics: dict = {"mode": mode, "gates": [], "gates_reused": reused}
     line = None
     for name, status, detail, data in rows:
@@ -661,14 +654,13 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
             raise HypothesisError(detail, diagnostics)
         if name == "line-quadrature":
             line = data
-    if poles is None:
-        return Solution(f, J, gic, cfg, line, diagnostics=diagnostics)
-    poles = poles if isinstance(poles, PoleSpec) else PoleSpec(tuple(poles))
-    solution = Solution(f, J, gic, cfg, line, poles=poles, diagnostics=diagnostics)
-    if initial_values is None:
-        solution.residue = _laurent_residues(g, poles)
+    if p.poles is None:
+        return Solution(f, J, p.gic, p.cfg, line, diagnostics=diagnostics)
+    solution = Solution(f, J, p.gic, p.cfg, line, poles=p.poles, diagnostics=diagnostics)
+    if p.values is None:
+        solution.residue = _laurent_residues(p.g, p.poles)
     else:
-        _fit_initial_values(solution, ClassicalIVP(f, J, poles, initial_values))
+        _fit_initial_values(solution, ClassicalIVP(f, J, p.poles, p.values))
     return solution
 
 
@@ -726,7 +718,7 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
             tree = term if tree is None else Add(tree, term)
     solution.gic = GeneralizedIC(AnalyticSymbol(Mul(ivp.f.expr, tree), ivp.f.var_name),
                                  "constructed-from-IVP")
-    diagnostics["r0_over_f_decay"] = decay_fit(_symbol_eval(AnalyticSymbol(tree, ivp.f.var_name)))
+    diagnostics["r0_over_f_decay"] = decay_fit(AnalyticSymbol(tree, ivp.f.var_name))
 
     recovered = derivatives_at_zero(solution.eval, range(K))
     errors = [abs(recovered[n] - ivp.initial_values[n]) for n in range(K)]
@@ -834,9 +826,10 @@ def find_zeros(f, rect, max_zeros: int = ZERO_COUNT_CAP) -> list[tuple[complex, 
     Argument-principle counts on the boundary drive a quadrisection; cells
     holding a single cluster are polished by multiplicity-aware Newton.
     """
-    f_eval = _symbol_eval(f)
+    if not callable(f):
+        raise ValueError("symbol must be an AnalyticSymbol or a callable")
     rect = _rect_tuple(rect)
-    total = _boundary_winding(f_eval, rect)
+    total = _boundary_winding(f, rect)
     if total == 0:
         return []
     if total > max_zeros:
@@ -851,7 +844,7 @@ def find_zeros(f, rect, max_zeros: int = ZERO_COUNT_CAP) -> list[tuple[complex, 
         diam = max(re_hi - re_lo, im_hi - im_lo)
         if count == 1 and diam <= 0.25 or diam <= 1e-4:
             center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            zero = _newton_refine(f_eval, center, count)
+            zero = _newton_refine(f, center, count)
             pad = 10.0 * diam
             if not (re_lo - pad <= zero.real <= re_hi + pad
                     and im_lo - pad <= zero.imag <= im_hi + pad):
@@ -870,7 +863,7 @@ def find_zeros(f, rect, max_zeros: int = ZERO_COUNT_CAP) -> list[tuple[complex, 
                 (re_mid, re_hi, im_mid, im_hi),
             ]
             try:
-                counts = [_boundary_winding(f_eval, child) for child in children]
+                counts = [_boundary_winding(f, child) for child in children]
             except ValueError:
                 continue
             if sum(counts) != count:

@@ -28,6 +28,7 @@ A Moebius sieve backs the inverse-zeta bound check.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
 
@@ -43,6 +44,9 @@ _LNPI = math.log(math.pi)
 _CHUNK = 1 << 22            # matrix entries per Dirichlet-sum block
 _SINE_HEIGHT = 64.0         # above this |Im z| the reflection takes sin(pi z/2) by its exponent
 _RUN_BLOCK = 64             # points per block of the run kernel; shorter runs sum directly
+# a list that collects zeta's height-cap warnings while a solver's gate pass runs
+_height_warnings: contextvars.ContextVar[list | None] = \
+    contextvars.ContextVar("height_warnings", default=None)
 
 # B_2, B_4, ..., B_20
 _BERNOULLI = (
@@ -258,12 +262,11 @@ def zeta(z):
     if np.any(np.abs(flat - 1.0) < 1e-14):
         raise ValueError("zeta pole at z = 1")
     if np.max(np.abs(flat.imag)) > HEIGHT_CAP:
-        warnings.warn(
-            f"zeta evaluated above the height cap |Im z| = {HEIGHT_CAP:g}; "
-            "accuracy degrades with height",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        message = (f"zeta evaluated above the height cap |Im z| = {HEIGHT_CAP:g}; "
+                   "accuracy degrades with height")
+        if (noted := _height_warnings.get()) is not None:
+            noted.append(message)
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     out = np.empty_like(flat)
     at_zero = flat == 0
     left = (flat.real < 0.5) & ~at_zero

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import nlode
 import test_acceptance
 from nlode import solver, symbols, transforms
 from nlode.oracles import classical_ode_reference, residual_check
@@ -755,6 +757,42 @@ class TestCheckedProblemMemo:
             with pytest.warns(RuntimeWarning, match="zeta evaluated above the height cap"):
                 sol = solve_generalized(f, J, gic, BromwichConfig(y_max=300.0))
             assert not sol.diagnostics["gates_reused"]
+
+    def test_module_filters_reach_the_gate_warnings(self):
+        # zeta warns its caller in nlode.symbols, in a solve as in a direct
+        # evaluation, so a filter on that module silences both
+        f, J, gic = eigen_problem("zeta(s + 3)", 2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"nlode\.symbols")
+            solve_generalized(f, J, gic, BromwichConfig(y_max=300.0))
+        assert not [w for w in caught if "height cap" in str(w.message)]
+
+    def test_another_threads_warning_is_not_the_pass(self, monkeypatch):
+        paused, resume, solved = threading.Event(), threading.Event(), []
+        check = solver.verify_forcing
+
+        def pausing(*args, **kwargs):
+            paused.set()
+            resume.wait(30.0)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "verify_forcing", pausing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cold = threading.Thread(
+                target=lambda: solved.append(solve_classical_ivp(self.ivp((1.0, 0.0)))[0]))
+            cold.start()
+            assert paused.wait(30.0)
+            other = threading.Thread(target=nlode.zeta, args=(2 + 3e4j,))
+            other.start()
+            other.join()
+            resume.set()
+            cold.join()
+            warm, _ = solve_classical_ivp(self.ivp((0.5, -1.0)))
+        assert len(solved) == 1 and not solved[0].diagnostics["gates_reused"]
+        assert warm.diagnostics["gates_reused"]
+        assert len([w for w in caught if "height cap" in str(w.message)]) == 1
 
     def test_gates_then_solve_build_one_sampler(self, builds):
         args = dict(f=parse_symbol(self.F2), J=forcing_from_text(self.J2),
