@@ -5,7 +5,8 @@ here by fixed-step Runge-Kutta; analytic symbols act on analytic vectors
 through the everywhere-convergent series f(d/dt) phi = sum f^(n)(0)/n!
 phi^(n), truncated at order N with divergence detection.  residual_check
 feeds a computed Solution back through that series and reports the
-defect against the forcing.
+defect against the forcing, and derivatives_at_zero recovers a
+solution's initial data by one-sided finite differences.
 """
 
 from __future__ import annotations
@@ -161,6 +162,36 @@ def classical_ode_reference(f: AnalyticSymbol, J: Forcing, initial, t_grid,
             t_now = float(t_target)
         out[idx] = state[0]
     return out
+
+
+def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
+    """One-sided derivatives at 0+ from values on {h, 2h, ...}, 4th order.
+
+    Stencil weights come from a small Vandermonde solve on nodes k*h,
+    k = 1..n+4, exact through degree n+3.  Higher orders use a larger h
+    to keep the h^{-n} noise amplification in check.  Every order's
+    stencil points go to fn in one call; an fn that does not return one
+    value per point is called point by point.
+    """
+    weights, stencils = [], []
+    for n in orders:
+        n = int(n)
+        step = h if n <= 1 else h * 10.0
+        m = n + 4
+        ks = np.arange(1, m + 1, dtype=np.float64)
+        V = np.vander(ks, m, increasing=True).T  # V[p, j] = k_j^p
+        e = np.zeros(m)
+        e[n] = math.factorial(n)
+        weights.append(np.linalg.solve(V, e) / step ** n)
+        stencils.append(ks * step)
+    if not stencils:
+        return []
+    ts = np.concatenate(stencils)
+    vals = np.asarray(fn(ts), np.complex128)
+    if vals.shape != ts.shape:
+        vals = np.array([fn(float(t)) for t in ts], np.complex128)
+    splits = np.cumsum([w.size for w in weights])[:-1]
+    return [complex(np.sum(w * v)) for w, v in zip(weights, np.split(vals, splits))]
 
 
 def residual_check(f: AnalyticSymbol, solution, J: Forcing, t_grid,

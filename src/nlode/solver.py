@@ -49,9 +49,6 @@ from .symbols import (
     Const,
     Div,
     Mul,
-    Pow,
-    Sub,
-    Var,
     _walk,
     cauchy_taylor_at,
 )
@@ -59,6 +56,8 @@ from .transforms import (
     BromwichConfig,
     Forcing,
     LineSampler,
+    _exp_poly_derivative,
+    _laplace_tree_from_terms,
     _power_fit,
     hardy_membership,
     verify_forcing,
@@ -172,21 +171,11 @@ class ClassicalIVP:
 
 
 def residue_derivative_values(rp: ResiduePolynomials, poles: PoleSpec, n: int, t):
-    """n-th t-derivative of the residue sum, exact via the Leibniz rule,
-    each polynomial evaluated in Horner form."""
+    """n-th t-derivative of the residue sum, exact via the Leibniz rule."""
+    if any(len(c) != order for (_, order), c in zip(poles.poles, rp.coefficients)):
+        raise ValueError("coefficient block length must match the pole order")
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.zeros(ts.shape, dtype=np.complex128)
-    for (omega, order), coeffs in zip(poles.poles, rp.coefficients):
-        if len(coeffs) != order:
-            raise ValueError("coefficient block length must match the pole order")
-        inner = np.zeros(ts.shape, dtype=np.complex128)
-        for k in range(0, min(n, order - 1) + 1):
-            poly = np.zeros(ts.shape, dtype=np.complex128)
-            for j in range(order, k, -1):
-                poly = poly * ts + coeffs[j - 1] / math.factorial(j - 1 - k)
-            inner += math.comb(n, k) * omega ** (n - k) * poly
-        out += inner * np.exp(omega * ts)
-    return out
+    return _exp_poly_derivative(zip(poles.omegas, rp.coefficients), n, ts)
 
 
 @dataclass
@@ -332,22 +321,18 @@ def _check_pole_orders(f_eval: Callable, poles: PoleSpec) -> None:
 def assemble_ivp_system(ivp: ClassicalIVP, Ln) -> tuple[np.ndarray, np.ndarray]:
     """K x K system for the residue coefficients from the local initial values.
 
-    Row n states phi_n = L_n + sum over poles and k of C(n,k) omega^k
-    P_i^{(n-k)}(0); the unknowns are ordered a_{1,1}..a_{r_1,1}, a_{1,2}, ...
+    Row n states phi_n = L_n + the n-th derivative at 0 of the residue
+    part; the unknowns are ordered a_{1,1}..a_{r_1,1}, a_{1,2}, ...  Column
+    (i, j) is that derivative of the part with a_{j,i} = 1 and every other
+    coefficient 0, from the evaluator the solution itself uses.
     """
     K = ivp.poles.K
     Ln = np.asarray(list(Ln), dtype=np.complex128)
     if Ln.shape != (K,):
         raise ValueError(f"need exactly K = {K} moments L_0..L_{{K-1}}")
-    matrix = np.zeros((K, K), dtype=np.complex128)
-    col = 0
-    for omega, order in ivp.poles.poles:
-        for j in range(1, order + 1):
-            for n in range(K):
-                e = n - j + 1
-                if 0 <= e <= n:
-                    matrix[n, col] = math.comb(n, e) * omega ** e
-            col += 1
+    units = [(omega, np.eye(order)[j]) for omega, order in ivp.poles.poles for j in range(order)]
+    matrix = np.array([[_exp_poly_derivative([unit], n, np.zeros(1))[0] for unit in units]
+                       for n in range(K)])
     rhs = np.asarray(ivp.initial_values, dtype=np.complex128) - Ln
     return matrix, rhs
 
@@ -356,36 +341,6 @@ def predict_derivative_at_zero(poles: PoleSpec, rp: ResiduePolynomials, n: int,
                                Ln_value: complex) -> complex:
     """phi^(n)(0+) = L_n + sum_i sum_k C(n,k) omega_i^k P_i^{(n-k)}(0)."""
     return complex(Ln_value) + complex(residue_derivative_values(rp, poles, n, 0.0)[0])
-
-
-def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
-    """One-sided derivatives at 0+ from values on {h, 2h, ...}, 4th order.
-
-    Stencil weights come from a small Vandermonde solve on nodes k*h,
-    k = 1..n+4, exact through degree n+3.  Higher orders use a larger h
-    to keep the h^{-n} noise amplification in check.  Every order's
-    stencil points go to fn in one call; an fn that does not return one
-    value per point is called point by point.
-    """
-    weights, stencils = [], []
-    for n in orders:
-        n = int(n)
-        step = h if n <= 1 else h * 10.0
-        m = n + 4
-        ks = np.arange(1, m + 1, dtype=np.float64)
-        V = np.vander(ks, m, increasing=True).T  # V[p, j] = k_j^p
-        e = np.zeros(m)
-        e[n] = math.factorial(n)
-        weights.append(np.linalg.solve(V, e) / step ** n)
-        stencils.append(ks * step)
-    if not stencils:
-        return []
-    ts = np.concatenate(stencils)
-    vals = np.asarray(fn(ts), np.complex128)
-    if vals.shape != ts.shape:
-        vals = np.array([fn(float(t)) for t in ts], np.complex128)
-    splits = np.cumsum([w.size for w in weights])[:-1]
-    return [complex(np.sum(w * v)) for w, v in zip(weights, np.split(vals, splits))]
 
 
 def _tree(x) -> object:
@@ -691,7 +646,10 @@ def _laurent_residues(g, poles: PoleSpec) -> ResiduePolynomials:
 
 def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
     """Residue coefficients from the moment system of the initial values,
-    and r0 = f * (closed-form transform of the residue part) as solution.gic."""
+    and r0 = f * (closed-form transform of the residue part) as solution.gic.
+    Each initial value is checked against phi^(n)(0+) = L_n + the residue
+    part's n-th derivative at 0, both exact: the line sum's n-th derivative
+    at 0+ is its moment L_n."""
     K = ivp.poles.K
     diagnostics = solution.diagnostics
     if solution.line is None:
@@ -701,27 +659,21 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
     diagnostics["Ln"] = [complex(v) for v in Ln]
     matrix, rhs = assemble_ivp_system(ivp, Ln)
     a = np.linalg.solve(matrix, rhs)
+    splits = np.cumsum([order for _, order in ivp.poles.poles])[:-1]
+    solution.residue = ResiduePolynomials(tuple(map(tuple, np.split(a, splits))))
 
-    blocks = []
-    idx = 0
-    for _, order in ivp.poles.poles:
-        blocks.append(tuple(complex(v) for v in a[idx:idx + order]))
-        idx += order
-    solution.residue = ResiduePolynomials(tuple(blocks))
-
-    # r0/f = sum a_{j,i} (j-1)! / (s - omega_i)^j; K >= 1, so it has a term
-    var = Var(ivp.f.var_name)
-    tree = None
-    for (omega, _), coeffs in zip(ivp.poles.poles, solution.residue.coefficients):
-        for j, a_j in enumerate(coeffs, start=1):
-            term = Div(Const(a_j * math.factorial(j - 1)), Pow(Sub(var, Const(omega)), j))
-            tree = term if tree is None else Add(tree, term)
+    # r0/f = sum a_{j,i}/(s - omega_i)^j, the transform of sum a_{j,i}
+    # t^{j-1}/(j-1)! e^{omega_i t}
+    tree = _laplace_tree_from_terms({
+        (m, omega): a_m / math.factorial(m)
+        for omega, coeffs in zip(ivp.poles.omegas, solution.residue.coefficients)
+        for m, a_m in enumerate(coeffs)})
     solution.gic = GeneralizedIC(AnalyticSymbol(Mul(ivp.f.expr, tree), ivp.f.var_name),
                                  "constructed-from-IVP")
     diagnostics["r0_over_f_decay"] = decay_fit(AnalyticSymbol(tree, ivp.f.var_name))
 
-    recovered = derivatives_at_zero(solution.eval, range(K))
-    errors = [abs(recovered[n] - ivp.initial_values[n]) for n in range(K)]
+    errors = [abs(predict_derivative_at_zero(ivp.poles, solution.residue, n, Ln[n])
+                  - ivp.initial_values[n]) for n in range(K)]
     diagnostics["initial_value_errors"] = errors
     if max(errors) > 1e-3:
         _warn(f"initial values reproduced to only {max(errors):.2e}; "
@@ -748,8 +700,8 @@ def solve_classical_ivp(ivp: ClassicalIVP, cfg: BromwichConfig | None = None
                         ) -> tuple[Solution, GeneralizedIC]:
     """Solve a classical IVP and return the solution plus the constructed r0.
 
-    r0(s) = f(s) * sum a_{j,i} (j-1)! / (s - omega_i)^j, the closed-form
-    transform of the residue part times f.
+    r0(s) = f(s) * sum a_{j,i}/(s - omega_i)^j, the closed-form transform
+    of the residue part times f.
     """
     return (solution := solve(ivp.f, ivp.forcing, poles=ivp.poles,
                               initial_values=ivp.initial_values, cfg=cfg)), solution.gic

@@ -159,6 +159,30 @@ def _laplace_tree_from_terms(terms: dict):
     return tree if tree is not None else Const(0j)
 
 
+def _exp_poly_derivative(blocks, n: int, ts: np.ndarray) -> np.ndarray:
+    """n-th t-derivative of the sum over blocks (omega, a) of
+    sum_j a_j t^{j-1}/(j-1)! e^{omega t}, exact by the Leibniz rule.
+
+    Each nonzero a_j contributes a power sum in t, and each block ends in
+    one multiply by e^{omega t}.  The transform of a block is
+    sum_j a_j/(s - omega)^j.
+    """
+    out = np.zeros(ts.shape, dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        for omega, coeffs in blocks:
+            inner = np.zeros(ts.shape, dtype=np.complex128)
+            for m, a in enumerate(coeffs):
+                if a == 0:
+                    continue
+                part = np.zeros(ts.shape, dtype=np.complex128)
+                for i in range(min(n, m) + 1):
+                    part += (math.comb(n, i) * omega ** (n - i)
+                             * ts ** (m - i) / math.factorial(m - i))
+                inner += a * part
+            out += inner * np.exp(omega * ts)
+    return out
+
+
 def forcing_from_text(text: str) -> Forcing:
     """Build a Forcing from an expression in t (polynomials and exponentials).
     Its j_eval is the symbol of that t-tree, so two forcings built from one
@@ -609,13 +633,6 @@ class LineSampler:
                     self._halve()
                 self._settle()
 
-    def _atom_moment(self, n: int) -> complex:
-        total = 0j
-        for k in range(1, N_ATOMS + 1):
-            if n >= k - 1:
-                total += self.gammas[k - 1] * math.comb(n, k - 1) * (-self.b) ** (n - k + 1)
-        return total
-
     def _require_moment_order(self, n: int) -> None:
         if n > self.certified_order:
             raise ValueError(
@@ -627,7 +644,8 @@ class LineSampler:
         """(1/2*pi*i) integral s^n F(s) ds, the one-sided n-th derivative at 0."""
         self._require_moment_order(n)
         quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
-        return complex(self._atom_moment(n) + quad / (2.0 * math.pi))
+        atoms = _exp_poly_derivative([(-self.b, self.gammas)], n, np.zeros(1))[0]
+        return complex(atoms + quad / (2.0 * math.pi))
 
     def values(self, ts) -> np.ndarray:
         """Inverse transform at t >= 0; t = 0 returns the symmetric midpoint value."""
@@ -676,29 +694,12 @@ class LineSampler:
         return out
 
     def _atom_inverse(self, n: int, ts: np.ndarray, midpoint_at_zero: bool) -> np.ndarray:
-        decay = np.exp(-self.b * ts)
-        out = np.zeros(ts.shape, dtype=np.complex128)
-        for k in range(1, N_ATOMS + 1):
-            gamma = self.gammas[k - 1]
-            if gamma == 0:
-                continue
-            m = k - 1
-            part = np.zeros(ts.shape, dtype=np.complex128)
-            for i in range(0, min(n, m) + 1):
-                with np.errstate(invalid="ignore"):
-                    part += (
-                        math.comb(n, i)
-                        * (-self.b) ** (n - i)
-                        * ts ** (m - i)
-                        / math.factorial(m - i)
-                    )
-            out += gamma * part
-        out *= decay
+        """n-th derivative of the reference terms' inverse transform,
+        sum_k gamma_k t^{k-1}/(k-1)! e^{-bt}; at t = 0 with midpoint_at_zero
+        and n = 0, the jump midpoint gamma_1/2."""
+        out = _exp_poly_derivative([(-self.b, self.gammas)], n, ts)
         if midpoint_at_zero and n == 0:
-            at_zero = ts == 0.0
-            if np.any(at_zero):
-                const_part = self.gammas[0] * 0.5
-                out[at_zero] = const_part
+            out[ts == 0.0] = self.gammas[0] * 0.5
         return out
 
     def diagnostics(self) -> dict:

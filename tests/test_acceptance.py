@@ -18,6 +18,7 @@ from nlode.cli import diagnose, load_config, run
 from nlode.oracles import (
     apply_truncated_series,
     classical_ode_reference,
+    derivatives_at_zero,
     exponential_profile,
 )
 from nlode.solver import (
@@ -25,7 +26,6 @@ from nlode.solver import (
     GeneralizedIC,
     PoleSpec,
     assemble_ivp_system,
-    derivatives_at_zero,
     find_zeros,
     predict_derivative_at_zero,
     solve_classical_ivp,

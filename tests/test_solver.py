@@ -12,7 +12,7 @@ import pytest
 import nlode
 import test_acceptance
 from nlode import solver, symbols, transforms
-from nlode.oracles import classical_ode_reference, residual_check
+from nlode.oracles import classical_ode_reference, derivatives_at_zero, residual_check
 from nlode.solver import (
     ClassicalIVP,
     GeneralizedIC,
@@ -21,7 +21,6 @@ from nlode.solver import (
     ResiduePolynomials,
     assemble_ivp_system,
     decay_fit,
-    derivatives_at_zero,
     find_zeros,
     hypothesis_gates,
     laurent_coefficients,
@@ -427,13 +426,16 @@ class TestClassicalIVP:
         assert abs(got[1] + 0.4) < 1e-5
 
     def test_constructed_gic_closes_loop(self):
-        # solving again with the constructed r must give the same function
-        ivp = self.make((1.0, 0.0))
-        sol, gic = solve_classical_ivp(ivp)
-        assert gic.provenance == "constructed-from-IVP"
-        sol2 = solve_generalized(ivp.f, ivp.forcing, gic)
-        ts = np.linspace(0.0, 8.0, 33)
-        assert np.max(np.abs(sol(ts) - sol2(ts))) < 1e-6
+        # solving again with the constructed r must give the same function,
+        # also for a pole of order 3, whose r0/f has a term 1/(s + 1)^3
+        triple = ClassicalIVP(parse_symbol("(s + 1)^3*(s + 2)"), forcing_from_text("0"),
+                              PoleSpec(((-1.0, 3), (-2.0, 1))), (1.0, 0.5, -0.3, 0.2))
+        for ivp in (self.make((1.0, 0.0)), triple):
+            sol, gic = solve_classical_ivp(ivp)
+            assert gic.provenance == "constructed-from-IVP"
+            sol2 = solve_generalized(ivp.f, ivp.forcing, gic)
+            ts = np.linspace(0.0, 8.0, 33)
+            assert np.max(np.abs(sol(ts) - sol2(ts))) < 1e-6
 
     def test_zero_forcing(self):
         # unforced: phi = 2 e^{-t} - e^{-2t} for data (1, 0)
@@ -532,11 +534,22 @@ class TestClassicalIVP:
                   initial_values=(1.0,) + (0.0,) * (K - 1), cfg=BromwichConfig(y_max=100.0))
 
     def test_kernel_counts(self):
-        # the initial-value check samples every order's short stencil in
-        # one call (blocked kernel); a 201-point grid is one chirp-z evaluation
+        # the initial-value check takes the moments, not t-samples; a
+        # 201-point grid is one chirp-z evaluation
         sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
         sol(np.linspace(0.0, 10.0, 201))
-        assert sol.line.diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 1}
+        assert sol.line.diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
+
+    def test_a_wrong_fit_still_warns(self, monkeypatch):
+        # the initial-value check is independent of the coefficients the
+        # fit solves for: coefficients off by 0.01 each miss phi'(0) by
+        # 0.01 (1 + 2) at the poles -1 and -2, and warn
+        solve_linear = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: solve_linear(m, b) + 0.01)
+        with pytest.warns(UserWarning, match="reproduced to only 3.00e-02") as caught:
+            sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
+        assert np.allclose(sol.diagnostics["initial_value_errors"], [0.02, 0.03])
+        assert [w.filename for w in caught] == [__file__]
 
     def test_derivative_prediction(self):
         ivp = self.make((1.0, 0.0))
@@ -556,6 +569,21 @@ class TestAssemble:
         nodes = np.array([-1.0, -2.0, -3.0])
         vander = np.vander(nodes, 3, increasing=True).T
         assert np.max(np.abs(matrix - vander)) < 1e-12
+
+    def test_matrix_is_the_residue_derivatives_at_zero(self):
+        # row n of the system applied to the coefficients is the n-th
+        # derivative at 0 of the residue part they define
+        f = parse_symbol("(s + 1)*(s + 2)^2*(s + 3)^3*(s^2 + 2*s + 5)")
+        poles = PoleSpec(((-1.0, 1), (-2.0, 2), (-3.0, 3), (-1 + 2j, 1), (-1 - 2j, 1)))
+        ivp = ClassicalIVP(f, forcing_from_text("0"), poles, (0.0,) * poles.K)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(poles.K) + 1j * rng.standard_normal(poles.K)
+        splits = np.cumsum([order for _, order in poles.poles])[:-1]
+        rp = ResiduePolynomials(tuple(map(tuple, np.split(a, splits))))
+        rows = assemble_ivp_system(ivp, np.zeros(poles.K))[0] @ a
+        for n in range(poles.K):
+            value = residue_derivative_values(rp, poles, n, 0.0)[0]
+            assert abs(rows[n] - value) <= 1e-13 * max(1.0, abs(value))
 
     def test_moment_count_checked(self):
         f = parse_symbol("(s + 1)*(s + 2)")
