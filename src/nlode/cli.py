@@ -289,8 +289,9 @@ def run(config_path: str, overrides: dict | None = None) -> int:
         bro, res = solution.eval_parts(ts)
 
         positive = ts[ts > 0]
-        sample = positive[np.unique(np.linspace(0, positive.size - 1, 17).astype(int))] \
-            if positive.size else positive
+        # distinct indices, sorted as np.unique gives, without its numpy.ma import
+        picks = sorted(set(np.linspace(0, positive.size - 1, 17).astype(int).tolist()))
+        sample = positive[picks] if positive.size else positive
         try:
             rep = residual_check(args["f"], solution, args["J"], sample, N=24, tol=1e-4)
             residual = {"residual_sup": f"{rep['sup_residual']:.6e}",

@@ -668,9 +668,11 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
         (m, omega): a_m / math.factorial(m)
         for omega, coeffs in zip(ivp.poles.omegas, solution.residue.coefficients)
         for m, a_m in enumerate(coeffs)})
-    solution.gic = GeneralizedIC(AnalyticSymbol(Mul(ivp.f.expr, tree), ivp.f.var_name),
-                                 "constructed-from-IVP")
-    diagnostics["r0_over_f_decay"] = decay_fit(AnalyticSymbol(tree, ivp.f.var_name))
+    zero = tree == Const(0j)   # every coefficient 0: r0 = 0, which decay_fit cannot fit
+    solution.gic = GeneralizedIC(AnalyticSymbol(tree if zero else Mul(ivp.f.expr, tree),
+                                                ivp.f.var_name), "constructed-from-IVP")
+    diagnostics["r0_over_f_decay"] = ({"q": math.inf, "C": 0.0, "n_finite": 0} if zero
+                                      else decay_fit(AnalyticSymbol(tree, ivp.f.var_name)))
 
     errors = [abs(predict_derivative_at_zero(ivp.poles, solution.residue, n, Ln[n])
                   - ivp.initial_values[n]) for n in range(K)]

@@ -6,7 +6,9 @@ exponents, exp(...), and zeta(s + h) with a real shift h > 1.
 
 One evaluation of a tree evaluates each distinct zeta(s + h) node once,
 however often it appears, so a composed transform such as (L(J) + r)/f
-with r built from f pays for each zeta node once per point.
+with r built from f pays for each zeta node once per point.  A real tree
+is evaluated on the upper half of a conjugate-palindrome argument only,
+such as a line sampled at +-y, and mirrored (eval_symbol).
 """
 
 from __future__ import annotations
@@ -330,18 +332,32 @@ def _eval_node(node, s, zetas: dict | None = None):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _is_real(node) -> bool:
+    """Real constants, no Call leaf (zeta shifts are real): f(conj s) = conj f(s)."""
+    return not any(isinstance(n, Call) or isinstance(n, Const) and n.value.imag != 0
+                   for n in _walk(node))
+
+
 def eval_symbol(f: AnalyticSymbol, s):
     """Evaluate f at complex s (scalar or array).
 
     Overflow produces inf rather than raising; a zeta node evaluated at
     its pole raises a domain error.  A scalar s is evaluated as a 1-element
     array, since numpy's scalar arithmetic rounds unlike its array loops.
+    A real tree (_is_real) on a 1-D s with s[::-1] == conj(s) and some point
+    off the real axis is evaluated on s[n//2:] only; the rest are conjugates.
     """
     scalar = np.ndim(s) == 0
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    n = arr.shape[0]
+    mirror = (arr.ndim == 1 and _is_real(f.expr) and np.any(arr.imag != 0)
+              and np.array_equal(arr[::-1], arr.conj()))
+    part = arr[n // 2:] if mirror else arr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = _eval_node(f.expr, arr)
-    out = np.broadcast_to(np.asarray(val, dtype=np.complex128), arr.shape)
+        val = _eval_node(f.expr, part)
+    out = np.broadcast_to(np.asarray(val, dtype=np.complex128), part.shape)
+    if mirror:
+        return np.concatenate([out[::-1][:n // 2].conj(), out])
     return complex(out[0]) if scalar else np.array(out)
 
 

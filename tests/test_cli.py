@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nlode
 from nlode.cli import (
     ConfigError,
     _build_forcing,
@@ -474,3 +477,35 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# a zeta solve, `nlode solve` on a shipped config and the indicator's
+# forcing check, in one fresh interpreter
+FRESH_SOLVES = """
+import sys
+import numpy as np
+import nlode, nlode.cli
+from nlode.transforms import builtin_forcing, verify_forcing
+f = nlode.parse_symbol("zeta(s + 3)")
+lam = complex(nlode.eval_symbol(f, -0.5)).real
+J = nlode.forcing_from_text(f"{lam!r}*exp(-0.5*t)")
+r = nlode.parse_symbol(f"(zeta(s + 3) - {lam!r})/(s + 0.5)")
+ts = np.linspace(0.0, 10.0, 21)
+phi = nlode.solve_generalized(f, J, nlode.GeneralizedIC(r, "user-supplied"))(ts)
+assert np.max(np.abs(phi - np.exp(-0.5 * ts))) < 1e-6
+assert nlode.cli.run(sys.argv[1]) == 0
+assert verify_forcing(builtin_forcing("indicator", a=0.3, b=1.7))["ok"]
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_solves_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh process 7-15 ms on its first import, which
+    # np.median, np.union1d and a plain np.unique pull in
+    path = [os.path.dirname(os.path.dirname(nlode.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_SOLVES, config_path("damped_oscillator_ivp.cfg")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    assert (tmp_path / "damped_oscillator_ivp.csv").exists()
+    assert out.stdout.splitlines()[-1] == "False"

@@ -444,6 +444,14 @@ class TestClassicalIVP:
         exact = 2.0 * np.exp(-ts) - np.exp(-2.0 * ts)
         assert np.max(np.abs(sol(ts) - exact)) < 1e-12
 
+    def test_zero_forcing_zero_data(self):
+        # r0/f is identically 0: nothing to fit, and phi = 0 exactly; any
+        # warning fails the test (filterwarnings = error)
+        sol, gic = solve_classical_ivp(self.make((0.0, 0.0), forcing="0"))
+        assert gic.is_zero and gic.provenance == "constructed-from-IVP"
+        assert sol.diagnostics["r0_over_f_decay"]["q"] == math.inf
+        assert np.array_equal(sol(np.linspace(0.0, 10.0, 51)), np.zeros(51))
+
     def test_triple_pole_block(self):
         f = parse_symbol("(s + 1)^2*(s + 2)")
         ivp = ClassicalIVP(f, forcing_from_text("0"),

@@ -116,18 +116,35 @@ class TestEvaluation:
         monkeypatch.setattr(symbols, "zeta", recording)
         return args
 
+    # not a conjugate palindrome, so evaluated on the whole set
+    ZA = 0.5 + 1j * np.linspace(-40.0, 60.0, 101)
+
+    @staticmethod
+    def zeta_mirrored(z):
+        """zeta on the upper half ZS[50:] of the symmetric ZS, its conjugates
+        below: the values a real tree takes on ZS."""
+        upper = special_functions.zeta(z[50:])
+        return np.concatenate([upper[:0:-1].conj(), upper])
+
     def test_shared_zeta_node_evaluated_once(self, monkeypatch):
         args = self.record_zeta(monkeypatch)
         val = eval_symbol(parse_symbol("zeta(s + 3)*(zeta(s + 3) - 1)"), self.ZS)
         assert len(args) == 1
-        z = special_functions.zeta(self.ZS + 3.0)
+        z = self.zeta_mirrored(self.ZS + 3.0)
+        assert np.array_equal(val, z * (z - 1))
+
+    def test_shared_zeta_node_on_asymmetric_set(self, monkeypatch):
+        args = self.record_zeta(monkeypatch)
+        val = eval_symbol(parse_symbol("zeta(s + 3)*(zeta(s + 3) - 1)"), self.ZA)
+        assert len(args) == 1
+        z = special_functions.zeta(self.ZA + 3.0)
         assert np.array_equal(val, z * (z - 1))
 
     def test_distinct_shifts_evaluated_apart(self, monkeypatch):
         args = self.record_zeta(monkeypatch)
         val = eval_symbol(parse_symbol("zeta(s + 2) - zeta(s + 3) + zeta(s + 2)"), self.ZS)
         assert len(args) == 2
-        z2, z3 = (special_functions.zeta(self.ZS + h) for h in (2.0, 3.0))
+        z2, z3 = (self.zeta_mirrored(self.ZS + h) for h in (2.0, 3.0))
         assert np.array_equal(val, z2 - z3 + z2)
 
     def test_no_memo_across_evaluations(self, monkeypatch):
@@ -143,6 +160,59 @@ class TestEvaluation:
         assert eval_symbol(f, 1.0) == pytest.approx(math.e)
         with pytest.raises(TypeError):
             taylor_coefficients(f, 2)
+
+
+def _palindrome(n: int, x: float = 0.5) -> np.ndarray:
+    """n points x + iy with s[::-1] == conj(s) exactly; y = 0 in the middle
+    when n is odd."""
+    y = 0.75 * np.arange(1, n // 2 + 1)
+    return x + 1j * np.concatenate([-y[::-1], [0.0] * (n % 2), y])
+
+
+class TestConjugateMirror:
+    """A real tree on a conjugate palindrome is evaluated on its upper half."""
+
+    def record(self, monkeypatch, name: str) -> list:
+        sizes = []
+        original = getattr(symbols, name)
+
+        def recording(*args):
+            sizes.append(np.shape(args[1] if name == "_eval_node" else args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(symbols, name, recording)
+        return sizes
+
+    @pytest.mark.parametrize("n", [101, 100, 2])
+    def test_real_zeta_tree_evaluated_on_half(self, monkeypatch, n):
+        f = parse_symbol("zeta(s + 3)*(zeta(s + 2) - 1)/(s + 0.5)")
+        sizes = self.record(monkeypatch, "zeta")
+        s = _palindrome(n)
+        v = eval_symbol(f, s)
+        assert sizes == [((n + 1) // 2,)] * 2
+        assert v.shape == (n,) and np.array_equal(v[::-1], v.conj())
+
+    def test_mirror_is_bit_identical_for_elementary_tree(self):
+        f = parse_symbol("exp(-s)/((s + 1)*(s + 2))")
+        for s in (_palindrome(101), _palindrome(100, 0.01),
+                  0.5 + 1j * np.linspace(-200.0, 200.0, 4097)):
+            with np.errstate(all="ignore"):
+                want = symbols._eval_node(f.expr, s)
+            got = eval_symbol(f, s)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("f, s", [
+        (parse_symbol("zeta(s + 3) + i"), _palindrome(101)),
+        (AnalyticSymbol(Mul(Call(np.exp), Var("s"))), _palindrome(101)),
+        (parse_symbol("zeta(s + 3)"), 0.5 + 1j * np.linspace(-50.0, 60.0, 101)),
+        (parse_symbol("zeta(s + 3)"), np.stack([_palindrome(101)] * 2)),
+        (parse_symbol("exp(-s)/((s + 1)*(s + 2))"),
+         np.where(np.arange(101) % 50 == 0, np.nan, _palindrome(101))),
+    ], ids=["complex-constant", "call-leaf", "asymmetric", "2-D", "nan-point"])
+    def test_full_set_evaluated(self, monkeypatch, f, s):
+        sizes = self.record(monkeypatch, "_eval_node")
+        v = eval_symbol(f, s)
+        assert v.shape == s.shape and set(sizes) == {s.shape}
 
 
 class TestTaylorCoefficients:
