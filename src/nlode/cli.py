@@ -33,8 +33,10 @@ _MODE_FIELDS = {
 MODES = tuple(_MODE_FIELDS)
 _FIELD_NAMES = {"gic_text": "the field: gic", "poles": "a [poles] section",
                 "initial_values": "an [initial_values] section"}
-_KEYS = ("mode", "symbol", "forcing", "gic", "sigma", "y_max", "quad_tol",
-         "grid", "output_csv", "output_report")
+# config key: the ProblemConfig field it sets
+_KEYS = {"mode": "mode", "symbol": "symbol_text", "forcing": "forcing_text",
+         "gic": "gic_text", "sigma": "sigma", "y_max": "y_max", "quad_tol": "quad_tol",
+         "grid": "grid", "output_csv": "output_csv", "output_report": "output_report"}
 # section header: what one line holds, its shape, its field counts, its parse
 _SECTIONS = {
     "[poles]": ("pole", "'re im order'", (3,),
@@ -50,13 +52,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
+    """A parsed config; a key it does not give takes the field default."""
+
     mode: str
     symbol_text: str
     forcing_text: str = "0"
     gic_text: str | None = None
-    sigma: float = 1.0
-    y_max: float = 200.0
-    quad_tol: float = 1e-9
+    sigma: float = BromwichConfig.sigma
+    y_max: float = BromwichConfig.y_max
+    quad_tol: float = BromwichConfig.quad_tol
     grid: tuple = (0.0, 10.0, 201)
     output_csv: str | None = None
     output_report: str | None = None
@@ -119,20 +123,10 @@ def parse_config_text(text: str) -> ProblemConfig:
     if "symbol" not in values:
         raise ConfigError("missing required key: symbol")
 
-    cfg = ProblemConfig(
-        mode=mode,
-        symbol_text=values["symbol"],
-        forcing_text=values.get("forcing", "0"),
-        gic_text=values.get("gic"),
-        sigma=float(values.get("sigma", 1.0)),
-        y_max=float(values.get("y_max", 200.0)),
-        quad_tol=float(values.get("quad_tol", 1e-9)),
-        grid=_parse_grid(values.get("grid", "0:10:201")),
-        output_csv=values.get("output_csv"),
-        output_report=values.get("output_report"),
-        poles=tuple(rows["[poles]"]),
-        initial_values=tuple(rows["[initial_values]"]),
-    )
+    convert = {"sigma": float, "y_max": float, "quad_tol": float, "grid": _parse_grid}
+    given = {_KEYS[key]: convert.get(key, str)(value) for key, value in values.items()}
+    cfg = ProblemConfig(**given, poles=tuple(rows["[poles]"]),
+                        initial_values=tuple(rows["[initial_values]"]))
     _validate_mode_fields(cfg)
     return cfg
 

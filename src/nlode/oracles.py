@@ -23,6 +23,8 @@ from .symbols import AnalyticSymbol, taylor_coefficients
 from .transforms import Forcing
 
 SERIES_DEFAULT_N = 60
+RK_MAX_STEP = 1e-3           # classical_ode_reference's largest Runge-Kutta step
+FD_STEP = 1e-3               # derivatives_at_zero's stencil spacing for orders 0 and 1
 _GROWTH_RUN = 6
 _GROWTH_RATIO = 1.2
 
@@ -114,12 +116,12 @@ def _polynomial_coefficients(f: AnalyticSymbol, probe_order: int = 20) -> np.nda
     return coeffs[:degree + 1]
 
 
-def classical_ode_reference(f: AnalyticSymbol, J: Forcing, initial, t_grid,
-                            max_step: float = 1e-3) -> np.ndarray:
+def classical_ode_reference(f: AnalyticSymbol, J: Forcing, initial, t_grid) -> np.ndarray:
     """Runge-Kutta reference for a polynomial symbol of degree m.
 
     Integrates the order-m linear ODE sum c_n phi^(n) = J with the given m
-    initial derivatives at 0, landing exactly on the requested grid.
+    initial derivatives at 0, in steps of at most RK_MAX_STEP, landing
+    exactly on the requested grid.
     Degree 0 is the algebraic case phi = J/c_0.
     """
     grid = np.asarray(t_grid, dtype=np.float64)
@@ -150,7 +152,7 @@ def classical_ode_reference(f: AnalyticSymbol, J: Forcing, initial, t_grid,
     for idx, t_target in enumerate(grid):
         span = t_target - t_now
         if span > 0:
-            n_sub = max(1, int(math.ceil(span / max_step)))
+            n_sub = max(1, int(math.ceil(span / RK_MAX_STEP)))
             h = span / n_sub
             for _ in range(n_sub):
                 k1 = rhs(t_now, state)
@@ -164,19 +166,19 @@ def classical_ode_reference(f: AnalyticSymbol, J: Forcing, initial, t_grid,
     return out
 
 
-def derivatives_at_zero(fn: Callable, orders, h: float = 1e-3) -> list[complex]:
+def derivatives_at_zero(fn: Callable, orders) -> list[complex]:
     """One-sided derivatives at 0+ from values on {h, 2h, ...}, 4th order.
 
     Stencil weights come from a small Vandermonde solve on nodes k*h,
-    k = 1..n+4, exact through degree n+3.  Higher orders use a larger h
-    to keep the h^{-n} noise amplification in check.  Every order's
-    stencil points go to fn in one call; an fn that does not return one
-    value per point is called point by point.
+    k = 1..n+4, exact through degree n+3.  h is FD_STEP for n <= 1 and 10
+    FD_STEP above, to keep the h^{-n} noise amplification in check.  Every
+    order's stencil points go to fn in one call; an fn that does not return
+    one value per point is called point by point.
     """
     weights, stencils = [], []
     for n in orders:
         n = int(n)
-        step = h if n <= 1 else h * 10.0
+        step = FD_STEP if n <= 1 else FD_STEP * 10.0
         m = n + 4
         ks = np.arange(1, m + 1, dtype=np.float64)
         V = np.vander(ks, m, increasing=True).T  # V[p, j] = k_j^p

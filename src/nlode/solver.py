@@ -68,6 +68,7 @@ DECAY_EXPONENT_MIN = 0.05
 LAURENT_TOL = 1e-11
 DECAY_RADII = (1e2, 1e3, 1e4)
 ZERO_COUNT_CAP = 64
+WINDING_REFINE_CAP = 40
 
 
 class HypothesisError(RuntimeError):
@@ -220,15 +221,15 @@ class Solution:
         return bro + res
 
 
-def decay_fit(g: Callable, radii=DECAY_RADII) -> dict:
-    """Empirical decay fit |g| ~ C |s|^{-q} on 8 rays at large |s|.
+def decay_fit(g: Callable) -> dict:
+    """Empirical decay fit |g| ~ C |s|^{-q} on 8 rays at |s| in DECAY_RADII.
 
     The rays cover the closed right half-plane, where the inversion
     theory needs the bound; symbols like exp(s) make r/f grow to the
     left, which is harmless.
     """
     angles = np.array([0.125, -0.125, 0.25, -0.25, 0.375, -0.375, 0.5, -0.5]) * math.pi
-    points = np.array([r * np.exp(1j * a) for r in radii for a in angles])
+    points = np.array([r * np.exp(1j * a) for r in DECAY_RADII for a in angles])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.abs(np.asarray(g(points), np.complex128))
     n_finite = int(np.count_nonzero(np.isfinite(vals) & (vals > 0)))
@@ -426,12 +427,12 @@ def _hypothesis_rows(p: _Problem):
         yield ("contour-nonvanishing", "FAIL",
                "symbol is not finite anywhere on the contour line", None)
     else:
-        # a zero is a sample far below the larger of its finite neighbours:
-        # |f| of a degree-6 polynomial spans ten decades on |y| <= 200, so
-        # no one scale of the whole line tells a zero from the centre
+        # a zero is a sample at most 1e-8 of the larger of its finite
+        # neighbours, 0 amid 0s included: |f| of a degree-6 polynomial spans
+        # ten decades on |y| <= 200, so no one scale tells a zero from the centre
         level = np.where(finite, on_line, 0.0)
         neighbours = np.maximum(np.r_[0.0, level[:-1]], np.r_[level[1:], 0.0])
-        ok = not np.any(finite & (level < 1e-8 * neighbours))
+        ok = not np.any(finite & (level <= 1e-8 * neighbours))
         yield ("contour-nonvanishing", *_verdict(
             ok, f"Re(s) = {p.cfg.sigma:g}",
             f"symbol vanishes on the contour line Re(s) = {p.cfg.sigma:g}; shift sigma"), None)
@@ -669,10 +670,10 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
         for omega, coeffs in zip(ivp.poles.omegas, solution.residue.coefficients)
         for m, a_m in enumerate(coeffs)})
     zero = tree == Const(0j)   # every coefficient 0: r0 = 0, which decay_fit cannot fit
-    solution.gic = GeneralizedIC(AnalyticSymbol(tree if zero else Mul(ivp.f.expr, tree),
-                                                ivp.f.var_name), "constructed-from-IVP")
+    solution.gic = GeneralizedIC(AnalyticSymbol(tree if zero else Mul(ivp.f.expr, tree)),
+                                 "constructed-from-IVP")
     diagnostics["r0_over_f_decay"] = ({"q": math.inf, "C": 0.0, "n_finite": 0} if zero
-                                      else decay_fit(AnalyticSymbol(tree, ivp.f.var_name)))
+                                      else decay_fit(AnalyticSymbol(tree)))
 
     errors = [abs(predict_derivative_at_zero(ivp.poles, solution.residue, n, Ln[n])
                   - ivp.initial_values[n]) for n in range(K)]
@@ -718,7 +719,7 @@ def _rect_tuple(rect) -> tuple[float, float, float, float]:
     return re_lo, re_hi, im_lo, im_hi
 
 
-def _boundary_winding(f_eval: Callable, rect: tuple, max_refine: int = 40) -> int:
+def _boundary_winding(f_eval: Callable, rect: tuple) -> int:
     """Winding number of f around the rectangle boundary by argument tracking."""
     re_lo, re_hi, im_lo, im_hi = rect
     corners = np.array(
@@ -734,7 +735,7 @@ def _boundary_winding(f_eval: Callable, rect: tuple, max_refine: int = 40) -> in
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f_eval(to_points(params)), np.complex128)
-    for _ in range(max_refine):
+    for _ in range(WINDING_REFINE_CAP):
         if not np.all(np.isfinite(vals)) or np.any(np.abs(vals) < 1e-300):
             raise ValueError(
                 "zero on or near the rectangle boundary; perturb the rectangle"
@@ -774,11 +775,13 @@ def _newton_refine(f_eval: Callable, z0: complex, multiplicity: int) -> complex:
     return z
 
 
-def find_zeros(f, rect, max_zeros: int = ZERO_COUNT_CAP) -> list[tuple[complex, int]]:
+def find_zeros(f, rect) -> list[tuple[complex, int]]:
     """Zeros of f (with multiplicities) inside a rectangle in Re(s) <= 0.
 
     Argument-principle counts on the boundary drive a quadrisection; cells
     holding a single cluster are polished by multiplicity-aware Newton.
+    f must be analytic on the closed rectangle: a count is zeros minus
+    poles, so a pole inside hides a zero.
     """
     if not callable(f):
         raise ValueError("symbol must be an AnalyticSymbol or a callable")
@@ -786,8 +789,8 @@ def find_zeros(f, rect, max_zeros: int = ZERO_COUNT_CAP) -> list[tuple[complex, 
     total = _boundary_winding(f, rect)
     if total == 0:
         return []
-    if total > max_zeros:
-        raise ValueError(f"zero count {total} exceeds the cap {max_zeros}")
+    if total > ZERO_COUNT_CAP:
+        raise ValueError(f"zero count {total} exceeds the cap {ZERO_COUNT_CAP}")
 
     found: list[tuple[complex, int]] = []
     stack = [(rect, total, 0)]

@@ -35,9 +35,10 @@ import warnings
 import numpy as np
 
 HEIGHT_CAP = 2.0e4          # largest |Im z| verified against mpmath; above it zeta warns
-DEFAULT_EM_TERMS = 64
-DEFAULT_EM_ORDER = 8
+DEFAULT_EM_TERMS = 64        # the shortest Dirichlet cut of any point
+DEFAULT_EM_ORDER = 8         # Euler-Maclaurin correction terms
 MOBIUS_LIMIT = 10**6
+MOBIUS_TERMS = 10**4         # terms of the Moebius series in inverse_zeta_bound_check
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -126,10 +127,11 @@ def uniform_step(xs: np.ndarray, min_points: int) -> float | None:
     return step if drift <= 8.0 * np.finfo(np.float64).eps * np.max(np.abs(xs)) else None
 
 
-def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER):
-    """Euler-Maclaurin continuation, valid for Re(z) > 1 - 2*em_order.
+def zeta_em(z):
+    """Euler-Maclaurin continuation of order m = DEFAULT_EM_ORDER, valid
+    for Re(z) > 1 - 2m.
 
-    Each point sums its own Dirichlet terms n < N = max(n_terms, ceil(|Im z| rho), 2),
+    Each point sums its own Dirichlet terms n < N = max(DEFAULT_EM_TERMS, ceil(|Im z| rho)),
     with rho <= 1 the factor of the module docstring (1 at Re z <= 1/2), so
     the correction terms keep shrinking at height, a low point costs no
     more than its own cut, and a value does not depend on the rest of its
@@ -140,12 +142,11 @@ def zeta_em(z, n_terms: int = DEFAULT_EM_TERMS, em_order: int = DEFAULT_EM_ORDER
     flat, scalar, shape = _as_flat(z)
     if flat.size == 0:
         return np.empty(shape, dtype=np.complex128)
-    out = _euler_maclaurin(flat, n_terms, em_order, None)
+    out = _euler_maclaurin(flat, None)
     return complex(out[0]) if scalar else out.reshape(shape)
 
 
-def _euler_maclaurin(flat: np.ndarray, n_terms: int, em_order: int,
-                     step: float | None) -> np.ndarray:
+def _euler_maclaurin(flat: np.ndarray, step: float | None) -> np.ndarray:
     """zeta_em on a flat batch: each point's cut, the direct Dirichlet sums
     when step is None, else those of the run x + i(y_0 + k*step) by
     _run_sums, then the tail."""
@@ -158,8 +159,8 @@ def _euler_maclaurin(flat: np.ndarray, n_terms: int, em_order: int,
     # (fmax: a non-finite Re z gives rho NaN and a NaN value at any cut)
     height = np.abs(flat.imag)
     x = np.maximum(flat.real, 0.5)
-    rho = np.maximum(height, 1.0) ** ((0.5 - x) / (2 * em_order + 1 + x))
-    cuts = np.fmax(np.ceil(height * rho), max(int(n_terms), 2)).astype(np.int64)
+    rho = np.maximum(height, 1.0) ** ((0.5 - x) / (2 * DEFAULT_EM_ORDER + 1 + x))
+    cuts = np.fmax(np.ceil(height * rho), DEFAULT_EM_TERMS).astype(np.int64)
     out = _direct_sums(flat, cuts) if step is None else _run_sums(flat, cuts, step)
     groups, member = np.unique(cuts, return_inverse=True)
     nf = cuts.astype(np.float64)
@@ -171,9 +172,9 @@ def _euler_maclaurin(flat: np.ndarray, n_terms: int, em_order: int,
     rising = flat.copy()                             # z(z+1)...(z+2k-2)
     npow = tail_pow / nf                             # N^{-z-2k+1}
     fact = 2.0                                       # (2k)!
-    for k in range(1, em_order + 1):
+    for k in range(1, DEFAULT_EM_ORDER + 1):
         out += (_BERNOULLI[k - 1] / fact) * rising * npow
-        if k < em_order:
+        if k < DEFAULT_EM_ORDER:
             rising = rising * (flat + (2 * k - 1)) * (flat + 2 * k)
             npow = npow / (nf * nf)
             fact *= (2 * k + 1) * (2 * k + 2)
@@ -298,9 +299,9 @@ def _zeta_em_picked(w: np.ndarray) -> np.ndarray:
             step = uniform_step(w.imag[order], _RUN_BLOCK)
             if step is not None:
                 out = np.empty_like(w)
-                out[order] = _euler_maclaurin(w[order], DEFAULT_EM_TERMS, DEFAULT_EM_ORDER, step)
+                out[order] = _euler_maclaurin(w[order], step)
                 return out
-    return _euler_maclaurin(w, DEFAULT_EM_TERMS, DEFAULT_EM_ORDER, None)
+    return _euler_maclaurin(w, None)
 
 
 def mobius_values(limit: int) -> np.ndarray:
@@ -324,12 +325,12 @@ def mobius_values(limit: int) -> np.ndarray:
     return mu
 
 
-def inverse_zeta_bound_check(h: float, sigma: float, y_grid, mobius_n: int = 10**4) -> dict:
+def inverse_zeta_bound_check(h: float, sigma: float, y_grid) -> dict:
     """Check |1/zeta(sigma+iy+h)| <= (sigma+h)/(sigma+h-1) on a grid.
 
     The shift h must exceed 1.  Also cross-checks 1/zeta against the
-    truncated Moebius series, whose tail is bounded by the integral of
-    n^{-(sigma+h)}.
+    Moebius series truncated at MOBIUS_TERMS terms, whose tail is bounded
+    by the integral of n^{-(sigma+h)}.
     """
     if not h > 1:
         raise ValueError("shift must exceed 1")
@@ -356,15 +357,15 @@ def inverse_zeta_bound_check(h: float, sigma: float, y_grid, mobius_n: int = 10*
     bad = mods > bound
     report["violations"] = [(float(y), float(m)) for y, m in zip(ys[bad], mods[bad])]
 
-    mu = mobius_values(mobius_n)[1:].astype(np.float64)
-    ln_n = np.log(np.arange(1, mobius_n + 1, dtype=np.float64))
+    mu = mobius_values(MOBIUS_TERMS)[1:].astype(np.float64)
+    ln_n = np.log(np.arange(1, MOBIUS_TERMS + 1, dtype=np.float64))
     z_line = (sigma + h) + 1j * ys
-    block = max(1, _CHUNK // mobius_n)
+    block = max(1, _CHUNK // MOBIUS_TERMS)
     partial = np.empty_like(inv)
     for i0 in range(0, z_line.size, block):
         zz = z_line[i0:i0 + block, None]
         partial[i0:i0 + block] = (mu[None, :] * np.exp(-zz * ln_n[None, :])).sum(axis=1)
-    tail = mobius_n ** (1.0 - a) / (a - 1.0)
+    tail = MOBIUS_TERMS ** (1.0 - a) / (a - 1.0)
     err = float(np.max(np.abs(inv - partial)))
     report["mobius_max_error"] = err
     report["mobius_tail_bound"] = float(tail)

@@ -23,7 +23,6 @@ import numpy as np
 from .special_functions import zeta
 
 SERIES_CAP = 128
-ZETA_CAUCHY_NODES = 256
 
 
 class SymbolSyntaxError(ValueError):
@@ -93,12 +92,11 @@ class Call:
 
 @dataclass(frozen=True)
 class AnalyticSymbol:
-    """Expression tree plus the analytic metadata the solvers rely on.
-    Calling it evaluates it (eval_symbol); it compares by its content."""
+    """An expression tree; all it carries is the tree, so two symbols with
+    equal trees compare and hash equal, whoever built them.  Its variable
+    is that of its Var nodes.  Calling it evaluates it (eval_symbol)."""
 
     expr: object
-    var_name: str = "s"
-    taylor_radius_hint: float | None = None
 
     def __call__(self, s):
         return eval_symbol(self, s)
@@ -254,10 +252,7 @@ def parse_expression(text: str, var_name: str, allow_zeta: bool = True) -> objec
 
 def parse_symbol(text: str) -> AnalyticSymbol:
     """Parse a symbol f(s).  All built-ins are analytic on Re(s) > 0."""
-    tree = parse_expression(text, "s", allow_zeta=True)
-    shifts = [node.shift for node in _walk(tree) if isinstance(node, ZetaNode)]
-    hint = min((h - 1.0 for h in shifts), default=None)
-    return AnalyticSymbol(tree, "s", hint)
+    return AnalyticSymbol(parse_expression(text, "s", allow_zeta=True))
 
 
 def _walk(node):
@@ -268,25 +263,26 @@ def _walk(node):
             yield from _walk(child)
 
 
-def format_node(node, var_name: str) -> str:
+def format_node(node) -> str:
+    """Text of a tree, in the variable of its Var nodes; zeta is always zeta(s + h)."""
     if isinstance(node, Const):
         return _format_complex(node.value)
     if isinstance(node, Var):
-        return var_name
+        return node.name
     if isinstance(node, Add):
-        return f"({format_node(node.left, var_name)} + {format_node(node.right, var_name)})"
+        return f"({format_node(node.left)} + {format_node(node.right)})"
     if isinstance(node, Sub):
-        return f"({format_node(node.left, var_name)} - {format_node(node.right, var_name)})"
+        return f"({format_node(node.left)} - {format_node(node.right)})"
     if isinstance(node, Mul):
-        return f"({format_node(node.left, var_name)} * {format_node(node.right, var_name)})"
+        return f"({format_node(node.left)} * {format_node(node.right)})"
     if isinstance(node, Div):
-        return f"({format_node(node.left, var_name)} / {format_node(node.right, var_name)})"
+        return f"({format_node(node.left)} / {format_node(node.right)})"
     if isinstance(node, Pow):
-        return f"({format_node(node.base, var_name)}^{node.exponent})"
+        return f"({format_node(node.base)}^{node.exponent})"
     if isinstance(node, Exp):
-        return f"exp({format_node(node.arg, var_name)})"
+        return f"exp({format_node(node.arg)})"
     if isinstance(node, ZetaNode):
-        return f"zeta({var_name} + {node.shift!r})"
+        return f"zeta(s + {node.shift!r})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -299,7 +295,7 @@ def _format_complex(v: complex) -> str:
 
 
 def format_symbol(f: AnalyticSymbol) -> str:
-    return format_node(f.expr, f.var_name)
+    return format_node(f.expr)
 
 
 def _eval_node(node, s, zetas: dict | None = None):
@@ -400,7 +396,7 @@ def _series(node, m: int) -> np.ndarray:
         return g
     if isinstance(node, ZetaNode):
         rho = 0.5 * min(1.0, node.shift - 1.0)
-        return cauchy_taylor_at(zeta, node.shift, m - 1, rho, ZETA_CAUCHY_NODES)
+        return cauchy_taylor_at(zeta, node.shift, m - 1, rho)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -477,13 +473,14 @@ R_SERIES_REL_TOL = 1e-12
 def build_r_series(f: AnalyticSymbol, d: DataSequence, s: complex, n_trunc: int) -> complex:
     """Truncated double sum sum_{n=1}^{n_trunc} c_n sum_{j=1}^{n} d_{j-1} s^{n-j}.
 
+    s must lie in the Taylor disk of f, radius min(h - 1) over its zeta(s + h).
     Convergence is declared once three successive partial sums agree to
     1e-12 relative; otherwise the truncation is flagged as divergent.
     Geometric data with |ratio| >= 1 violates the convergence hypothesis
     outright and is flagged without summation.
     """
     s = complex(s)
-    if f.taylor_radius_hint is not None and abs(s) >= f.taylor_radius_hint:
+    if any(abs(s) >= node.shift - 1.0 for node in _walk(f.expr) if isinstance(node, ZetaNode)):
         raise ValueError("s lies outside the Taylor disk of the symbol")
     if d.generator == "geometric" and abs(d.ratio) >= 1:
         raise ArithmeticError(

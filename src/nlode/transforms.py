@@ -49,6 +49,9 @@ N_ATOMS = 8
 LINE_PROBES = 8
 MAX_LINE_NODES = 1 << 20
 HARDY_NODES = 4097
+FORWARD_TAIL_TOL = 1e-10      # laplace_forward's horizon puts the integrand below it
+FORCING_CHECK_TOL = 1e-8      # verify_forcing's largest accepted probe error
+FORCING_PROBES = 10
 CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
@@ -76,12 +79,12 @@ class Forcing:
     """Right-hand side J(t) with an optional closed-form transform.
 
     breakpoints are the times where J jumps; laplace_forward puts a panel
-    edge on each, so its rule never integrates across a jump.
+    edge on each, so its rule never integrates across a jump.  A forcing
+    is its content: forcings with equal parts compare and hash equal.
     """
 
     j_eval: Callable
     closed_form_laplace: AnalyticSymbol | None = None
-    label: str = ""
     breakpoints: tuple[float, ...] = ()
 
     @property
@@ -185,11 +188,11 @@ def _exp_poly_derivative(blocks, n: int, ts: np.ndarray) -> np.ndarray:
 
 def forcing_from_text(text: str) -> Forcing:
     """Build a Forcing from an expression in t (polynomials and exponentials).
-    Its j_eval is the symbol of that t-tree, so two forcings built from one
-    text compare and hash equal."""
+    Its j_eval is the symbol of that t-tree, so two forcings built from
+    texts that parse to one tree compare and hash equal."""
     tree = parse_expression(text, "t", allow_zeta=False)
-    laplace = AnalyticSymbol(_laplace_tree_from_terms(poly_exp_terms(tree)), "s")
-    return Forcing(AnalyticSymbol(tree, "t"), laplace, label=text)
+    laplace = AnalyticSymbol(_laplace_tree_from_terms(poly_exp_terms(tree)))
+    return Forcing(AnalyticSymbol(tree), laplace)
 
 
 def builtin_forcing(name: str, **params) -> Forcing:
@@ -213,20 +216,19 @@ def builtin_forcing(name: str, **params) -> Forcing:
             Sub(Exp(Mul(Const(-a + 0j), Var("s"))), Exp(Mul(Const(-b + 0j), Var("s")))),
             Var("s"),
         )
-        return Forcing(j_eval, AnalyticSymbol(tree, "s"), label=f"indicator[{a},{b})",
-                       breakpoints=(a, b))
+        return Forcing(j_eval, AnalyticSymbol(tree), breakpoints=(a, b))
     raise ValueError(f"unknown builtin forcing {name!r}")
 
 
-def laplace_forward(J: Forcing, s, tol: float = 1e-10, t_cap: float = 1e4):
+def laplace_forward(J: Forcing, s, t_cap: float = 1e4):
     """Numerical transform integral_0^inf e^{-st} J(t) dt for Re(s) > 0, at
     a scalar s (returns a complex) or a 1-D array of them (returns an array).
 
     One fixed composite rule: 20-point Gauss-Legendre on the panels with
     edges 0, 2^-10, 2^-9, ..., 1, 2, 3, ..., ceil(H), graded toward t = 0
     where a fast decay lives, plus J's breakpoints below ceil(H).  The
-    horizon H is 128, or further out where the integrand, extrapolated
-    along its decay between t = 64 and t = 128, falls below tol.  A
+    horizon H is 128, or further out where the integrand, extrapolated along
+    its decay between t = 64 and t = 128, falls below FORWARD_TAIL_TOL.  A
     non-decaying integrand, a J that overflows before H and an H beyond
     t_cap raise ValueError, for the first such s in order, before any node
     is laid, so one call costs at most 20 (ceil(t_cap) + 10 +
@@ -252,15 +254,15 @@ def laplace_forward(J: Forcing, s, tol: float = 1e-10, t_cap: float = 1e4):
         if not (np.isfinite(far) and (far < near or far == 0.0)):
             raise ValueError(f"forcing does not decay against e^(-st) at s = {z:.3g}")
         # a slow decay lets J(t) overflow, making e^(-st)*J(t) inf*0, long
-        # before the integrand falls below tol
+        # before the integrand falls below FORWARD_TAIL_TOL
         horizon = 128.0
-        if far > tol:
-            horizon = 128.0 + 64.0 * math.log(far / tol) / math.log(near / far)
+        if far > FORWARD_TAIL_TOL:
+            horizon = 128.0 + 64.0 * math.log(far / FORWARD_TAIL_TOL) / math.log(near / far)
             with np.errstate(over="ignore", invalid="ignore"):
                 at_horizon = J.j_eval(np.array([horizon]))
             if not np.all(np.isfinite(at_horizon)):
                 raise ValueError(f"forcing overflows at t = {horizon:.4g} before e^(-st) J(t) "
-                                 f"decays below {tol:.1e} at s = {z:.3g}")
+                                 f"decays below {FORWARD_TAIL_TOL:.1e} at s = {z:.3g}")
         if horizon > t_cap:
             raise ValueError("tail truncation failure: forcing decays too slowly for the tolerance")
         horizons.append(horizon)
@@ -284,16 +286,14 @@ def laplace_forward(J: Forcing, s, tol: float = 1e-10, t_cap: float = 1e4):
     return complex(out[0]) if ss.ndim == 0 else out
 
 
-def verify_forcing(J: Forcing, tol: float = 1e-8, n_probes: int = 10,
-                   re_min: float = 0.7) -> dict:
-    """Check the closed-form transform against quadrature at fixed probes
-    with real parts from re_min upward."""
+def verify_forcing(J: Forcing, re_min: float = 0.7) -> dict:
+    """Check the closed-form transform against quadrature at FORCING_PROBES
+    fixed probes with real parts from re_min upward, to FORCING_CHECK_TOL."""
     if J.closed_form_laplace is None:
         return {"ok": False, "max_error": math.inf, "reason": "no closed-form transform"}
-    ss = np.array([re_min + 0.3 * k + 1j * (0.5 * k - 2.25) for k in range(n_probes)])
-    q = laplace_forward(J, ss, tol=min(tol * 1e-2, 1e-10))
-    worst = float(np.max(np.abs(q - J.laplace(ss))))
-    return {"ok": worst <= tol, "max_error": worst, "probes": n_probes}
+    ss = np.array([re_min + 0.3 * k + 1j * (0.5 * k - 2.25) for k in range(FORCING_PROBES)])
+    worst = float(np.max(np.abs(laplace_forward(J, ss) - J.laplace(ss))))
+    return {"ok": worst <= FORCING_CHECK_TOL, "max_error": worst, "probes": FORCING_PROBES}
 
 
 def _power_fit(xs: np.ndarray, ms: np.ndarray) -> tuple[float, float, float]:
@@ -730,9 +730,10 @@ def bromwich_invert(F: Callable, t, cfg: BromwichConfig | None = None):
     return complex(vals[0]) if ts.ndim == 0 else vals
 
 
-def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0, y_max: float = 200.0,
-               n_nodes: int = HARDY_NODES) -> float:
-    """Truncated vertical-line mean mu_p(F, x) on |y| <= y_max.
+def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0,
+               y_max: float = BromwichConfig.y_max) -> float:
+    """Truncated vertical-line mean mu_p(F, x) on |y| <= y_max, by the
+    trapezoid rule on HARDY_NODES points.
 
     Raises on non-finite samples, on a pole spiking next to the line, and
     on integrands whose decay cannot give a finite p-mean.
@@ -741,7 +742,7 @@ def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0, y_max: float = 200.0
         raise ValueError("p must lie in (1, 2]")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    ys = np.linspace(-y_max, y_max, n_nodes)
+    ys = np.linspace(-y_max, y_max, HARDY_NODES)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(F(x + 1j * ys), np.complex128)
     mods = np.abs(vals)
@@ -765,7 +766,7 @@ def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0, y_max: float = 200.0
 
 
 def hardy_membership(F: Callable, p: float = 2.0, x_grid=(0.01, 0.1, 1.0),
-                     y_max: float = 200.0) -> dict:
+                     y_max: float = BromwichConfig.y_max) -> dict:
     """Membership diagnostic: mu_p over an x-grid, flagging growth as x -> 0+."""
     mus: list[float] = []
     flags: list[str] = []

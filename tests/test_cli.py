@@ -392,6 +392,13 @@ class TestDiagnoseAgreesWithSolve:
         name, _, detail, _ = self.check(path, capsys)
         assert name == "line-quadrature" and detail.startswith(message)
 
+    @pytest.mark.parametrize("symbol", ["0*s", "exp(-1000*s)*(s + 1)"])
+    def test_zero_on_the_whole_line(self, symbol, tmp_path, capsys):
+        # each sample of |f| on the line is 0, and so are its neighbours
+        path = write_cfg(tmp_path, f"mode = diagnose\nsymbol = {symbol}\nforcing = exp(-t)\n")
+        name, _, detail, _ = self.check(path, capsys)
+        assert name == "contour-nonvanishing" and "vanishes" in detail
+
     @pytest.mark.parametrize("name", ["damped_oscillator_ivp", "exp_symbol_eigenfunction",
                                       "zeta_symbol_ivp", "diagnose_pole_at_origin"])
     def test_shipped_config(self, name, capsys):

@@ -727,8 +727,8 @@ class TestCheckedProblemMemo:
         monkeypatch.setattr(LineSampler, "__init__", counted)
         return built
 
-    def ivp(self, data):
-        return ClassicalIVP(parse_symbol(self.F2), forcing_from_text(self.J2),
+    def ivp(self, data, forcing=J2):
+        return ClassicalIVP(parse_symbol(self.F2), forcing_from_text(forcing),
                             PoleSpec(((-1.0, 1), (-2.0, 1))), tuple(data))
 
     def test_ten_draws_build_one_sampler(self, builds):
@@ -767,7 +767,14 @@ class TestCheckedProblemMemo:
     def test_text_forcings_compare_equal(self):
         assert forcing_from_text(self.J2) == forcing_from_text(self.J2)
         assert hash(forcing_from_text(self.J2)) == hash(forcing_from_text(self.J2))
+        assert forcing_from_text(self.J2) == forcing_from_text("exp( -3*t )")
+        assert hash(forcing_from_text(self.J2)) == hash(forcing_from_text("exp( -3*t )"))
         assert forcing_from_text(self.J2) != forcing_from_text("exp(-2*t)")
+
+    def test_texts_of_one_tree_share_a_pass(self):
+        reused = [solve_classical_ivp(self.ivp((1.0, 0.0), text))[0].diagnostics["gates_reused"]
+                  for text in (self.J2, "exp( -3*t )")]
+        assert reused == [False, True]
 
     def test_solutions_do_not_alias(self):
         first, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))

@@ -13,6 +13,7 @@ from nlode.symbols import (
     Call,
     Mul,
     Var,
+    ZetaNode,
     DataSequence,
     SymbolSyntaxError,
     build_r_series,
@@ -23,6 +24,7 @@ from nlode.symbols import (
     parse_symbol,
     taylor_coefficients,
 )
+from nlode.transforms import forcing_from_text
 
 ZETA_3 = 1.2020569031595942
 ZETA_PRIME_3 = -0.1981262429007202
@@ -84,6 +86,13 @@ class TestParser:
             g = parse_symbol(format_symbol(f))
             pts = np.array([0.1, 0.5 + 0.2j, -0.3 + 1j])
             assert np.allclose(eval_symbol(f, pts), eval_symbol(g, pts))
+        # a forcing's tree is in t, and formats in t
+        j = forcing_from_text("t*exp(-t)").j_eval
+        assert AnalyticSymbol(parse_expression(format_symbol(j), "t", allow_zeta=False)) == j
+
+    def test_a_symbol_is_its_tree(self):
+        parsed, built = parse_symbol("zeta(s + 3)"), AnalyticSymbol(ZetaNode(3.0))
+        assert parsed == built and hash(parsed) == hash(built)
 
     @pytest.mark.parametrize("bad", [
         "s +", "(s", "s)", "q + 1", "s^-1", "s^0.5", "s^s", "exp s",
@@ -309,10 +318,12 @@ class TestRSeries:
             build_r_series(f, DataSequence.geometric(-0.5), 0.4, 4)
 
     def test_outside_taylor_disk_rejected(self):
-        # zeta(s + 3) has Taylor radius 2 about the origin
-        f = parse_symbol("zeta(s + 3)")
-        with pytest.raises(ValueError):
-            build_r_series(f, DataSequence.geometric(-0.5), 2.5, 40)
+        # zeta(s + 3) has Taylor radius 2 about the origin, however the
+        # tree holding it was built
+        for f in (parse_symbol("zeta(s + 3)"), parse_symbol("zeta(s + 3)*s"),
+                  AnalyticSymbol(Mul(ZetaNode(3.0), Var("s")))):
+            with pytest.raises(ValueError, match="outside the Taylor disk"):
+                build_r_series(f, DataSequence.geometric(-0.5), 2.5, 40)
 
     def test_finite_data_polynomial_symbol(self):
         # f = s^2: r(s) = c_2 * (d_0 s + d_1) with c_2 = 1
