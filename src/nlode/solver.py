@@ -25,7 +25,10 @@ run one pass of the rows, which depend on f, J, r, the poles, cfg and
 K, not on the initial values.  One slot keeps the last pass with no
 callable in its data that ran to its end without zeta warning; a
 problem of the same content replays it, with its own copy of the
-sampler (diagnostics["gates_reused"]).  zeta warns its own caller; the
+sampler (diagnostics["gates_reused"]).  The copies share the Bromwich
+work done on their nodes, which does not depend on the data: each t
+budget extension, each moment and the last grid evaluation are computed
+once per stored pass (LineSampler.copy).  zeta warns its own caller; the
 pass only notes the warning, in a list that a context variable holds
 for that pass alone.
 """

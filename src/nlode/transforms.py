@@ -55,6 +55,8 @@ FORCING_PROBES = 10
 CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
+# the LineSampler state that a budget extension sets, and a copy adopts
+_EXTENDED = ("t_max", "h", "y_nodes", "g_vals", "_level", "_mass", "est_quad_error")
 
 
 @dataclass(frozen=True)
@@ -430,6 +432,8 @@ class LineSampler:
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
         self._evaluations = {"chirp_z": 0, "blocked": 0}   # t-evaluations per kernel
+        self._reused = dict.fromkeys(("extensions", "moments", "evaluations"), 0)
+        self._record = None   # the line work its copies share, created by copy()
         # power-of-two t budgets, so the grid of a larger budget nests
         # under halving and an extension reuses every sample
         self.t_max = 1.0
@@ -536,13 +540,28 @@ class LineSampler:
         self._settle()
 
     def copy(self) -> "LineSampler":
-        """A sampler on the same nodes with its own t budget and evaluation
-        counts (also deepcopy's).  The two share their arrays, made read-only:
-        an extension rebinds them and never writes into them."""
+        """A sampler on the same nodes with its own t budget and counts (also
+        deepcopy's).  The two share their arrays, made read-only: an
+        extension rebinds them and never writes into them.
+
+        They also share a record of the line work on these nodes, which the
+        first copy creates, so a sampler never copied has none.  A state
+        (t_max, node count) fixes the nodes and so every sum on them: a
+        sampler adopts what the record holds for its state, which is what it
+        would compute.  The record holds each budget extension under its
+        target budget, with the state it starts from (at most log2 of the
+        largest budget entries); at most N_ATOMS moments per state; and one
+        slot with the last t-evaluation.  Each entry is a tuple of numbers
+        and read-only arrays, published by one dict assignment, so threads
+        that race on the record at most repeat work.
+        """
         for shared in (self.gammas, self.y_nodes, self.g_vals):
             shared.flags.writeable = False
+        if self._record is None:
+            self._record = {"extensions": {}, "moments": {}, "evaluation": None}
         twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, _evaluations=dict.fromkeys(self._evaluations, 0))
+        twin.__dict__.update(self.__dict__, _evaluations=dict.fromkeys(self._evaluations, 0),
+                             _reused=dict.fromkeys(self._reused, 0))
         return twin
 
     def __deepcopy__(self, memo) -> "LineSampler":
@@ -619,20 +638,32 @@ class LineSampler:
             coarse, fine = fine, 0.5 * fine + self.h * self._line_sums(probes, self._level, None)
 
     def _cover(self, ts: np.ndarray) -> None:
-        """Double the t budget until it covers ts, settling the rule at it."""
+        """Double the t budget until it covers ts, settling the rule at it,
+        or adopt that extension from the record."""
         budget = self.t_max
         while budget < np.max(ts, initial=0.0):
             budget *= 2.0
-        if budget > self.t_max:
+        if budget == self.t_max or self.atom_exact:
             self.t_max = budget
-            if not self.atom_exact:
-                # a fresh build compares pi/(2 budget) with pi/budget first;
-                # a grid already that fine is compared as it stands, so an
-                # extension lays no node a fresh build would not.  Node order
-                # is free: both line-sum kernels place a node by its index k.
-                while self.h > math.pi / (2.0 * budget):
-                    self._halve()
-                self._settle()
+            return
+        start = (self.t_max, self.y_nodes.size)
+        extensions = {} if self._record is None else self._record["extensions"]
+        stored = extensions.get(budget)
+        if stored is not None and stored[0] == start:
+            self.__dict__.update(stored[1])
+            self._reused["extensions"] += 1
+            return
+        self.t_max = budget
+        # a fresh build compares pi/(2 budget) with pi/budget first; a grid
+        # already that fine is compared as it stands, so an extension lays
+        # no node a fresh build would not.  Node order is free: both
+        # line-sum kernels place a node by its index k.
+        while self.h > math.pi / (2.0 * budget):
+            self._halve()
+        self._settle()
+        if self._record is not None:
+            self.y_nodes.flags.writeable = self.g_vals.flags.writeable = False
+        extensions[budget] = (start, tuple((name, getattr(self, name)) for name in _EXTENDED))
 
     def _require_moment_order(self, n: int) -> None:
         if n > self.certified_order:
@@ -644,9 +675,15 @@ class LineSampler:
     def moment(self, n: int) -> complex:
         """(1/2*pi*i) integral s^n F(s) ds, the one-sided n-th derivative at 0."""
         self._require_moment_order(n)
+        key = (self.t_max, self.y_nodes.size, n)
+        moments = {} if self._record is None else self._record["moments"]
+        if key in moments:
+            self._reused["moments"] += 1
+            return moments[key]
         quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
         atoms = _exp_poly_derivative([(-self.b, self.gammas)], n, np.zeros(1))[0]
-        return complex(atoms + quad / (2.0 * math.pi))
+        moments[key] = value = complex(atoms + quad / (2.0 * math.pi))
+        return value
 
     def values(self, ts) -> np.ndarray:
         """Inverse transform at t >= 0; t = 0 returns the symmetric midpoint value."""
@@ -676,22 +713,33 @@ class LineSampler:
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         _check_times(ts_arr)
         self._cover(ts_arr)
+        key = (self.t_max, self.y_nodes.size, n, midpoint_at_zero, ts_arr.shape, ts_arr.tobytes())
+        slot = None if self._record is None else self._record["evaluation"]
+        if slot is not None and slot[0] == key:
+            self._evaluations[slot[1]] += 1
+            self._reused["evaluations"] += 1
+            return slot[2].copy()
         sn = (self.sigma + 1j * self.y_nodes) ** n if n else 1.0
         wg = self.h * sn * self.g_vals
         step = uniform_step(ts_arr, CHIRP_MIN_POINTS)
         k = np.rint(self.y_nodes / self.h).astype(np.int64)
         if step is not None and np.max(np.abs(k), initial=0) + ts_arr.size < CHIRP_MAX_INDEX:
-            self._evaluations["chirp_z"] += 1
+            kernel = "chirp_z"
             # h is pi/t_max over a power of two, so h/4pi is exact and
             # c = step h/4pi carries no rounding beyond that of step
             out = _chirp_z(k, wg, ts_arr[0] * self.y_nodes,
                            step * (self.h / (4.0 * math.pi)), ts_arr.size)
         else:
-            self._evaluations["blocked"] += 1
+            kernel = "blocked"
             # h/2pi is a power of two, so the turns c = t h/2pi are exact
             out = _blocked_sums(k, wg, ts_arr * (self.h / (2.0 * math.pi)))
+        self._evaluations[kernel] += 1
         out *= np.exp(self.sigma * ts_arr) / (2.0 * math.pi)
         out += self._atom_inverse(n, ts_arr, midpoint_at_zero)
+        if self._record is not None:
+            stored = out.copy()
+            stored.flags.writeable = False
+            self._record["evaluation"] = (key, kernel, stored)
         return out
 
     def _atom_inverse(self, n: int, ts: np.ndarray, midpoint_at_zero: bool) -> np.ndarray:
@@ -714,6 +762,7 @@ class LineSampler:
             "n_nodes": int(self.y_nodes.size),
             "reference_pole": -self.b,
             "t_evaluations": dict(self._evaluations),
+            "reused": dict(self._reused),
         }
 
 

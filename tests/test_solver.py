@@ -744,6 +744,115 @@ class TestCheckedProblemMemo:
             for key in ("Ln", "initial_value_errors", "gates"):
                 assert sol.diagnostics[key] == cold.diagnostics[key]
 
+    def test_ten_draws_share_the_line_work(self, monkeypatch):
+        # the cold draw settles at budget 1 and extends to 16 once; every
+        # replay adopts that extension, the moments and the grid values
+        settled, chirps = [], []
+        settle, chirp_z = LineSampler._settle, transforms._chirp_z
+
+        def counted_settle(sampler):
+            settled.append(sampler.t_max)
+            settle(sampler)
+
+        def counted_chirp_z(*args):
+            chirps.append(args[-1])
+            return chirp_z(*args)
+
+        monkeypatch.setattr(LineSampler, "_settle", counted_settle)
+        monkeypatch.setattr(transforms, "_chirp_z", counted_chirp_z)
+        draws = np.random.default_rng(7).uniform(-2.0, 2.0, (10, 2))
+        for i, data in enumerate(draws):
+            sol, _ = solve_classical_ivp(self.ivp(data))
+            sol(self.TS)
+            diag = sol.line.diagnostics()
+            assert diag["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
+            assert diag["reused"] == ({"extensions": 0, "moments": 0, "evaluations": 0} if i == 0
+                                      else {"extensions": 1, "moments": 2, "evaluations": 1})
+        assert settled == [1.0, 16.0]
+        assert chirps == [self.TS.size]
+
+    def test_replays_match_cold_solves(self):
+        # copies of one stored pass run interleaved: a adopts nothing, b
+        # may not adopt a's budget-64 nodes for t <= 10 nor a's extension
+        # from another state, and c adopts b's extension and grid values.
+        # Each step of each draw equals a cold solve that makes its calls.
+        early, late = np.linspace(0.0, 1.0, 41), np.array([40.0])
+        data = {"a": (1.0, 0.0), "b": (0.5, -1.0), "c": (-1.0, 2.0)}
+        calls = [("a", late), ("b", early), ("b", self.TS), ("c", self.TS), ("a", self.TS),
+                 ("b", late), ("c", early), ("b", self.TS), ("c", late), ("a", early)]
+        warm = {name: solve_classical_ivp(self.ivp(d))[0] for name, d in data.items()}
+
+        def step(sol, ts):
+            diag = sol.line.diagnostics()
+            return sol(ts), diag["n_nodes"], diag["est_quad_error"]
+
+        got = [step(warm[name], ts) for name, ts in calls]
+        assert warm["c"].line.diagnostics()["reused"] == {
+            "extensions": 2, "moments": 2, "evaluations": 1}
+        for name in data:
+            solver._checked.clear()
+            cold, _ = solve_classical_ivp(self.ivp(data[name]))
+            mine = [(ts, values) for (who, ts), values in zip(calls, got) if who == name]
+            for ts, (values, n_nodes, err) in mine:
+                want, want_nodes, want_err = step(cold, ts)
+                assert np.array_equal(values, want)
+                assert (n_nodes, err) == (want_nodes, want_err)
+
+    def test_returned_values_are_the_callers(self):
+        # the record keeps its own copy of the last evaluation
+        first, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+        second, _ = solve_classical_ivp(self.ivp((0.5, -1.0)))
+        kept = {}
+        for sol in (first, second):
+            for name, evaluate in (("sol", sol), ("line", sol.line.values)):
+                for _ in range(3):
+                    values = evaluate(self.TS)
+                    assert np.array_equal(values, kept.setdefault((id(sol), name), values.copy()))
+                    values[:] = 0.0
+        assert second.line.diagnostics()["reused"]["evaluations"] == 4
+        assert np.array_equal(kept[id(first), "line"], kept[id(second), "line"])
+
+    def test_threads_racing_on_the_line_work(self, monkeypatch):
+        # two replays enter the extension and the grid evaluation together,
+        # so both compute and both publish; each gets the cold values
+        first, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+        values, results = first(self.TS), []
+        solver._checked.clear()
+        solve_classical_ivp(self.ivp((1.0, 0.0)))
+        together = threading.Barrier(2, timeout=30.0)
+        settle, chirp_z = LineSampler._settle, transforms._chirp_z
+
+        def paired_settle(sampler):
+            together.wait()
+            settle(sampler)
+
+        def paired_chirp_z(*args):
+            together.wait()
+            return chirp_z(*args)
+
+        monkeypatch.setattr(LineSampler, "_settle", paired_settle)
+        monkeypatch.setattr(transforms, "_chirp_z", paired_chirp_z)
+
+        def replay():
+            sol, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+            results.append((sol(self.TS), sol.line.diagnostics()["reused"]))
+
+        threads = [threading.Thread(target=replay) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+            assert not thread.is_alive()
+        none = {"extensions": 0, "moments": 2, "evaluations": 0}
+        assert [reused for _, reused in results] == [none, none]
+        for got, _ in results:
+            assert np.array_equal(got, values)
+        monkeypatch.undo()
+        third, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+        assert np.array_equal(third(self.TS), values)
+        assert third.line.diagnostics()["reused"] == {
+            "extensions": 1, "moments": 2, "evaluations": 1}
+
     @pytest.mark.parametrize("case", ["callable-f", "call-leaf", "callable-r", "hand-built-J"])
     def test_callables_are_never_keys(self, builds, case):
         f, J = parse_symbol(self.F2), forcing_from_text(self.J2)

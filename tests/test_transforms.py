@@ -299,6 +299,28 @@ class TestLineSampler:
         with pytest.raises(ValueError, match=f"t_max = {bad}"):
             LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, bad)
 
+    def test_copies_share_the_line_work(self):
+        # a copy adopts what another copy of the same sampler computed in
+        # the same state, and only that: each step of each copy equals a
+        # sampler never copied that makes the same calls
+        F = lambda s: 1 / ((s + 1) ** 2 + 1)
+        ts, late = np.linspace(0.0, 10.0, 201), np.array([40.0])
+        calls = [("moment", 2), ("values", ts), ("moment", 2), ("derivative_values", 0, ts),
+                 ("derivative_values", 1, ts[1:]), ("derivative_values", 2, ts[1:]),
+                 ("values", late), ("values", ts), ("moment", 2)]
+        base = LineSampler(F, self.CFG)
+        for copy in (base.copy(), base.copy()):
+            alone = LineSampler(F, self.CFG)
+            for name, *args in calls:
+                got, want = getattr(copy, name)(*args), getattr(alone, name)(*args)
+                assert np.array_equal(got, want)
+                assert copy.diagnostics()["n_nodes"] == alone.diagnostics()["n_nodes"]
+                assert copy.diagnostics()["est_quad_error"] == alone.diagnostics()["est_quad_error"]
+            assert copy.diagnostics()["t_evaluations"] == alone.diagnostics()["t_evaluations"]
+        assert alone.diagnostics()["reused"] == {"extensions": 0, "moments": 0, "evaluations": 0}
+        assert copy.diagnostics()["reused"] == {"extensions": 2, "moments": 3, "evaluations": 0}
+        assert len(base._record["extensions"]) <= math.log2(copy.t_max)
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_node_count(self, sigma):
         sampler = LineSampler(lambda s: 1 / (s + 1), BromwichConfig(sigma=sigma), 10.0)
