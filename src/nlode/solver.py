@@ -18,7 +18,11 @@ It raises HypothesisError at the first FAIL.  The last row builds the
 one LineSampler of the solve, kept as solution.line; nothing else builds
 one for a Solution.  With initial values that row is also the one judge
 of the K moments L_0, ..., L_{K-1} the initial-value system needs: the
-sampler that computes them must certify them.
+sampler that computes them must certify them.  With declared poles and a
+rational L(J)/f it hands the sampler the poles known by content, the
+declared ones and the exponents of a text-built J, so where they are all
+the poles the sampler is their closed form, exact at every t, with no
+nodes; a closed form is immutable, and every replay shares it.
 
 solve and hypothesis_gates normalize their data once (_Problem) and
 run one pass of the rows, which depend on f, J, r, the poles, cfg and
@@ -51,7 +55,9 @@ from .symbols import (
     Call,
     Const,
     Div,
+    Exp,
     Mul,
+    ZetaNode,
     _walk,
     cauchy_taylor_at,
 )
@@ -59,10 +65,12 @@ from .transforms import (
     BromwichConfig,
     Forcing,
     LineSampler,
+    _block_decay,
     _exp_poly_derivative,
     _laplace_tree_from_terms,
     _power_fit,
     hardy_membership,
+    poly_exp_terms,
     verify_forcing,
 )
 
@@ -507,20 +515,41 @@ def _hypothesis_rows(p: _Problem):
             f"exceeds {CONDITION_LIMIT:.0e}"), cond)
 
 
+def _known_poles(p: _Problem) -> tuple:
+    """The poles (omega, order) of L(J)/f known by content: the declared
+    ones, and the exponent a of each t^m e^{at} term of a text-built J, of
+    order m + 1, added to a declared pole's order where they meet.  Empty
+    for a transcendental L(J)/f or without declared poles."""
+    if not isinstance(p.poles, PoleSpec) or not isinstance(p.J.j_eval, AnalyticSymbol) \
+            or any(isinstance(node, (Exp, ZetaNode, Call)) for node in _walk(p.F.expr)):
+        return ()
+    forcing: dict = {}
+    for (m, a), c in poly_exp_terms(p.J.j_eval.expr).items():
+        if c != 0:
+            forcing[a] = max(forcing.get(a, 0), m + 1)
+    orders = dict(p.poles.poles)
+    for a, m in forcing.items():
+        omega = next((w for w in orders if abs(w - a) <= 1e-9), a)
+        orders[omega] = orders.get(omega, 0) + m
+    return tuple(orders.items())
+
+
 def _line_row(p: _Problem, failed: bool) -> tuple:
     """The line-quadrature row: it builds the solve's one LineSampler as
-    its data only when no earlier row failed."""
+    its data only when no earlier row failed, in closed form where every
+    pole of L(J)/f is known."""
     if p.F is None or failed:
         return ("line-quadrature", "SKIP",
                 "J = 0: no Bromwich part" if p.F is None else "an earlier gate failed", None)
     try:
-        line = LineSampler(p.F, p.cfg)
+        line = LineSampler(p.F, p.cfg, poles=_known_poles(p))
     except ValueError as exc:
         return "line-quadrature", "FAIL", str(exc), None
     # the initial-value system needs the moments L_0 .. L_{K-1}
     K = 0 if p.values is None else len(p.values)
     return ("line-quadrature", *_verdict(
         line.certified_order >= K - 1,
+        f"closed form at {len(line.poles)} poles, 0 nodes" if line.poles else
         f"{line.y_nodes.size} nodes, certified order {line.certified_order}",
         f"certified moment order {line.certified_order} is below K - 1 = {K - 1}; "
         "the Bromwich part cannot match the requested initial data"), line)
@@ -668,15 +697,12 @@ def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
 
     # r0/f = sum a_{j,i}/(s - omega_i)^j, the transform of sum a_{j,i}
     # t^{j-1}/(j-1)! e^{omega_i t}
-    tree = _laplace_tree_from_terms({
-        (m, omega): a_m / math.factorial(m)
-        for omega, coeffs in zip(ivp.poles.omegas, solution.residue.coefficients)
-        for m, a_m in enumerate(coeffs)})
-    zero = tree == Const(0j)   # every coefficient 0: r0 = 0, which decay_fit cannot fit
-    solution.gic = GeneralizedIC(AnalyticSymbol(tree if zero else Mul(ivp.f.expr, tree)),
-                                 "constructed-from-IVP")
-    diagnostics["r0_over_f_decay"] = ({"q": math.inf, "C": 0.0, "n_finite": 0} if zero
-                                      else decay_fit(AnalyticSymbol(tree)))
+    blocks = list(zip(ivp.poles.omegas, solution.residue.coefficients))
+    tree = _laplace_tree_from_terms({(m, omega): a_m / math.factorial(m)
+                                     for omega, coeffs in blocks for m, a_m in enumerate(coeffs)})
+    solution.gic = GeneralizedIC(AnalyticSymbol(tree if tree == Const(0j) else
+                                                Mul(ivp.f.expr, tree)), "constructed-from-IVP")
+    diagnostics["r0_over_f_decay"] = _block_decay(blocks)
 
     errors = [abs(predict_derivative_at_zero(ivp.poles, solution.residue, n, Ln[n])
                   - ivp.initial_values[n]) for n in range(K)]

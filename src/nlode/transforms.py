@@ -16,6 +16,13 @@ k, evaluated by Bluestein's FFT convolution centred on k = 0.  Every other
 t set (the settle probes, derivative stencils at 0+, the residual sample,
 short or irregular grids) goes to the blocked kernel, which splits k into
 blocks of B and needs about 2 sqrt(N) phases per time for N nodes.
+
+A transform whose poles the caller knows, a rational L(J)/f, is instead
+the sum of its principal parts there (Heaviside's expansion), accepted
+only when F minus that sum vanishes on the contour probes: no nodes, and
+values, derivatives and moments in closed form at every t, with no
+e^{sigma t} to amplify rounding.  Reference terms that match F exactly
+are the one-pole case of the same (omega, coefficients) blocks.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .symbols import (
     Pow,
     Sub,
     Var,
+    cauchy_taylor_at,
     eval_symbol,
     parse_expression,
 )
@@ -325,8 +333,84 @@ MATCHED_MOMENT_ORDER = 4
 MOMENT_TAIL_TOL = 1e-5
 
 
+def _values_on(F: Callable, s: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.asarray(F(s), np.complex128)
+
+
+def _vanishes(diff: np.ndarray, f_vals: np.ndarray) -> bool:
+    """F minus its closed form is within 1e-12 of max |F| on the probes."""
+    f_abs = np.abs(f_vals)
+    scale = float(np.max(f_abs)) if np.all(np.isfinite(f_abs)) else 0.0
+    return scale > 0 and float(np.max(np.abs(diff))) <= 1e-12 * scale
+
+
+def _block_sum(blocks, s: np.ndarray) -> np.ndarray:
+    """sum over blocks (omega, a) of sum_j a_j / (s - omega)^j.
+
+    With w = s - omega and N terms, term j is a_j w^{N-j} / w^N: one
+    division per point.  A power of two w^p squares w^{p/2}, and any
+    other w^j is w^{j-p} w^p with p the largest power of two below j, so
+    w^j is at most floor(log2 j) + 1 products deep, as with numpy's
+    integer power.  Horner's rule in 1/w, or products of 1/w, round more
+    at the small far-out terms and move the inverse transform measurably.
+    """
+    out = None
+    for omega, coeffs in blocks:
+        N = len(coeffs)
+        pw = [None, s - omega]
+        for j in range(2, N + 1):
+            p = 1 << (j.bit_length() - 1)
+            pw.append(pw[p // 2] * pw[p // 2] if p == j else pw[j - p] * pw[p])
+        inv = 1.0 / pw[N]
+        part = coeffs[N - 1] * inv
+        for k in range(1, N):
+            part += coeffs[k - 1] * (pw[N - k] * inv)
+        out = part if out is None else out + part
+    return out
+
+
+def _principal_parts(F: Callable, poles) -> tuple[list, float]:
+    """The principal parts of F at poles (omega, order m), as blocks
+    (omega, (a_1, ..., a_m)), and their largest difference from the
+    half-ring estimate relative to the largest coefficient.
+
+    a_j is the Taylor coefficient of degree m - j of (s - omega)^m F at
+    omega, taken on a circle of radius half the distance to the nearest
+    other pole, at most 1/2, by its 256 nodes and again by its even ones.
+    """
+    blocks, diffs = [], []
+    for omega, m in poles:
+        radius = min([0.5] + [abs(omega - w) / 2.0 for w, _ in poles if w != omega])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            full, half = (cauchy_taylor_at(lambda s: (s - omega) ** m * F(s), omega, m - 1,
+                                           radius, n) for n in (256, 128))
+        blocks.append((omega, full[::-1]))
+        diffs.append(float(np.max(np.abs(full - half))))
+    top = max(float(np.max(np.abs(coeffs))) for _, coeffs in blocks)
+    return blocks, max(diffs) / top if top > 0 else math.inf
+
+
+def _block_decay(blocks) -> dict:
+    """The decay |G| ~ C |s|^-q of G = sum over blocks (omega, a) of
+    sum_j a_j/(s - omega)^j, exactly: its large-|s| expansion is sum_k
+    e_k s^-k with e_k = sum over blocks of sum_{j<=k} a_j C(k-1, j-1)
+    omega^(k-j), and q is the first k whose e_k is not lost to rounding;
+    q = inf, C = 0 when no e_k up to the total order is."""
+    for k in range(1, sum(len(coeffs) for _, coeffs in blocks) + 1):
+        terms = [a * math.comb(k - 1, j) * omega ** (k - 1 - j)
+                 for omega, coeffs in blocks for j, a in enumerate(coeffs[:k])]
+        if abs(sum(terms)) > 1e-12 * sum(map(abs, terms)):
+            return {"q": float(k), "C": abs(sum(terms))}
+    return {"q": math.inf, "C": 0.0}
+
+
 def _check_times(ts: np.ndarray) -> None:
-    """Refuse a t that is not finite or negative, naming the first one."""
+    """Refuse a t that is not a scalar or 1-D, or a t that is not finite
+    or negative, naming the first one."""
+    if ts.ndim > 1:
+        raise ValueError(f"inverse transform takes a scalar t or a 1-D array of t, "
+                         f"got an array of shape {ts.shape}")
     bad = ts[~np.isfinite(ts)]
     if bad.size:
         raise ValueError(f"inverse transform needs a finite t, got t = {bad[0]}")
@@ -414,6 +498,11 @@ def _blocked_sums(k: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
+    Given poles, (omega, order) pairs left of the line that hold every pole
+    of F, it first tries the closed form at them (_principal_parts): their
+    parts must match the half-ring estimate to 1e-13 and F minus them must
+    vanish on the 513 contour probes, or it fits and lays nodes as without.
+
     Supports inverse-transform values, t = 0 moments, and derivatives of
     the inverse transform, all sharing one deterministic node set, which
     grows by step halving when a later t exceeds the t budget.  Moment
@@ -427,7 +516,8 @@ class LineSampler:
     like |g(y_max)| y_max^{n+1}.
     """
 
-    def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0) -> None:
+    def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0,
+                 poles: tuple = ()) -> None:
         if not math.isfinite(t_max):
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
@@ -442,6 +532,23 @@ class LineSampler:
         sigma, y_max = cfg.sigma, cfg.y_max
         self.sigma = sigma
         self.b = max(1.0, sigma)
+        self.y_nodes, self.g_vals = np.zeros(0), np.zeros(0, np.complex128)
+        self.poles, self.coefficient_error = (), None
+        s_probe = sigma + 1j * np.linspace(-y_max, y_max, 513)
+        f_probe = None
+        # the line integral is the sum of the residues left of the line
+        if poles and all(omega.real < sigma for omega, _ in poles):
+            try:
+                blocks, error = _principal_parts(F, poles)
+            except ValueError:   # a ring through a pole of F that poles omit
+                blocks, error = None, math.inf
+            if error <= 1e-13:
+                f_probe = _values_on(F, s_probe)
+                if _vanishes(f_probe - _block_sum(blocks, s_probe), f_probe):
+                    self.poles, self.coefficient_error = tuple(poles), error
+                    self.atom_matched, self.tail_estimate = True, 0.0
+                    self._closed_form(blocks, math.inf)
+                    return
 
         # Two-decade log-spaced window so the inverse-power columns separate
         # by scale; a narrow window makes them collinear and the fit chases
@@ -449,8 +556,7 @@ class LineSampler:
         ys = np.geomspace(y_max, 100.0 * y_max, 128)
         ys = np.concatenate([-ys[::-1], ys])
         ss = sigma + 1j * ys
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(F(ss), np.complex128)
+        vals = _values_on(F, ss)
         if not np.all(np.isfinite(vals)):
             raise ValueError("transform is not finite on the fit window beyond y_max")
         scale_f = float(np.max(np.abs(vals)))
@@ -465,6 +571,7 @@ class LineSampler:
         norms[norms == 0.0] = 1.0
         sol, *_ = np.linalg.lstsq(wcols / norms, vals * wts, rcond=None)
         self.gammas = sol / norms
+        self.blocks = [(-self.b, self.gammas)]
         resid = vals - cols @ self.gammas
 
         scale_g = float(np.max(np.abs(resid)))
@@ -474,26 +581,16 @@ class LineSampler:
                 f"non-decaying integrand on the contour (fitted decay exponent {alpha_f:.3f})"
             )
 
-        self.y_nodes, self.g_vals = np.zeros(0), np.zeros(0, np.complex128)
         self.atom_matched = scale_f < 1e-300 or scale_g <= 1e-12 * scale_f
         self.atom_exact = False
         if self.atom_matched:
             self.alpha_g = float(N_ATOMS + 1)
             self.tail_estimate = scale_g * y_max
             self.certified_order = MATCHED_MOMENT_ORDER
-            s_probe = sigma + 1j * np.linspace(-y_max, y_max, 513)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                f_vals = np.asarray(F(s_probe), np.complex128)
-            g_probe = np.abs(f_vals - self._reference(s_probe))
-            f_probe = np.abs(f_vals)
-            f_scale = float(np.max(f_probe)) if np.all(np.isfinite(f_probe)) else 0.0
-            if scale_f < 1e-300 or (
-                f_scale > 0 and float(np.max(g_probe)) <= 1e-12 * f_scale
-            ):
-                self.atom_exact = True
-                self.alpha_g = math.inf
-                self.certified_order = N_ATOMS - 1
-                self.h, self.est_quad_error = 0.0, 0.0
+            if f_probe is None:
+                f_probe = _values_on(F, s_probe)
+            if scale_f < 1e-300 or _vanishes(f_probe - self._reference(s_probe), f_probe):
+                self._closed_form(self.blocks, N_ATOMS - 1)
                 return
         else:
             # the local slope next to y_max is what the tail integrals
@@ -553,8 +650,11 @@ class LineSampler:
         largest budget entries); at most N_ATOMS moments per state; and one
         slot with the last t-evaluation.  Each entry is a tuple of numbers
         and read-only arrays, published by one dict assignment, so threads
-        that race on the record at most repeat work.
+        that race on the record at most repeat work.  A closed form is
+        immutable and is its own copy.
         """
+        if self.atom_exact:
+            return self
         for shared in (self.gammas, self.y_nodes, self.g_vals):
             shared.flags.writeable = False
         if self._record is None:
@@ -568,34 +668,22 @@ class LineSampler:
         return self.copy()
 
     def _reference(self, s: np.ndarray) -> np.ndarray:
-        """Sum of the fitted reference terms gamma_k / (s + b)^k.
+        """Sum of the reference terms, the fitted gamma_k / (s + b)^k."""
+        return _block_sum(self.blocks, s)
 
-        With w = s + b and N = N_ATOMS, term k is gamma_k w^{N-k} / w^N:
-        one division per node.  A power of two w^p squares w^{p/2}, and
-        any other w^j is w^{j-p} w^p with p the largest power of two below
-        j, so w^j is at most floor(log2 j) + 1 products deep, as with
-        numpy's integer power.  Horner's rule in 1/w, or products of 1/w,
-        round more at the small far-out terms and move the inverse
-        transform measurably.
-        """
-        pw = [None, s + self.b]
-        for j in range(2, N_ATOMS + 1):
-            p = 1 << (j.bit_length() - 1)
-            pw.append(pw[p // 2] * pw[p // 2] if p == j else pw[j - p] * pw[p])
-        inv = 1.0 / pw[N_ATOMS]
-        out = self.gammas[N_ATOMS - 1] * inv
-        for k in range(1, N_ATOMS):
-            out += self.gammas[k - 1] * (pw[N_ATOMS - k] * inv)
-        return out
+    def _closed_form(self, blocks: list, order: float) -> None:
+        """Become the transform of the exp-poly blocks: no nodes, and every
+        value, derivative and moment from _exp_poly_derivative."""
+        self.blocks, self.atom_exact, self.certified_order = blocks, True, order
+        self.alpha_g, self.h, self.est_quad_error = math.inf, 0.0, 0.0
+        self._record = {"moments": {}}
 
     def _lay(self, m: np.ndarray) -> None:
         """Append the level y = h*m, in level order, and update the node mass."""
         y = self.h * m
         s_line = self.sigma + 1j * y
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f_vals = np.asarray(self._F(s_line), np.complex128)
         ref = self._reference(s_line)
-        g = f_vals - ref
+        g = _values_on(self._F, s_line) - ref
         if not np.all(np.isfinite(g)):
             raise ValueError("transform is not finite on the contour line")
         self._level = self.y_nodes.size
@@ -643,8 +731,7 @@ class LineSampler:
         budget = self.t_max
         while budget < np.max(ts, initial=0.0):
             budget *= 2.0
-        if budget == self.t_max or self.atom_exact:
-            self.t_max = budget
+        if budget == self.t_max:
             return
         start = (self.t_max, self.y_nodes.size)
         extensions = {} if self._record is None else self._record["extensions"]
@@ -681,7 +768,7 @@ class LineSampler:
             self._reused["moments"] += 1
             return moments[key]
         quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
-        atoms = _exp_poly_derivative([(-self.b, self.gammas)], n, np.zeros(1))[0]
+        atoms = _exp_poly_derivative(self.blocks, n, np.zeros(1))[0]
         moments[key] = value = complex(atoms + quad / (2.0 * math.pi))
         return value
 
@@ -712,6 +799,8 @@ class LineSampler:
         """
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         _check_times(ts_arr)
+        if self.atom_exact:
+            return self._atom_inverse(n, ts_arr, midpoint_at_zero)
         self._cover(ts_arr)
         key = (self.t_max, self.y_nodes.size, n, midpoint_at_zero, ts_arr.shape, ts_arr.tobytes())
         slot = None if self._record is None else self._record["evaluation"]
@@ -743,12 +832,12 @@ class LineSampler:
         return out
 
     def _atom_inverse(self, n: int, ts: np.ndarray, midpoint_at_zero: bool) -> np.ndarray:
-        """n-th derivative of the reference terms' inverse transform,
-        sum_k gamma_k t^{k-1}/(k-1)! e^{-bt}; at t = 0 with midpoint_at_zero
-        and n = 0, the jump midpoint gamma_1/2."""
-        out = _exp_poly_derivative([(-self.b, self.gammas)], n, ts)
+        """n-th derivative of the blocks' inverse transform; at t = 0 with
+        midpoint_at_zero and n = 0, the jump midpoint, half the sum of the
+        blocks' first coefficients."""
+        out = _exp_poly_derivative(self.blocks, n, ts)
         if midpoint_at_zero and n == 0:
-            out[ts == 0.0] = self.gammas[0] * 0.5
+            out[ts == 0.0] = sum(coeffs[0] for _, coeffs in self.blocks) * 0.5
         return out
 
     def diagnostics(self) -> dict:
@@ -761,6 +850,8 @@ class LineSampler:
             "est_quad_error": self.est_quad_error,
             "n_nodes": int(self.y_nodes.size),
             "reference_pole": -self.b,
+            "poles": list(self.poles),
+            "coefficient_error": self.coefficient_error,
             "t_evaluations": dict(self._evaluations),
             "reused": dict(self._reused),
         }

@@ -36,6 +36,9 @@ from nlode.symbols import eval_symbol, parse_symbol
 from nlode.transforms import HARDY_NODES, BromwichConfig, LineSampler, forcing_from_text
 
 GAUSSIAN_SYMBOL = "exp(2*(s^2 + 0.5*s))*(s^2 + 0.5*s - 1) + 2"
+# zeros at -1 and -2 as (s + 1)*(s + 2) has, but with J = e^{-3t} its
+# L(J)/f is transcendental, so its classical IVP lays line nodes
+NODED_SYMBOL = "(s + 1)*(s + 2)*exp(1/(s + 5))"
 
 
 def eigen_problem(symbol_text: str, k: float):
@@ -48,6 +51,29 @@ def eigen_problem(symbol_text: str, k: float):
     J = forcing_from_text(f"{lam.real!r}*exp(-{1.0 / k!r}*t)")
     r = parse_symbol(f"(({symbol_text}) - {lam.real!r})/(s + {1.0 / k!r})")
     return f, J, GeneralizedIC(r, "user-supplied")
+
+
+def expm_ivp_oracle(f, J, data, ts, dps: int = 40) -> np.ndarray:
+    """phi(t) of a polynomial f(d/dt) phi = J, J a sum of c e^{at}, from
+    the matrix exponential of the state (phi, ..., phi^(d-1), the J terms)
+    in mpmath at dps digits."""
+    mpmath = pytest.importorskip("mpmath")
+    coeffs = np.trim_zeros(nlode.taylor_coefficients(f, 20), "b")
+    terms = transforms.poly_exp_terms(J.j_eval.expr)
+    assert all(m == 0 for m, _ in terms), "the oracle takes sums of c e^{at}"
+    d = coeffs.size - 1
+    with mpmath.workdps(dps):
+        A = mpmath.zeros(d + len(terms))
+        for n in range(d - 1):
+            A[n, n + 1] = 1
+        for n in range(d):
+            A[d - 1, n] = -mpmath.mpc(coeffs[n]) / mpmath.mpc(coeffs[d])
+        for k, ((_, a), c) in enumerate(terms.items()):
+            A[d - 1, d + k] = mpmath.mpc(c) / mpmath.mpc(coeffs[d])
+            A[d + k, d + k] = mpmath.mpc(a)
+        x0 = mpmath.matrix([mpmath.mpc(v) for v in data] + [1] * len(terms))
+        return np.array([complex((mpmath.expm(A * mpmath.mpf(float(t))) * x0)[0])
+                         for t in ts])
 
 
 class TestDataStructures:
@@ -407,8 +433,8 @@ class TestSolve:
 class TestClassicalIVP:
     F2 = "(s + 1)*(s + 2)"
 
-    def make(self, initial, forcing="exp(-3*t)"):
-        f = parse_symbol(self.F2)
+    def make(self, initial, forcing="exp(-3*t)", symbol=F2):
+        f = parse_symbol(symbol)
         return ClassicalIVP(f, forcing_from_text(forcing),
                             PoleSpec(((-1.0, 1), (-2.0, 1))), tuple(initial))
 
@@ -517,9 +543,10 @@ class TestClassicalIVP:
 
         monkeypatch.setattr(LineSampler, "__init__", counted)
         ts = np.linspace(0.0, 10.0, 201)
-        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
+        sol, _ = solve_classical_ivp(self.make((1.0, 0.0), symbol=NODED_SYMBOL))
+        assert sol.line.y_nodes.size > 0
         sol(ts)
-        residual_check(sol.f, sol, sol.forcing, ts[1:])
+        residual_check(sol.f, sol, sol.forcing, ts[1:], N=sol.line.certified_order)
         assert len(builds) == 1
         sol = solve_generalized(*eigen_problem("exp(s)", 2.0))
         assert len(builds) == 2 and sol.line is not None
@@ -531,20 +558,37 @@ class TestClassicalIVP:
         assert rows[0][1] == "FAIL" and rows[-1][:2] == ("line-quadrature", "SKIP")
         assert len(builds) == 2
 
+    K6 = "*".join(f"(s + {k})" for k in range(1, 7))
+    K6_POLES = tuple((-float(k), 1) for k in range(1, 7))
+
     def test_uncertified_moments_fail_at_the_gate(self):
         # K = 6 initial values need the moments L_0 .. L_5, but the sampler
-        # of this L(J)/f certifies only order 4
-        K = 6
-        f = parse_symbol("*".join(f"(s + {k})" for k in range(1, K + 1)))
-        poles = tuple((-float(k), 1) for k in range(1, K + 1))
+        # of this transcendental L(J)/f certifies only order 4
+        f = parse_symbol(self.K6 + "*exp(1/(s + 8))")
         with pytest.raises(HypothesisError, match="certified moment order 4 is below K - 1 = 5"):
-            solve(f, forcing_from_text("exp(-7*t)"), poles=poles,
-                  initial_values=(1.0,) + (0.0,) * (K - 1), cfg=BromwichConfig(y_max=100.0))
+            solve(f, forcing_from_text("exp(-7*t)"), poles=self.K6_POLES,
+                  initial_values=(1.0,) + (0.0,) * 5, cfg=BromwichConfig(y_max=100.0))
+
+    def test_six_rational_moments_are_exact(self):
+        # the same problem without the exp factor is rational: its L(J)/f
+        # is the closed form at the six poles and -7, and phi is exact
+        f = parse_symbol(self.K6)
+        J = forcing_from_text("exp(-7*t)")
+        data = (1.0,) + (0.0,) * 5
+        sol = solve(f, J, poles=self.K6_POLES, initial_values=data,
+                    cfg=BromwichConfig(y_max=100.0))
+        assert sol.diagnostics["gates"][-1] == ("line-quadrature", "PASS",
+                                                "closed form at 7 poles, 0 nodes")
+        ts = np.linspace(0.0, 10.0, 41)
+        ref = expm_ivp_oracle(f, J, data, ts)
+        assert np.max(np.abs(sol(ts) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the moment system's columns reach 6^5: 2.7e-12 here
+        assert max(sol.diagnostics["initial_value_errors"]) < 1e-10
 
     def test_kernel_counts(self):
         # the initial-value check takes the moments, not t-samples; a
         # 201-point grid is one chirp-z evaluation
-        sol, _ = solve_classical_ivp(self.make((1.0, 0.0)))
+        sol, _ = solve_classical_ivp(self.make((1.0, 0.0), symbol=NODED_SYMBOL))
         sol(np.linspace(0.0, 10.0, 201))
         assert sol.line.diagnostics()["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
 
@@ -566,6 +610,79 @@ class TestClassicalIVP:
                                                sol.line.moment(2))
         fd = derivatives_at_zero(sol.eval, [2])[0]
         assert abs(predicted - fd) < 1e-3
+
+
+class TestClosedFormLine:
+    """Where every pole of a rational L(J)/f is known, the line sampler is
+    the sum of its principal parts, exact at every t, with no nodes."""
+
+    LARGE_T = np.array([10.0, 20.0, 30.0, 40.0])
+
+    def solve_loudly(self, symbol, forcing, poles, data):
+        f, J = parse_symbol(symbol), forcing_from_text(forcing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, _ = solve_classical_ivp(ClassicalIVP(f, J, PoleSpec(poles), data))
+            return sol, sol(self.LARGE_T), expm_ivp_oracle(f, J, data, self.LARGE_T)
+
+    @pytest.mark.parametrize("problem", [p for p in test_acceptance.IVP_CORPUS
+                                         if "zeta" not in p[0]], ids=lambda p: p[0])
+    def test_rational_corpus_at_large_t(self, problem):
+        # the first is the damped config's IVP, off by 0.379 at t = 40 on
+        # the line; each point is now within 1e-13 of its own size
+        sol, got, want = self.solve_loudly(*problem)
+        assert sol.line.y_nodes.size == 0
+        assert sol.diagnostics["gates"][-1][2] == \
+            f"closed form at {len(sol.line.poles)} poles, 0 nodes"
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_resonance_adds_the_orders(self):
+        # J = e^{-t} meets the declared pole -1: L(J)/f = 1/((s + 1)^2 (s + 2))
+        sol, got, want = self.solve_loudly("(s + 1)*(s + 2)", "exp(-1*t)",
+                                           ((-1.0, 1), (-2.0, 1)), (1.0, 0.0))
+        assert sol.line.poles == ((-1.0, 2), (-2.0, 1))
+        assert sol.line.diagnostics()["coefficient_error"] <= 1e-13
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_an_omitted_zero_falls_back_to_the_line(self):
+        # -2 is a zero of f but not declared: the parts at -1 and -3 leave
+        # L(J)/f's pole at -2 out, so the sampler lays nodes as before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, _ = solve_classical_ivp(ClassicalIVP(
+                parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)"),
+                PoleSpec(((-1.0, 1),)), (1.0,)))
+        assert sol.line.poles == () and sol.line.y_nodes.size > 0
+        assert sol.diagnostics["gates"][-1][2].endswith("nodes, certified order 4")
+        ts = np.linspace(0.0, 10.0, 201)
+        exact = 1.5 * np.exp(-ts) - np.exp(-2.0 * ts) + 0.5 * np.exp(-3.0 * ts)
+        assert np.max(np.abs(sol(ts) - exact)) < 1e-9
+
+    def damped(self, data, forcing="exp(-3*t)"):
+        return ClassicalIVP(parse_symbol("(s + 1)*(s + 2)"), forcing_from_text(forcing),
+                            PoleSpec(((-1.0, 1), (-2.0, 1))), data)
+
+    def test_the_memo_hands_out_the_one_closed_form(self):
+        first, _ = solve_classical_ivp(self.damped((1.0, 0.0)))
+        second, _ = solve_classical_ivp(self.damped((0.5, -1.0)))
+        assert second.diagnostics["gates_reused"] and second.line is first.line
+        assert second.diagnostics["Ln"] == first.diagnostics["Ln"]
+
+    @pytest.mark.parametrize("data, q, C", [((1.0, -1.0), 1.0, 1.0), ((0.0, 1.0), 2.0, 1.0),
+                                            ((0.0, 0.0), math.inf, 0.0)])
+    def test_r0_decay_in_closed_form(self, data, q, C):
+        # unforced, phi = e^{-t}, e^{-t} - e^{-2t} and 0: r0/f is 1/(s + 1),
+        # 1/((s + 1)(s + 2)) and 0
+        sol, _ = solve_classical_ivp(self.damped(data, forcing="0"))
+        decay = sol.diagnostics["r0_over_f_decay"]
+        assert decay["q"] == q and decay["C"] == pytest.approx(C, rel=1e-14)
+
+    def test_t_of_two_dimensions_is_refused_by_name(self):
+        sol, _ = solve_classical_ivp(self.damped((1.0, 0.0)))
+        ts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        for invert in (sol, lambda t: transforms.bromwich_invert(lambda s: 1 / (s + 1), t)):
+            with pytest.raises(ValueError, match=r"1-D array of t, got an array of shape \(2, 2\)"):
+                invert(ts)
 
 
 class TestAssemble:
@@ -714,6 +831,7 @@ class TestCheckedProblemMemo:
 
     F2, J2 = "(s + 1)*(s + 2)", "exp(-3*t)"
     TS = np.linspace(0.0, 10.0, 201)
+    # the memo tests of the line work need a problem that lays nodes
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -728,7 +846,7 @@ class TestCheckedProblemMemo:
         return built
 
     def ivp(self, data, forcing=J2):
-        return ClassicalIVP(parse_symbol(self.F2), forcing_from_text(forcing),
+        return ClassicalIVP(parse_symbol(NODED_SYMBOL), forcing_from_text(forcing),
                             PoleSpec(((-1.0, 1), (-2.0, 1))), tuple(data))
 
     def test_ten_draws_build_one_sampler(self, builds):
