@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .oracles import residual_check
 from .solver import (ClassicalIVP, GeneralizedIC, HypothesisError, PoleSpec, hypothesis_gates,
                      solve_classical_ivp, solve_generalized, solve_with_poles)
-from .symbols import parse_symbol
+from .symbols import Record, parse_symbol
 from .transforms import BromwichConfig, builtin_forcing, forcing_from_text
 
 # The data fields each mode takes, as ProblemConfig attributes.  A solve
@@ -50,8 +49,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(Record):
     """A parsed config; a key it does not give takes the field default."""
 
     mode: str
@@ -169,20 +167,15 @@ def _build_forcing(text: str):
     return forcing_from_text(text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+# one CSV row: seven floats in 17 significant digits
+_CSV_ROW = ",".join(["%.16e"] * 7)
 
 
 def _write_csv(path: str, ts: np.ndarray, bro: np.ndarray, res: np.ndarray) -> None:
-    lines = ["t,phi_re,phi_im,bromwich_re,bromwich_im,residue_re,residue_im"]
     phi = bro + res
-    for i, t in enumerate(ts):
-        lines.append(",".join([
-            _fmt(float(t)),
-            _fmt(phi[i].real), _fmt(phi[i].imag),
-            _fmt(bro[i].real), _fmt(bro[i].imag),
-            _fmt(res[i].real), _fmt(res[i].imag),
-        ]))
+    rows = np.column_stack([ts, phi.real, phi.imag, bro.real, bro.imag, res.real, res.imag])
+    lines = ["t,phi_re,phi_im,bromwich_re,bromwich_im,residue_re,residue_im"]
+    lines += [_CSV_ROW % tuple(row) for row in rows.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,7 +322,7 @@ def _with_overrides(cfg: ProblemConfig, overrides: dict | None) -> ProblemConfig
                (("sigma", "sigma"), ("ymax", "y_max"), ("tol", "quad_tol")) if k in given}
     if "grid" in given:
         updates["grid"] = _parse_grid(given["grid"])
-    return replace(cfg, **updates)
+    return ProblemConfig(**{**vars(cfg), **updates})
 
 
 def _build_parser() -> argparse.ArgumentParser:

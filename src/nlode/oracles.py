@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .solver import Solution
-from .symbols import AnalyticSymbol, taylor_coefficients
+from .symbols import AnalyticSymbol, Record, taylor_coefficients
 from .transforms import Forcing
 
 SERIES_DEFAULT_N = 60
@@ -29,8 +28,7 @@ _GROWTH_RUN = 6
 _GROWTH_RATIO = 1.2
 
 
-@dataclass(frozen=True)
-class AnalyticVectorProfile:
+class AnalyticVectorProfile(Record):
     """A function with closed-form derivatives of every order.
 
     norm_bound(n) is the l^1 sequence c(n) dominating the n-th derivative;

@@ -43,7 +43,6 @@ import copy
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -57,6 +56,7 @@ from .symbols import (
     Div,
     Exp,
     Mul,
+    Record,
     ZetaNode,
     _walk,
     cauchy_taylor_at,
@@ -90,8 +90,7 @@ class HypothesisError(RuntimeError):
         self.report = dict(report or {})
 
 
-@dataclass(frozen=True)
-class PoleSpec:
+class PoleSpec(Record):
     """Declared poles (omega_i, order r_i) of r/f, all left of the axis."""
 
     poles: tuple
@@ -120,8 +119,7 @@ class PoleSpec:
         return tuple(w for w, _ in self.poles)
 
 
-@dataclass(frozen=True)
-class ResiduePolynomials:
+class ResiduePolynomials(Record):
     """Per-pole coefficients (a_1 .. a_r) of P(t) = sum a_j t^{j-1}/(j-1)!."""
 
     coefficients: tuple
@@ -135,8 +133,7 @@ class ResiduePolynomials:
         return ResiduePolynomials(tuple((0j,) * order for _, order in poles.poles))
 
 
-@dataclass(frozen=True)
-class GeneralizedIC:
+class GeneralizedIC(Record):
     """Generalized initial condition r, with the provenance of its construction."""
 
     r: object
@@ -162,8 +159,7 @@ def zero_ic() -> GeneralizedIC:
     return GeneralizedIC(AnalyticSymbol(Const(0j)), "user-supplied")
 
 
-@dataclass(frozen=True)
-class ClassicalIVP:
+class ClassicalIVP(Record):
     """Symbol, forcing, declared poles, and K local initial values at 0."""
 
     f: AnalyticSymbol
@@ -190,10 +186,10 @@ def residue_derivative_values(rp: ResiduePolynomials, poles: PoleSpec, n: int, t
     return _exp_poly_derivative(zip(poles.omegas, rp.coefficients), n, ts)
 
 
-@dataclass
-class Solution:
+class Solution(Record, frozen=False):
     """Bromwich part, from the sampler `line` that the line-quadrature gate
-    built (None without one), plus residue part, with the solve's diagnostics."""
+    built (None without one), plus residue part, with the solve's diagnostics
+    (a new dict when not given)."""
 
     f: AnalyticSymbol
     forcing: Forcing
@@ -202,7 +198,11 @@ class Solution:
     line: LineSampler | None
     poles: PoleSpec | None = None
     residue: ResiduePolynomials | None = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict | None = None
+
+    def __post_init__(self) -> None:
+        if self.diagnostics is None:
+            self.diagnostics = {}
 
     def _parts(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
         """n-th t-derivatives of the Bromwich part (one-sided at t = 0) and

@@ -9,13 +9,18 @@ however often it appears, so a composed transform such as (L(J) + r)/f
 with r built from f pays for each zeta node once per point.  A real tree
 is evaluated on the upper half of a conjugate-palindrome argument only,
 such as a line sampled at +-y, and mirrored (eval_symbol).
+
+The tree nodes, and the value types of the other modules, derive from
+Record: fields declared by annotation, frozen, compared and hashed by
+content, with dataclass-style reprs.  It builds no code at class
+creation, so importing nlode costs no dataclass code generation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +28,7 @@ import numpy as np
 from .special_functions import zeta
 
 SERIES_CAP = 128
+_setattr = object.__setattr__
 
 
 class SymbolSyntaxError(ValueError):
@@ -33,65 +39,149 @@ class SymbolSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Const:
+class Record:
+    """Base of nlode's value types: a subclass's annotated names are its
+    fields, in order, and a class attribute is a field's default.
+
+    An instance is built from its fields by position or keyword, then
+    checked by __post_init__.  It equals only an instance of its own class
+    with equal fields, hashes as its field tuple and has the repr
+    Name(field=value, ...).  It is frozen: assignment raises
+    AttributeError.  A class declared with frozen=False is mutable and
+    unhashable.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        cls._fields = fields
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        # the field tuple, or the one field's value; as no descriptor, an
+        # attrgetter stays a plain function of the instance
+        cls._get = operator.attrgetter(*fields)
+        if len(fields) <= 2 and cls.__post_init__ is Record.__post_init__ and "__init__" not in vars(cls):
+            cls.__init__ = _small_init(*fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # one setattr per field keeps the instance's attribute storage compact,
+        # where filling __dict__ at once makes every later read slower
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The full field tuple of a call: args, then each later field from
+        kwargs or its default."""
+        try:
+            values = args + tuple([kwargs.pop(name) if name in kwargs else self._defaults[name]
+                                   for name in self._fields[len(args):]])
+        except KeyError:  # a field without a value
+            values = ()
+        if kwargs or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(self._fields)}), "
+                            "each once, by position or keyword; a field without a default is required")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _astuple(self) -> tuple:
+        values = self._get(self)
+        return values if len(self._fields) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # as (a, b) == (c, d), also for one field: (a,) == (c,)
+            return (self._get(self),) == (self._get(other),)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _small_init(first: str, second: str | None = None):
+    """Record.__init__ for one or two fields and no __post_init__, as the
+    tree nodes have: without the loop over the fields, which is about half
+    of a node's construction time."""
+    if second is None:
+        def __init__(self, *args, **kwargs) -> None:
+            if kwargs or len(args) != 1:
+                args = self._bind(args, kwargs)
+            _setattr(self, first, args[0])
+    else:
+        def __init__(self, *args, **kwargs) -> None:
+            if kwargs or len(args) != 2:
+                args = self._bind(args, kwargs)
+            _setattr(self, first, args[0])
+            _setattr(self, second, args[1])
+    return __init__
+
+
+class Const(Record):
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Exp:
+class Exp(Record):
     arg: object
 
 
-@dataclass(frozen=True)
-class ZetaNode:
+class ZetaNode(Record):
     shift: float
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     """Leaf holding a vectorized callable of the variable; no series."""
 
     fn: Callable
 
 
-@dataclass(frozen=True)
-class AnalyticSymbol:
+class AnalyticSymbol(Record):
     """An expression tree; all it carries is the tree, so two symbols with
     equal trees compare and hash equal, whoever built them.  Its variable
     is that of its Var nodes.  Calling it evaluates it (eval_symbol)."""
@@ -342,12 +432,13 @@ def eval_symbol(f: AnalyticSymbol, s):
     array, since numpy's scalar arithmetic rounds unlike its array loops.
     A real tree (_is_real) on a 1-D s with s[::-1] == conj(s) and some point
     off the real axis is evaluated on s[n//2:] only; the rest are conjugates.
+    The tree is walked only for such an s.
     """
     scalar = np.ndim(s) == 0
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     n = arr.shape[0]
-    mirror = (arr.ndim == 1 and _is_real(f.expr) and np.any(arr.imag != 0)
-              and np.array_equal(arr[::-1], arr.conj()))
+    mirror = (arr.ndim == 1 and np.any(arr.imag != 0)
+              and np.array_equal(arr[::-1], arr.conj()) and _is_real(f.expr))
     part = arr[n // 2:] if mirror else arr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         val = _eval_node(f.expr, part)
@@ -443,8 +534,7 @@ def cauchy_taylor_at(f, center: complex, order: int, radius: float,
     return coeffs / radius ** np.arange(order + 1)
 
 
-@dataclass(frozen=True)
-class DataSequence:
+class DataSequence(Record):
     """Data d_0, d_1, ... feeding the r-series: an explicit finite list or
     a geometric generator d_j = scale * ratio^j."""
 

@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .special_functions import uniform_step
 from .symbols import (
@@ -44,6 +42,7 @@ from .symbols import (
     Exp,
     Mul,
     Pow,
+    Record,
     Sub,
     Var,
     cauchy_taylor_at,
@@ -51,7 +50,17 @@ from .symbols import (
     parse_expression,
 )
 
-_GL20 = leggauss(20)
+# numpy.polynomial's leggauss(20), bit for bit, from its symmetric halves:
+# the positive nodes and their weights
+_GL20_X = np.array([0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+                    0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+                    0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+                    0.993128599185095])
+_GL20_W = np.array([0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+                    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+                    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+                    0.017614007139150893])
+_GL20 = (np.concatenate([-_GL20_X[::-1], _GL20_X]), np.concatenate([_GL20_W[::-1], _GL20_W]))
 
 N_ATOMS = 8
 LINE_PROBES = 8
@@ -67,8 +76,7 @@ PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
 _EXTENDED = ("t_max", "h", "y_nodes", "g_vals", "_level", "_mass", "est_quad_error")
 
 
-@dataclass(frozen=True)
-class BromwichConfig:
+class BromwichConfig(Record):
     """Numerical contract for contour-line integrals."""
 
     sigma: float = 1.0
@@ -84,8 +92,7 @@ class BromwichConfig:
             raise ValueError("quad_tol must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Forcing:
+class Forcing(Record):
     """Right-hand side J(t) with an optional closed-form transform.
 
     breakpoints are the times where J jumps; laplace_forward puts a panel

@@ -516,3 +516,24 @@ def test_solves_do_not_import_numpy_ma(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     assert (tmp_path / "damped_oscillator_ivp.csv").exists()
     assert out.stdout.splitlines()[-1] == "False"
+
+
+# the modules numpy does not load and nlode must not add, in one fresh interpreter
+FRESH_IMPORT = """
+import sys
+import numpy
+before = set(sys.modules)
+import nlode, nlode.cli
+print(sorted({"dataclasses", "numpy.polynomial"} & (set(sys.modules) - before)))
+"""
+
+
+def test_import_adds_no_dataclasses_or_numpy_polynomial(tmp_path):
+    # dataclass code generation and numpy.polynomial cost a cold import
+    # about 10 ms and 4 ms; Record and a tabulated Gauss-Legendre rule
+    # replace them
+    path = [os.path.dirname(os.path.dirname(nlode.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", FRESH_IMPORT], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nlode import special_functions, symbols
+from nlode.solver import PoleSpec, Solution, hypothesis_gates
 from nlode.symbols import (
+    Add,
     AnalyticSymbol,
     Call,
+    Const,
     Mul,
+    Sub,
     Var,
     ZetaNode,
     DataSequence,
@@ -24,7 +30,7 @@ from nlode.symbols import (
     parse_symbol,
     taylor_coefficients,
 )
-from nlode.transforms import forcing_from_text
+from nlode.transforms import BromwichConfig, Forcing, forcing_from_text
 
 ZETA_3 = 1.2020569031595942
 ZETA_PRIME_3 = -0.1981262429007202
@@ -223,6 +229,18 @@ class TestConjugateMirror:
         v = eval_symbol(f, s)
         assert v.shape == s.shape and set(sizes) == {s.shape}
 
+    def test_tree_walked_only_for_a_palindrome(self, monkeypatch):
+        # a Cauchy ring is no conjugate palindrome: the realness of the
+        # tree cannot matter, so it is not checked
+        f = parse_symbol("exp(-s)/((s + 1)*(s + 2))")
+        walks = self.record(monkeypatch, "_is_real")
+        ring = 0.5 + 0.25 * np.exp(2j * np.pi * np.arange(256) / 256)
+        with np.errstate(all="ignore"):
+            want = symbols._eval_node(f.expr, ring)
+        assert np.array_equal(eval_symbol(f, ring), want) and walks == []
+        eval_symbol(f, _palindrome(101))
+        assert len(walks) == 1
+
 
 class TestTaylorCoefficients:
     def test_exponential(self):
@@ -331,3 +349,96 @@ class TestRSeries:
         d = DataSequence.from_values([3.0, 5.0])
         got = build_r_series(f, d, 0.25, 12)
         assert abs(got - (3.0 * 0.25 + 5.0)) < 1e-12
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassAdd:
+    """What the tree nodes were before Record: the reference for its
+    equality, hash and repr."""
+
+    left: object
+    right: object
+
+
+class TestRecord:
+    """Record, the base of the tree nodes and of the other value types."""
+
+    def test_equality_is_within_one_class(self):
+        a, b = Var("s"), Const(1 + 0j)
+        assert Add(a, b) == Add(Var("s"), Const(1 + 0j))
+        assert Add(a, b) != Sub(a, b) and not Add(a, b) == Sub(a, b)
+        assert Const(0j) != 0j and Var("s") != ("s",)
+
+    def test_equal_trees_hash_equal(self):
+        f, g = parse_symbol("exp(-s)/(s + 2)^2"), parse_symbol("exp(-s) / (s+2)^2")
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        a, b = Var("s"), Const(2j)
+        assert hash(Add(a, b)) == hash((a, b)) and hash(b) == hash((2j,))
+
+    def test_matches_a_frozen_dataclass(self):
+        a, b = Var("s"), Const(1.5 + 0j)
+        ref = _DataclassAdd(a, b)
+        assert repr(Add(a, b)) == repr(ref).replace("_DataclassAdd", "Add")
+        assert hash(Add(a, b)) == hash(ref)
+        nan = Const(complex(math.nan, 0))
+        assert (Add(a, nan) == Add(a, nan)) == (_DataclassAdd(a, nan) == _DataclassAdd(a, nan))
+
+    def test_repr(self):
+        assert repr(parse_symbol("s + 1")) == \
+            "AnalyticSymbol(expr=Add(left=Var(name='s'), right=Const(value=(1+0j))))"
+        assert repr(BromwichConfig()) == "BromwichConfig(sigma=1.0, y_max=200.0, quad_tol=1e-09)"
+
+    def test_frozen(self):
+        node, cfg = Add(Var("s"), Const(1j)), BromwichConfig()
+        for obj, name in ((node, "left"), (cfg, "sigma"), (cfg, "other")):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(obj, name, 2.0)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(obj, name)
+        assert node.left == Var("s") and cfg.sigma == 1.0
+
+    def test_keywords_and_defaults(self):
+        assert BromwichConfig.y_max == 200.0 and BromwichConfig.sigma == 1.0
+        assert BromwichConfig(y_max=50.0) == BromwichConfig(1.0, 50.0, 1e-9)
+        assert BromwichConfig(2.0, quad_tol=1e-6) == BromwichConfig(2.0, 200.0, 1e-6)
+        assert Add(right=Const(1j), left=Var("s")) == Add(Var("s"), Const(1j))
+        J = Forcing(np.exp, None)
+        assert J.breakpoints == () and J == Forcing(j_eval=np.exp)
+        with pytest.raises(ValueError, match="y_max"):
+            BromwichConfig(y_max=-1.0)
+        for args, kwargs in (((), {}), ((Var("s"),), {}), ((Var("s"), Var("s"), Var("s")), {}),
+                             ((Var("s"),), {"left": Var("s")}), ((), {"left": Var("s"), "up": 1})):
+            with pytest.raises(TypeError, match="takes the fields"):
+                Add(*args, **kwargs)
+
+    def test_pole_spec_normalized(self):
+        spec = PoleSpec([(-1, 2.0), (-2 + 1j, 1)])
+        assert spec.poles == ((-1 + 0j, 2), (-2 + 1j, 1))
+        assert [(type(w), type(r)) for w, r in spec.poles] == [(complex, int)] * 2
+        assert spec == PoleSpec(((-1 + 0j, 2), (-2 + 1j, 1))) and spec.K == 3
+        with pytest.raises(ValueError, match="strictly left"):
+            PoleSpec([(0.5, 1)])
+
+    def test_solutions_do_not_share_diagnostics(self):
+        f, J, cfg = parse_symbol("s + 1"), forcing_from_text("0"), BromwichConfig()
+        first, second = Solution(f, J, None, cfg, None), Solution(f, J, None, cfg, None)
+        first.diagnostics["mode"] = "generalized"
+        assert second.diagnostics == {} and first.diagnostics is not second.diagnostics
+        assert Solution(f, J, None, cfg, None, diagnostics={"a": 1}).diagnostics == {"a": 1}
+        first.poles = PoleSpec([(-1, 1)])  # a Solution is mutable, so unhashable
+        assert first.poles.K == 1 and first != second
+        with pytest.raises(TypeError):
+            hash(second)
+
+    def test_deepcopy_of_gate_rows(self):
+        # the memo hands each caller a deep copy of the stored rows
+        f = parse_symbol("(s + 1)*(s + 2)")
+        rows = hypothesis_gates(f, forcing_from_text("exp(-3*t)"), poles=[(-1, 1), (-2, 1)],
+                                initial_values=(1.0, 0.0))
+        copied = copy.deepcopy(rows)
+        assert [row[:3] for row in copied] == [row[:3] for row in rows]
+        spec = PoleSpec([(-1, 2)])
+        twin = copy.deepcopy((f, spec))
+        assert twin == (f, spec) and twin[0] is not f and hash(twin[0]) == hash(f)
+        with pytest.raises(AttributeError):
+            twin[1].poles = ()

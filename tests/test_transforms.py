@@ -189,6 +189,13 @@ class TestForcing:
         with pytest.raises(ValueError, match=match):
             laplace_forward(forcing_from_text("exp(0.68*t)"), np.array(ss))
 
+    def test_tabulated_gauss_legendre_rule_is_leggauss(self):
+        # laplace_forward's panel rule, tabulated so that nlode never
+        # imports numpy.polynomial
+        from numpy.polynomial.legendre import leggauss
+        for got, want in zip(transforms._GL20, leggauss(20)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestBromwichInvert:
     def test_scalar_and_array(self):
