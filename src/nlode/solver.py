@@ -28,11 +28,10 @@ solve and hypothesis_gates normalize their data once (_Problem) and
 run one pass of the rows, which depend on f, J, r, the poles, cfg and
 K, not on the initial values.  One slot keeps the last pass with no
 callable in its data that ran to its end without zeta warning; a
-problem of the same content replays it, with its own copy of the
-sampler (diagnostics["gates_reused"]).  The copies share the Bromwich
-work done on their nodes, which does not depend on the data: each t
-budget extension, each moment and the last grid evaluation are computed
-once per stored pass (LineSampler.copy).  zeta warns its own caller; the
+problem of the same content replays it (diagnostics["gates_reused"])
+and shares its sampler, whose values depend on their t alone: each t
+budget's state, each moment and the last grid evaluation are computed
+once per stored pass (LineSampler).  zeta warns its own caller; the
 pass only notes the warning, in a list that a context variable holds
 for that pass alone.
 """
@@ -66,6 +65,7 @@ from .transforms import (
     Forcing,
     LineSampler,
     _block_decay,
+    _derivative_order,
     _exp_poly_derivative,
     _laplace_tree_from_terms,
     _power_fit,
@@ -180,6 +180,7 @@ class ClassicalIVP(Record):
 
 def residue_derivative_values(rp: ResiduePolynomials, poles: PoleSpec, n: int, t):
     """n-th t-derivative of the residue sum, exact via the Leibniz rule."""
+    _derivative_order(n)
     if any(len(c) != order for (_, order), c in zip(poles.poles, rp.coefficients)):
         raise ValueError("coefficient block length must match the pole order")
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -207,6 +208,7 @@ class Solution(Record, frozen=False):
     def _parts(self, n: int, t) -> tuple[np.ndarray, np.ndarray]:
         """n-th t-derivatives of the Bromwich part (one-sided at t = 0) and
         of the residue part."""
+        _derivative_order(n)
         ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
         bro = (np.zeros(ts.shape, dtype=np.complex128) if self.line is None
                else self.line.derivative_values(n, ts))
@@ -555,15 +557,16 @@ def _line_row(p: _Problem, failed: bool) -> tuple:
         "the Bromwich part cannot match the requested initial data"), line)
 
 
-_checked: list = []  # [(key, rows)]: the one stored pass, one sampler beyond the callers'
+_checked: list = []  # [(key, rows)]: the one stored pass
 
 
 def _checked_rows(p: _Problem, drain: bool) -> tuple[list, bool]:
     """The gate rows of a problem, up to the first FAIL unless drain, and
     whether they replay the stored pass, of which each caller gets its own
-    deep copy.  A pass is stored when it ran to its end, so a refused solve
-    stores nothing, and zeta did not warn in it: zeta notes its warning in
-    the list this pass sets, and warns its own caller as always."""
+    deep copy, sharing its sampler (its own deep copy).  A pass is stored
+    when it ran to its end, so a refused solve stores nothing, and zeta did
+    not warn in it: zeta notes its warning in the list this pass sets, and
+    warns its own caller as always."""
     for stored_key, stored_rows in _checked[:]:
         if stored_key == p.key:
             return copy.deepcopy(stored_rows), True

@@ -72,8 +72,6 @@ FORCING_PROBES = 10
 CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
-# the LineSampler state that a budget extension sets, and a copy adopts
-_EXTENDED = ("t_max", "h", "y_nodes", "g_vals", "_level", "_mass", "est_quad_error")
 
 
 class BromwichConfig(Record):
@@ -502,6 +500,27 @@ def _blocked_sums(k: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _derivative_order(n) -> int:
+    """n if it is a nonnegative integer, else a ValueError naming it."""
+    if isinstance(n, (int, np.integer)) and n >= 0:
+        return n
+    raise ValueError(f"derivative order must be a nonnegative integer, got n = {n!r}")
+
+
+class _LineState(Record):
+    """The trapezoid rule at one t budget: nodes y = h k in level order,
+    the finest from index level on, the remainder g on them, the mass that
+    scales their rounding and the settle's error estimate; once settled,
+    its arrays are read-only."""
+
+    h: float
+    y_nodes: np.ndarray
+    g_vals: np.ndarray
+    level: int
+    mass: float
+    est_quad_error: float = math.inf
+
+
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
@@ -511,8 +530,13 @@ class LineSampler:
     vanish on the 513 contour probes, or it fits and lays nodes as without.
 
     Supports inverse-transform values, t = 0 moments, and derivatives of
-    the inverse transform, all sharing one deterministic node set, which
-    grows by step halving when a later t exceeds the t budget.  Moment
+    the inverse transform.  Its trapezoid rule is a table of immutable
+    states by power-of-two t budget, each grown once from the build state,
+    whose t_max, h, y_nodes and g_vals the sampler shows and on which the
+    moments are taken; so a call's values depend on its ts alone, and a
+    sampler is its own deep copy, shared by the gate memo and its replays.
+    States, moments and the last t-evaluation are each published by one
+    assignment, so threads that race on a sampler at most repeat work.  Moment
     orders are certified by regime: a transform whose reference-term fit is
     machine-exact everywhere supports orders up to N_ATOMS - 1; one matched
     only asymptotically supports orders up to MATCHED_MOMENT_ORDER (the
@@ -528,9 +552,8 @@ class LineSampler:
         if not math.isfinite(t_max):
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
-        self._evaluations = {"chirp_z": 0, "blocked": 0}   # t-evaluations per kernel
-        self._reused = dict.fromkeys(("extensions", "moments", "evaluations"), 0)
-        self._record = None   # the line work its copies share, created by copy()
+        self._evaluations = {"chirp_z": 0, "blocked": 0}   # kernel runs
+        self._moments, self._last = {}, None   # {n: moment}; (key, values) of the last t-evaluation
         # power-of-two t budgets, so the grid of a larger budget nests
         # under halving and an extension reuses every sample
         self.t_max = 1.0
@@ -638,41 +661,14 @@ class LineSampler:
             self.certified_order = order
 
         self._F = F
-        self.h, self._mass = math.pi / self.t_max, 0.0
-        self._lay(np.arange(-math.floor(y_max / self.h), math.floor(y_max / self.h) + 1))
-        self._halve()
-        self._settle()
-
-    def copy(self) -> "LineSampler":
-        """A sampler on the same nodes with its own t budget and counts (also
-        deepcopy's).  The two share their arrays, made read-only: an
-        extension rebinds them and never writes into them.
-
-        They also share a record of the line work on these nodes, which the
-        first copy creates, so a sampler never copied has none.  A state
-        (t_max, node count) fixes the nodes and so every sum on them: a
-        sampler adopts what the record holds for its state, which is what it
-        would compute.  The record holds each budget extension under its
-        target budget, with the state it starts from (at most log2 of the
-        largest budget entries); at most N_ATOMS moments per state; and one
-        slot with the last t-evaluation.  Each entry is a tuple of numbers
-        and read-only arrays, published by one dict assignment, so threads
-        that race on the record at most repeat work.  A closed form is
-        immutable and is its own copy.
-        """
-        if self.atom_exact:
-            return self
-        for shared in (self.gammas, self.y_nodes, self.g_vals):
-            shared.flags.writeable = False
-        if self._record is None:
-            self._record = {"extensions": {}, "moments": {}, "evaluation": None}
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, _evaluations=dict.fromkeys(self._evaluations, 0),
-                             _reused=dict.fromkeys(self._reused, 0))
-        return twin
+        # the step halves to pi/t_max first, laying every node of that grid
+        unlaid = _LineState(2.0 * math.pi / self.t_max, self.y_nodes, self.g_vals, 0, 0.0)
+        build = self._settle(unlaid, self.t_max)
+        self._states = {self.t_max: build}
+        self.h, self.y_nodes, self.g_vals = build.h, build.y_nodes, build.g_vals
 
     def __deepcopy__(self, memo) -> "LineSampler":
-        return self.copy()
+        return self
 
     def _reference(self, s: np.ndarray) -> np.ndarray:
         """Sum of the reference terms, the fitted gamma_k / (s + b)^k."""
@@ -682,101 +678,91 @@ class LineSampler:
         """Become the transform of the exp-poly blocks: no nodes, and every
         value, derivative and moment from _exp_poly_derivative."""
         self.blocks, self.atom_exact, self.certified_order = blocks, True, order
-        self.alpha_g, self.h, self.est_quad_error = math.inf, 0.0, 0.0
-        self._record = {"moments": {}}
+        self.alpha_g, self.h = math.inf, 0.0
+        self._states = {self.t_max: _LineState(0.0, self.y_nodes, self.g_vals, 0, 0.0, 0.0)}
 
-    def _lay(self, m: np.ndarray) -> None:
-        """Append the level y = h*m, in level order, and update the node mass."""
-        y = self.h * m
+    def _halve(self, state: _LineState, change: float | None = None) -> _LineState:
+        """state with its step halved and the new level, y = h*m for every
+        m on an unlaid state and for odd m after, appended in level order."""
+        h = 0.5 * state.h
+        top = math.floor(self.cfg.y_max / h)
+        if 2 * top + 1 > MAX_LINE_NODES:
+            last = "" if change is None else f" (last change {change:.3e})"
+            raise ValueError(f"trapezoid rule on the contour did not settle within "
+                             f"{MAX_LINE_NODES} nodes{last}")
+        m = np.arange(-top, top + 1)
+        y = h * (m[m % 2 == 1] if state.y_nodes.size else m)
         s_line = self.sigma + 1j * y
         ref = self._reference(s_line)
         g = _values_on(self._F, s_line) - ref
         if not np.all(np.isfinite(g)):
             raise ValueError("transform is not finite on the contour line")
-        self._level = self.y_nodes.size
-        self.y_nodes = np.concatenate([self.y_nodes, y])
-        self.g_vals = np.concatenate([self.g_vals, g])
         # g = F - reference terms carries rounding of order eps*|F|, not
         # eps*|g|, so the rounding floor counts the reference terms too
-        self._mass = 0.5 * self._mass + self.h * float(np.sum(np.abs(g) + np.abs(ref)))
+        mass = 0.5 * state.mass + h * float(np.sum(np.abs(g) + np.abs(ref)))
+        return _LineState(h, np.concatenate([state.y_nodes, y]),
+                          np.concatenate([state.g_vals, g]), state.y_nodes.size, mass)
 
-    def _halve(self, change: float | None = None) -> None:
-        self.h *= 0.5
-        if 2 * math.floor(self.cfg.y_max / self.h) + 1 > MAX_LINE_NODES:
-            last = "" if change is None else f" (last change {change:.3e})"
-            raise ValueError(f"trapezoid rule on the contour did not settle within "
-                             f"{MAX_LINE_NODES} nodes{last}")
-        odd = np.arange(1, math.floor(self.cfg.y_max / self.h) + 1, 2)
-        self._lay(np.concatenate([-odd[::-1], odd]))
+    @staticmethod
+    def _line_sums(state: _LineState, probes: np.ndarray, start: int,
+                   stop: int | None) -> np.ndarray:
+        k = np.rint(state.y_nodes[start:stop] / state.h).astype(np.int64)
+        return _blocked_sums(k, state.g_vals[start:stop], probes * (state.h / (2.0 * math.pi)))
 
-    def _line_sums(self, probes: np.ndarray, start: int, stop: int | None) -> np.ndarray:
-        k = np.rint(self.y_nodes[start:stop] / self.h).astype(np.int64)
-        return _blocked_sums(k, self.g_vals[start:stop], probes * (self.h / (2.0 * math.pi)))
-
-    def _settle(self) -> None:
+    def _settle(self, state: _LineState, budget: float) -> _LineState:
+        """The state at budget grown from state: its step halved to at most
+        pi/(2 budget), as a fresh build at budget starts, and then on until
+        it settles.  Node order is free: both line-sum kernels place a node
+        by its index k."""
         # Trapezoid rule on y = h*k, |y| <= y_max.  Its error at t is the
         # Poisson image sum_{k>=1} e^{-sigma k T} q(t + kT), T = 2*pi/h, whose
-        # decay no step formula knows; so h is halved, from pi/t_max and
-        # reusing the samples, until the values at the probe times settle:
-        # the finest level against its coarse prefix, the grid at 2h.
-        probes = np.linspace(0.0, self.t_max, LINE_PROBES)
+        # decay no step formula knows; so h is halved, reusing the samples,
+        # until the values at the probe times settle: the finest level
+        # against its coarse prefix, the grid at 2h.
+        while state.h > math.pi / (2.0 * budget):
+            state = self._halve(state)
+        probes = np.linspace(0.0, budget, LINE_PROBES)
         scale = np.exp(self.sigma * probes) / (2.0 * math.pi)
-        coarse = 2.0 * self.h * self._line_sums(probes, 0, self._level)
-        fine = 0.5 * coarse + self.h * self._line_sums(probes, self._level, None)
+        coarse = 2.0 * state.h * self._line_sums(state, probes, 0, state.level)
+        fine = 0.5 * coarse + state.h * self._line_sums(state, probes, state.level, None)
         while True:
             change = scale * np.abs(fine - coarse)
-            floor = 64.0 * np.finfo(np.float64).eps * scale * self._mass
+            floor = 64.0 * np.finfo(np.float64).eps * scale * state.mass
             if np.all(change <= np.maximum(self.cfg.quad_tol, floor)):
-                self.est_quad_error = float(np.max(change))
-                return
-            self._halve(float(np.max(change)))
-            coarse, fine = fine, 0.5 * fine + self.h * self._line_sums(probes, self._level, None)
+                state.y_nodes.flags.writeable = state.g_vals.flags.writeable = False
+                return _LineState(state.h, state.y_nodes, state.g_vals, state.level, state.mass,
+                                  float(np.max(change)))
+            state = self._halve(state, float(np.max(change)))
+            fine, coarse = (0.5 * fine
+                            + state.h * self._line_sums(state, probes, state.level, None)), fine
 
-    def _cover(self, ts: np.ndarray) -> None:
-        """Double the t budget until it covers ts, settling the rule at it,
-        or adopt that extension from the record."""
+    def _state(self, ts: np.ndarray) -> _LineState:
+        """The state at the least budget, the build budget doubled, that
+        covers ts, grown from the build state the first time."""
         budget = self.t_max
         while budget < np.max(ts, initial=0.0):
             budget *= 2.0
-        if budget == self.t_max:
-            return
-        start = (self.t_max, self.y_nodes.size)
-        extensions = {} if self._record is None else self._record["extensions"]
-        stored = extensions.get(budget)
-        if stored is not None and stored[0] == start:
-            self.__dict__.update(stored[1])
-            self._reused["extensions"] += 1
-            return
-        self.t_max = budget
-        # a fresh build compares pi/(2 budget) with pi/budget first; a grid
-        # already that fine is compared as it stands, so an extension lays
-        # no node a fresh build would not.  Node order is free: both
-        # line-sum kernels place a node by its index k.
-        while self.h > math.pi / (2.0 * budget):
-            self._halve()
-        self._settle()
-        if self._record is not None:
-            self.y_nodes.flags.writeable = self.g_vals.flags.writeable = False
-        extensions[budget] = (start, tuple((name, getattr(self, name)) for name in _EXTENDED))
+        state = self._states.get(budget)
+        if state is None:
+            state = self._states.setdefault(budget, self._settle(self._states[self.t_max], budget))
+        return state
 
     def _require_moment_order(self, n: int) -> None:
-        if n > self.certified_order:
+        if _derivative_order(n) > self.certified_order:
             raise ValueError(
                 f"moment order {n} exceeds the certified order "
                 f"{self.certified_order} for this transform"
             )
 
     def moment(self, n: int) -> complex:
-        """(1/2*pi*i) integral s^n F(s) ds, the one-sided n-th derivative at 0."""
+        """(1/2*pi*i) integral s^n F(s) ds, the one-sided n-th derivative at
+        0, on the build state."""
         self._require_moment_order(n)
-        key = (self.t_max, self.y_nodes.size, n)
-        moments = {} if self._record is None else self._record["moments"]
-        if key in moments:
-            self._reused["moments"] += 1
-            return moments[key]
-        quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
-        atoms = _exp_poly_derivative(self.blocks, n, np.zeros(1))[0]
-        moments[key] = value = complex(atoms + quad / (2.0 * math.pi))
+        value = self._moments.get(n)
+        if value is None:
+            quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
+            atoms = _exp_poly_derivative(self.blocks, n, np.zeros(1))[0]
+            value = self._moments.setdefault(n, complex(atoms + quad / (2.0 * math.pi)))
         return value
 
     def values(self, ts) -> np.ndarray:
@@ -786,15 +772,15 @@ class LineSampler:
     def derivative_values(self, n: int, ts) -> np.ndarray:
         """n-th derivative of the inverse transform on t > 0; for n = 0 also
         at t = 0, where it returns the one-sided limit."""
-        ts_arr = np.asarray(ts, dtype=np.float64)
-        if n > 0 and np.any(ts_arr <= 0):
-            raise ValueError("derivative sampling requires t > 0")
         self._require_moment_order(n)
+        if n > 0 and np.any(np.asarray(ts, dtype=np.float64) <= 0):
+            raise ValueError("derivative sampling requires t > 0")
         return self._derivative_values(n, ts, midpoint_at_zero=False)
 
     def _derivative_values(self, n: int, ts, midpoint_at_zero: bool) -> np.ndarray:
         """e^{sigma t}/2pi times the line sum of h (sigma + iy)^n g e^{ity},
-        plus the reference terms' closed-form n-th derivative.
+        on the state that covers ts, plus the reference terms' closed-form
+        n-th derivative.
 
         The line sum has two kernels over the integer node index k = y/h.
         On an increasing grid of at least CHIRP_MIN_POINTS times, uniform
@@ -802,40 +788,38 @@ class LineSampler:
         O((N + J) log(N + J)) for N nodes and J times.  Any other t set
         (the derivative stencils at 0+, the residual sample, short or
         irregular grids) goes to the blocked kernel (_blocked_sums), with
-        about 2 sqrt(N) phases and N multiply-adds per time.
+        about 2 sqrt(N) phases and N multiply-adds per time.  A call that
+        repeats the last one returns a copy of its values.
         """
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         _check_times(ts_arr)
         if self.atom_exact:
             return self._atom_inverse(n, ts_arr, midpoint_at_zero)
-        self._cover(ts_arr)
-        key = (self.t_max, self.y_nodes.size, n, midpoint_at_zero, ts_arr.shape, ts_arr.tobytes())
-        slot = None if self._record is None else self._record["evaluation"]
-        if slot is not None and slot[0] == key:
-            self._evaluations[slot[1]] += 1
-            self._reused["evaluations"] += 1
-            return slot[2].copy()
-        sn = (self.sigma + 1j * self.y_nodes) ** n if n else 1.0
-        wg = self.h * sn * self.g_vals
+        key = (n, midpoint_at_zero, ts_arr.tobytes())   # the t budget follows from ts
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1].copy()
+        state = self._state(ts_arr)
+        sn = (self.sigma + 1j * state.y_nodes) ** n if n else 1.0
+        wg = state.h * sn * state.g_vals
         step = uniform_step(ts_arr, CHIRP_MIN_POINTS)
-        k = np.rint(self.y_nodes / self.h).astype(np.int64)
+        k = np.rint(state.y_nodes / state.h).astype(np.int64)
         if step is not None and np.max(np.abs(k), initial=0) + ts_arr.size < CHIRP_MAX_INDEX:
             kernel = "chirp_z"
-            # h is pi/t_max over a power of two, so h/4pi is exact and
+            # h is pi/budget over a power of two, so h/4pi is exact and
             # c = step h/4pi carries no rounding beyond that of step
-            out = _chirp_z(k, wg, ts_arr[0] * self.y_nodes,
-                           step * (self.h / (4.0 * math.pi)), ts_arr.size)
+            out = _chirp_z(k, wg, ts_arr[0] * state.y_nodes,
+                           step * (state.h / (4.0 * math.pi)), ts_arr.size)
         else:
             kernel = "blocked"
             # h/2pi is a power of two, so the turns c = t h/2pi are exact
-            out = _blocked_sums(k, wg, ts_arr * (self.h / (2.0 * math.pi)))
+            out = _blocked_sums(k, wg, ts_arr * (state.h / (2.0 * math.pi)))
         self._evaluations[kernel] += 1
         out *= np.exp(self.sigma * ts_arr) / (2.0 * math.pi)
         out += self._atom_inverse(n, ts_arr, midpoint_at_zero)
-        if self._record is not None:
-            stored = out.copy()
-            stored.flags.writeable = False
-            self._record["evaluation"] = (key, kernel, stored)
+        stored = out.copy()
+        stored.flags.writeable = False
+        self._last = (key, stored)
         return out
 
     def _atom_inverse(self, n: int, ts: np.ndarray, midpoint_at_zero: bool) -> np.ndarray:
@@ -848,19 +832,24 @@ class LineSampler:
         return out
 
     def diagnostics(self) -> dict:
+        """The fit and its certificates; n_nodes and est_quad_error of the
+        largest budget's state; and per budget, that state's."""
+        budgets = sorted(self._states.items())
         return {
             "atom_exact": self.atom_exact,
             "atom_matched": self.atom_matched,
             "certified_order": self.certified_order,
             "remainder_decay_exponent": self.alpha_g,
             "tail_estimate": self.tail_estimate,
-            "est_quad_error": self.est_quad_error,
-            "n_nodes": int(self.y_nodes.size),
+            "est_quad_error": budgets[-1][1].est_quad_error,
+            "n_nodes": int(budgets[-1][1].y_nodes.size),
             "reference_pole": -self.b,
             "poles": list(self.poles),
             "coefficient_error": self.coefficient_error,
             "t_evaluations": dict(self._evaluations),
-            "reused": dict(self._reused),
+            "budgets": {budget: {"n_nodes": int(state.y_nodes.size),
+                                 "est_quad_error": state.est_quad_error}
+                        for budget, state in budgets},
         }
 
 

@@ -113,6 +113,20 @@ class TestDataStructures:
         d3 = residue_derivative_values(rp, poles, 3, ts)
         assert np.allclose(d3, 1.5 * (-2.0) ** 3 * np.exp(-2.0 * ts))
 
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_bad_derivative_order_refused(self, n):
+        # by the residue part and by a solution, before any line work
+        message = f"order must be a nonnegative integer, got n = {n}"
+        rp, poles = ResiduePolynomials(((1.5,),)), PoleSpec(((-2.0, 1),))
+        with pytest.raises(ValueError, match=message):
+            residue_derivative_values(rp, poles, n, [1.0])
+        sol, _ = solve_classical_ivp(ClassicalIVP(
+            parse_symbol(NODED_SYMBOL), forcing_from_text("exp(-3*t)"),
+            PoleSpec(((-1.0, 1), (-2.0, 1))), (1.0, 0.0)))
+        with pytest.raises(ValueError, match=message):
+            sol.nth_derivative(n, [40.0])
+        assert list(sol.line.diagnostics()["budgets"]) == [1.0]
+
 
 class TestDecayFit:
     def test_rational_decay(self):
@@ -864,13 +878,13 @@ class TestCheckedProblemMemo:
 
     def test_ten_draws_share_the_line_work(self, monkeypatch):
         # the cold draw settles at budget 1 and extends to 16 once; every
-        # replay adopts that extension, the moments and the grid values
+        # replay shares that sampler, its states, moments and grid values
         settled, chirps = [], []
         settle, chirp_z = LineSampler._settle, transforms._chirp_z
 
-        def counted_settle(sampler):
-            settled.append(sampler.t_max)
-            settle(sampler)
+        def counted_settle(sampler, state, budget):
+            settled.append(budget)
+            return settle(sampler, state, budget)
 
         def counted_chirp_z(*args):
             chirps.append(args[-1])
@@ -879,21 +893,34 @@ class TestCheckedProblemMemo:
         monkeypatch.setattr(LineSampler, "_settle", counted_settle)
         monkeypatch.setattr(transforms, "_chirp_z", counted_chirp_z)
         draws = np.random.default_rng(7).uniform(-2.0, 2.0, (10, 2))
-        for i, data in enumerate(draws):
+        lines = []
+        for data in draws:
             sol, _ = solve_classical_ivp(self.ivp(data))
             sol(self.TS)
-            diag = sol.line.diagnostics()
-            assert diag["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
-            assert diag["reused"] == ({"extensions": 0, "moments": 0, "evaluations": 0} if i == 0
-                                      else {"extensions": 1, "moments": 2, "evaluations": 1})
+            lines.append(sol.line)
+        assert all(line is lines[0] for line in lines)
+        diag = lines[0].diagnostics()
+        assert diag["t_evaluations"] == {"chirp_z": 1, "blocked": 0}
+        assert list(diag["budgets"]) == [1.0, 16.0]
         assert settled == [1.0, 16.0]
         assert chirps == [self.TS.size]
 
+    def test_values_depend_on_the_times_alone(self):
+        # a replay that first evaluates t = 40 gives, at t <= 10, the bits
+        # of a cold solve that never went past t = 10
+        sol, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+        sol(40.0)
+        values = sol(self.TS)
+        solver._checked.clear()
+        cold, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
+        assert np.array_equal(values, cold(self.TS))
+
     def test_replays_match_cold_solves(self):
-        # copies of one stored pass run interleaved: a adopts nothing, b
-        # may not adopt a's budget-64 nodes for t <= 10 nor a's extension
-        # from another state, and c adopts b's extension and grid values.
-        # Each step of each draw equals a cold solve that makes its calls.
+        # replays of one stored pass share its sampler and run interleaved:
+        # b's t <= 10 values come from the budget-16 state, not a's
+        # budget-64 one, and c reads b's states and grid values.  Each step
+        # of each draw equals a cold solve that makes its calls, with the
+        # same state at each budget that cold solve reached.
         early, late = np.linspace(0.0, 1.0, 41), np.array([40.0])
         data = {"a": (1.0, 0.0), "b": (0.5, -1.0), "c": (-1.0, 2.0)}
         calls = [("a", late), ("b", early), ("b", self.TS), ("c", self.TS), ("a", self.TS),
@@ -901,23 +928,23 @@ class TestCheckedProblemMemo:
         warm = {name: solve_classical_ivp(self.ivp(d))[0] for name, d in data.items()}
 
         def step(sol, ts):
-            diag = sol.line.diagnostics()
-            return sol(ts), diag["n_nodes"], diag["est_quad_error"]
+            return sol(ts), sol.line.diagnostics()["budgets"]
 
         got = [step(warm[name], ts) for name, ts in calls]
-        assert warm["c"].line.diagnostics()["reused"] == {
-            "extensions": 2, "moments": 2, "evaluations": 1}
+        assert warm["a"].line is warm["b"].line is warm["c"].line
+        assert list(warm["c"].line.diagnostics()["budgets"]) == [1.0, 16.0, 64.0]
         for name in data:
             solver._checked.clear()
             cold, _ = solve_classical_ivp(self.ivp(data[name]))
             mine = [(ts, values) for (who, ts), values in zip(calls, got) if who == name]
-            for ts, (values, n_nodes, err) in mine:
-                want, want_nodes, want_err = step(cold, ts)
+            for ts, (values, budgets) in mine:
+                want, want_budgets = step(cold, ts)
                 assert np.array_equal(values, want)
-                assert (n_nodes, err) == (want_nodes, want_err)
+                assert {b: budgets[b] for b in want_budgets} == want_budgets
 
     def test_returned_values_are_the_callers(self):
-        # the record keeps its own copy of the last evaluation
+        # the slot keeps its own copy of the last evaluation: 12 calls, of
+        # which the 8 repeats run no kernel
         first, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
         second, _ = solve_classical_ivp(self.ivp((0.5, -1.0)))
         kept = {}
@@ -927,7 +954,7 @@ class TestCheckedProblemMemo:
                     values = evaluate(self.TS)
                     assert np.array_equal(values, kept.setdefault((id(sol), name), values.copy()))
                     values[:] = 0.0
-        assert second.line.diagnostics()["reused"]["evaluations"] == 4
+        assert second.line.diagnostics()["t_evaluations"] == {"chirp_z": 4, "blocked": 0}
         assert np.array_equal(kept[id(first), "line"], kept[id(second), "line"])
 
     def test_threads_racing_on_the_line_work(self, monkeypatch):
@@ -940,9 +967,9 @@ class TestCheckedProblemMemo:
         together = threading.Barrier(2, timeout=30.0)
         settle, chirp_z = LineSampler._settle, transforms._chirp_z
 
-        def paired_settle(sampler):
+        def paired_settle(*args):
             together.wait()
-            settle(sampler)
+            return settle(*args)
 
         def paired_chirp_z(*args):
             together.wait()
@@ -953,7 +980,7 @@ class TestCheckedProblemMemo:
 
         def replay():
             sol, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
-            results.append((sol(self.TS), sol.line.diagnostics()["reused"]))
+            results.append((sol(self.TS), sol.line))
 
         threads = [threading.Thread(target=replay) for _ in range(2)]
         for thread in threads:
@@ -961,15 +988,17 @@ class TestCheckedProblemMemo:
         for thread in threads:
             thread.join(60.0)
             assert not thread.is_alive()
-        none = {"extensions": 0, "moments": 2, "evaluations": 0}
-        assert [reused for _, reused in results] == [none, none]
+        assert len(results) == 2 and results[0][1] is results[1][1]
         for got, _ in results:
             assert np.array_equal(got, values)
+        line = results[0][1]
+        assert line.diagnostics()["t_evaluations"] == {"chirp_z": 2, "blocked": 0}
+        assert list(line.diagnostics()["budgets"]) == [1.0, 16.0]
         monkeypatch.undo()
         third, _ = solve_classical_ivp(self.ivp((1.0, 0.0)))
         assert np.array_equal(third(self.TS), values)
-        assert third.line.diagnostics()["reused"] == {
-            "extensions": 1, "moments": 2, "evaluations": 1}
+        assert third.line is line
+        assert line.diagnostics()["t_evaluations"] == {"chirp_z": 2, "blocked": 0}
 
     @pytest.mark.parametrize("case", ["callable-f", "call-leaf", "callable-r", "hand-built-J"])
     def test_callables_are_never_keys(self, builds, case):
@@ -1008,10 +1037,8 @@ class TestCheckedProblemMemo:
         second, _ = solve_classical_ivp(self.ivp((0.5, -1.0)))
         assert second.diagnostics["gates_reused"]
         values = second(self.TS)
-        nodes = second.line.y_nodes.size
         first(40.0)
-        assert first.line.y_nodes.size > nodes
-        assert second.line.y_nodes.size == nodes
+        assert first.line is second.line and 64.0 in first.line.diagnostics()["budgets"]
         assert np.array_equal(second(self.TS), values)
         hardy = {**second.diagnostics["hardy"],
                  "mu_values": list(second.diagnostics["hardy"]["mu_values"])}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -306,27 +307,63 @@ class TestLineSampler:
         with pytest.raises(ValueError, match=f"t_max = {bad}"):
             LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, bad)
 
-    def test_copies_share_the_line_work(self):
-        # a copy adopts what another copy of the same sampler computed in
-        # the same state, and only that: each step of each copy equals a
-        # sampler never copied that makes the same calls
+    def test_calls_share_the_line_work(self, monkeypatch):
+        # one sampler serves every caller, and is its own deep copy: each
+        # call equals that call on a fresh sampler, whatever ran before it,
+        # each budget's state is settled once, and only the repeat of the
+        # last call, values at ts across the two rounds, runs no kernel
         F = lambda s: 1 / ((s + 1) ** 2 + 1)
         ts, late = np.linspace(0.0, 10.0, 201), np.array([40.0])
         calls = [("moment", 2), ("values", ts), ("moment", 2), ("derivative_values", 0, ts),
                  ("derivative_values", 1, ts[1:]), ("derivative_values", 2, ts[1:]),
                  ("values", late), ("values", ts), ("moment", 2)]
-        base = LineSampler(F, self.CFG)
-        for copy in (base.copy(), base.copy()):
-            alone = LineSampler(F, self.CFG)
+        shared, settled = LineSampler(F, self.CFG), []
+        settle = LineSampler._settle
+
+        def counted_settle(sampler, state, budget):
+            settled.append((sampler, budget))
+            return settle(sampler, state, budget)
+
+        monkeypatch.setattr(LineSampler, "_settle", counted_settle)
+        assert copy.deepcopy(shared) is shared
+        for _ in range(2):
             for name, *args in calls:
-                got, want = getattr(copy, name)(*args), getattr(alone, name)(*args)
-                assert np.array_equal(got, want)
-                assert copy.diagnostics()["n_nodes"] == alone.diagnostics()["n_nodes"]
-                assert copy.diagnostics()["est_quad_error"] == alone.diagnostics()["est_quad_error"]
-            assert copy.diagnostics()["t_evaluations"] == alone.diagnostics()["t_evaluations"]
-        assert alone.diagnostics()["reused"] == {"extensions": 0, "moments": 0, "evaluations": 0}
-        assert copy.diagnostics()["reused"] == {"extensions": 2, "moments": 3, "evaluations": 0}
-        assert len(base._record["extensions"]) <= math.log2(copy.t_max)
+                got = getattr(shared, name)(*args)
+                assert np.array_equal(got, getattr(LineSampler(F, self.CFG), name)(*args))
+        assert [budget for sampler, budget in settled if sampler is shared] == [16.0, 64.0]
+        diag = shared.diagnostics()
+        assert list(diag["budgets"]) == [1.0, 16.0, 64.0]
+        assert diag["t_evaluations"] == {"chirp_z": 9, "blocked": 2}
+
+    @pytest.mark.parametrize("F", [
+        lambda s: np.log((s + 2) / (s + 1)),
+        lambda s: 1 / ((s + 1) ** 2 + 1),
+    ], ids=["log-ratio", "damped-sine"])
+    def test_values_depend_on_the_times_alone(self, F):
+        # a sampler that first evaluates t = 40 gives, at t <= 10, the bits
+        # of a fresh one, and its moments too
+        ts = np.linspace(0.0, 10.0, 201)
+        seasoned, fresh = LineSampler(F, self.CFG), LineSampler(F, self.CFG)
+        seasoned.values(np.array([40.0]))
+        assert np.array_equal(seasoned.values(ts), fresh.values(ts))
+        assert np.array_equal(seasoned.derivative_values(1, ts[1:]),
+                              fresh.derivative_values(1, ts[1:]))
+        assert seasoned.moment(1) == fresh.moment(1)
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    @pytest.mark.parametrize("poles", [(), ((-1.0, 2), (-1.0 + 1j, 1), (-1.0 - 1j, 1))],
+                             ids=["noded", "closed-form"])
+    def test_bad_derivative_order_refused(self, n, poles):
+        # before any line work: the refused call builds no state
+        sampler = LineSampler(lambda s: 1 / ((s + 1) ** 2 * ((s + 1) ** 2 + 1)), self.CFG,
+                              poles=poles)
+        assert sampler.atom_exact == bool(poles) and copy.deepcopy(sampler) is sampler
+        message = f"order must be a nonnegative integer, got n = {n}"
+        for evaluate in (lambda: sampler.derivative_values(n, [40.0]),
+                         lambda: sampler.moment(n)):
+            with pytest.raises(ValueError, match=message):
+                evaluate()
+        assert list(sampler.diagnostics()["budgets"]) == [1.0]
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_node_count(self, sigma):
@@ -343,8 +380,18 @@ class TestLineSampler:
         sampler = LineSampler(lambda s: 1.0 / (s + 1.0), self.CFG, 1.0)
         diag = sampler.diagnostics()
         for key in ("atom_matched", "certified_order", "remainder_decay_exponent",
-                    "tail_estimate", "est_quad_error", "n_nodes", "reference_pole"):
+                    "tail_estimate", "est_quad_error", "n_nodes", "reference_pole", "budgets"):
             assert key in diag
+        # one entry per budget's state; n_nodes and est_quad_error are the
+        # largest budget's
+        assert list(diag["budgets"]) == [1.0]
+        sampler.values(np.linspace(0.0, 10.0, 201))
+        diag = sampler.diagnostics()
+        assert list(diag["budgets"]) == [1.0, 16.0]
+        assert diag["budgets"][16.0] == {"n_nodes": diag["n_nodes"],
+                                         "est_quad_error": diag["est_quad_error"]}
+        assert diag["budgets"][1.0]["n_nodes"] == sampler.y_nodes.size
+        assert "reused" not in diag
 
     def test_non_decaying_rejected(self):
         with pytest.raises(ValueError, match="non-decaying"):
@@ -388,9 +435,10 @@ class TestLineSampler:
 def dense_line_values(sampler, n, ts, midpoint_at_zero=False):
     """The inverse transform with its line sum formed naively in float64:
     one exp(i t y) per node and time, then one matmul."""
-    sn = (sampler.sigma + 1j * sampler.y_nodes) ** n if n else 1.0
-    wg = sampler.h * sn * sampler.g_vals
-    out = np.exp(1j * ts[:, None] * sampler.y_nodes[None, :]) @ wg
+    state = sampler._state(ts)   # the state that the values at ts read
+    sn = (sampler.sigma + 1j * state.y_nodes) ** n if n else 1.0
+    wg = state.h * sn * state.g_vals
+    out = np.exp(1j * ts[:, None] * state.y_nodes[None, :]) @ wg
     out *= np.exp(sampler.sigma * ts) / (2.0 * math.pi)
     out += sampler._atom_inverse(n, ts, midpoint_at_zero)
     return out
@@ -399,10 +447,11 @@ def dense_line_values(sampler, n, ts, midpoint_at_zero=False):
 def extended_line_values(sampler, n, ts):
     """The bare scaled line sum e^{sigma t}/2pi sum h (sigma + iy)^n g e^{ity}
     in extended precision (np.clongdouble), on the grid nodes y = h k."""
-    k = np.rint(sampler.y_nodes / sampler.h).astype(np.longdouble)
-    y = np.longdouble(sampler.h) * k
-    w = np.longdouble(sampler.h) * (sampler.sigma + 1j * y) ** n \
-        * sampler.g_vals.astype(np.clongdouble)
+    state = sampler._state(ts)
+    k = np.rint(state.y_nodes / state.h).astype(np.longdouble)
+    y = np.longdouble(state.h) * k
+    w = np.longdouble(state.h) * (sampler.sigma + 1j * y) ** n \
+        * state.g_vals.astype(np.clongdouble)
     t = np.asarray(ts, dtype=np.longdouble)
     sums = np.exp(1j * t[:, None] * y[None, :]) @ w
     return sums * np.exp(sampler.sigma * t) / (2.0 * np.pi)
@@ -411,8 +460,8 @@ def extended_line_values(sampler, n, ts):
 def line_rounding(sampler, n, ts):
     """eps e^{sigma t} h sum |(sigma + iy)^n g| / 2 pi, the rounding scale of
     the line sum at t."""
-    mass = sampler.h * np.sum(np.abs((sampler.sigma + 1j * sampler.y_nodes) ** n
-                                     * sampler.g_vals))
+    state = sampler._state(ts)
+    mass = state.h * np.sum(np.abs((sampler.sigma + 1j * state.y_nodes) ** n * state.g_vals))
     return EPS * np.exp(sampler.sigma * ts) * mass / (2.0 * math.pi)
 
 
