@@ -26,14 +26,15 @@ nodes; a closed form is immutable, and every replay shares it.
 
 solve and hypothesis_gates normalize their data once (_Problem) and
 run one pass of the rows, which depend on f, J, r, the poles, cfg and
-K, not on the initial values.  One slot keeps the last pass with no
-callable in its data that ran to its end without zeta warning; a
-problem of the same content replays it (diagnostics["gates_reused"])
-and shares its sampler, whose values depend on their t alone: each t
-budget's state, each moment and the last grid evaluation are computed
-once per stored pass (LineSampler).  zeta warns its own caller; the
-pass only notes the warning, in a list that a context variable holds
-for that pass alone.
+K, not on the initial values.  One slot keeps the _Problem of the last
+pass with no callable in its data that ran to its end without zeta
+warning; a problem of the same content replays it
+(diagnostics["gates_reused"]).  It takes the pass's moment matrix M and
+moments L_0, ..., L_{K-1}, so its data d cost one K x K solve
+M a = d - L, and shares its sampler, whose t-budget states and last grid
+evaluation are computed once per stored pass (LineSampler).  zeta warns
+its own caller; the pass only notes the warning, in a list that a
+context variable holds for that pass alone.
 """
 
 from __future__ import annotations
@@ -239,12 +240,14 @@ def decay_fit(g: Callable) -> dict:
 
     The rays cover the closed right half-plane, where the inversion
     theory needs the bound; symbols like exp(s) make r/f grow to the
-    left, which is harmless.
+    left, which is harmless.  A probe that overflows fails; a NaN is dropped.
     """
     angles = np.array([0.125, -0.125, 0.25, -0.25, 0.375, -0.375, 0.5, -0.5]) * math.pi
     points = np.array([r * np.exp(1j * a) for r in DECAY_RADII for a in angles])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.abs(np.asarray(g(points), np.complex128))
+    if np.any(vals == np.inf):
+        raise HypothesisError("decay check failed: r/f overflows at large |s| in Re(s) >= 0")
     n_finite = int(np.count_nonzero(np.isfinite(vals) & (vals > 0)))
     if n_finite < 6:
         raise HypothesisError(
@@ -403,7 +406,7 @@ class _Problem:
     or the ValueError of poles that PoleSpec refuses, which the
     pole-constraints row reports.  key is what the gate rows depend on:
     all data but the initial values' own values; None when a part is a
-    callable, whose identity is never a key."""
+    callable, whose identity is never a key.  The pass sets matrix and Ln."""
 
     def __init__(self, f, J: Forcing, r, poles, initial_values, cfg) -> None:
         if initial_values is not None and (r is not None or poles is None):
@@ -424,6 +427,7 @@ class _Problem:
             and not any(isinstance(node, Call) for x in parts for node in _walk(x.expr))
         K = None if self.values is None else len(self.values)
         self.key = (f, J, self.gic.r, poles, self.cfg, K) if keyed else None
+        self.matrix, self.Ln = None, np.zeros(K or 0, np.complex128)
 
 
 def _hypothesis_rows(p: _Problem):
@@ -510,7 +514,8 @@ def _hypothesis_rows(p: _Problem):
     if ivp is None:
         yield "conditioning", "SKIP", "no initial-value system", None
     else:
-        cond = float(np.linalg.cond(assemble_ivp_system(ivp, np.zeros(ivp.poles.K))[0]))
+        p.matrix = assemble_ivp_system(ivp, np.zeros(ivp.poles.K))[0]
+        cond = float(np.linalg.cond(p.matrix))
         yield ("conditioning", *_verdict(
             cond <= CONDITION_LIMIT, f"condition number {cond:.3e}",
             f"non-generic pole configuration: system condition number {cond:.3e} "
@@ -548,7 +553,9 @@ def _line_row(p: _Problem, failed: bool) -> tuple:
     except ValueError as exc:
         return "line-quadrature", "FAIL", str(exc), None
     # the initial-value system needs the moments L_0 .. L_{K-1}
-    K = 0 if p.values is None else len(p.values)
+    K = p.Ln.size
+    if line.certified_order >= K - 1:
+        p.Ln = np.array([line.moment(n) for n in range(K)], np.complex128)
     return ("line-quadrature", *_verdict(
         line.certified_order >= K - 1,
         f"closed form at {len(line.poles)} poles, 0 nodes" if line.poles else
@@ -557,19 +564,20 @@ def _line_row(p: _Problem, failed: bool) -> tuple:
         "the Bromwich part cannot match the requested initial data"), line)
 
 
-_checked: list = []  # [(key, rows)]: the one stored pass
+_checked: list = []  # [_Problem]: the one stored pass
 
 
 def _checked_rows(p: _Problem, drain: bool) -> tuple[list, bool]:
     """The gate rows of a problem, up to the first FAIL unless drain, and
-    whether they replay the stored pass, of which each caller gets its own
-    deep copy, sharing its sampler (its own deep copy).  A pass is stored
-    when it ran to its end, so a refused solve stores nothing, and zeta did
-    not warn in it: zeta notes its warning in the list this pass sets, and
-    warns its own caller as always."""
-    for stored_key, stored_rows in _checked[:]:
-        if stored_key == p.key:
-            return copy.deepcopy(stored_rows), True
+    whether they replay the stored pass; a replay gives p the stored M and
+    L, and each caller its own deep copy of the rows (sharing the sampler).
+    A pass is stored when it ran to its end, so a refused solve stores
+    nothing, and zeta did not warn in it: zeta notes its warning in the
+    list this pass sets, and warns its own caller as always."""
+    for stored in _checked[:]:
+        if stored.key == p.key:
+            p.matrix, p.Ln = stored.matrix, stored.Ln
+            return copy.deepcopy(stored.rows), True
     rows, warned = [], []
     token = _height_warnings.set(warned)
     try:
@@ -581,7 +589,8 @@ def _checked_rows(p: _Problem, drain: bool) -> tuple[list, bool]:
     finally:
         _height_warnings.reset(token)
     if p.key is not None and not warned and (drain or rows[-1][1] != "FAIL"):
-        _checked[:] = [(p.key, copy.deepcopy(rows))]
+        p.rows = copy.deepcopy(rows)
+        _checked[:] = [p]
     return rows, False
 
 
@@ -645,13 +654,11 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
             raise HypothesisError(detail, diagnostics)
         if name == "line-quadrature":
             line = data
-    if p.poles is None:
-        return Solution(f, J, p.gic, p.cfg, line, diagnostics=diagnostics)
     solution = Solution(f, J, p.gic, p.cfg, line, poles=p.poles, diagnostics=diagnostics)
-    if p.values is None:
+    if p.values is not None:
+        _fit_initial_values(solution, p)
+    elif p.poles is not None:
         solution.residue = _laurent_residues(p.g, p.poles)
-    else:
-        _fit_initial_values(solution, ClassicalIVP(f, J, p.poles, p.values))
     return solution
 
 
@@ -680,35 +687,29 @@ def _laurent_residues(g, poles: PoleSpec) -> ResiduePolynomials:
     return ResiduePolynomials(tuple(blocks))
 
 
-def _fit_initial_values(solution: Solution, ivp: ClassicalIVP) -> None:
-    """Residue coefficients from the moment system of the initial values,
-    and r0 = f * (closed-form transform of the residue part) as solution.gic.
-    Each initial value is checked against phi^(n)(0+) = L_n + the residue
-    part's n-th derivative at 0, both exact: the line sum's n-th derivative
-    at 0+ is its moment L_n."""
-    K = ivp.poles.K
+def _fit_initial_values(solution: Solution, p: _Problem) -> None:
+    """Residue coefficients a = M^-1 (d - L) from the pass's matrix and
+    moments, and r0 = f * (closed-form transform of the residue part) as
+    solution.gic.  Each initial value d_n is checked against phi^(n)(0+) =
+    L_n + the residue part's n-th derivative at 0, both exact: the line
+    sum's n-th derivative at 0+ is its moment L_n."""
     diagnostics = solution.diagnostics
-    if solution.line is None:
-        Ln = np.zeros(K, dtype=np.complex128)
-    else:
-        Ln = np.array([solution.line.moment(n) for n in range(K)], dtype=np.complex128)
-    diagnostics["Ln"] = [complex(v) for v in Ln]
-    matrix, rhs = assemble_ivp_system(ivp, Ln)
-    a = np.linalg.solve(matrix, rhs)
-    splits = np.cumsum([order for _, order in ivp.poles.poles])[:-1]
+    diagnostics["Ln"] = [complex(v) for v in p.Ln]
+    a = np.linalg.solve(p.matrix, np.asarray(p.values, np.complex128) - p.Ln)
+    splits = np.cumsum([order for _, order in p.poles.poles])[:-1]
     solution.residue = ResiduePolynomials(tuple(map(tuple, np.split(a, splits))))
 
     # r0/f = sum a_{j,i}/(s - omega_i)^j, the transform of sum a_{j,i}
     # t^{j-1}/(j-1)! e^{omega_i t}
-    blocks = list(zip(ivp.poles.omegas, solution.residue.coefficients))
+    blocks = list(zip(p.poles.omegas, solution.residue.coefficients))
     tree = _laplace_tree_from_terms({(m, omega): a_m / math.factorial(m)
                                      for omega, coeffs in blocks for m, a_m in enumerate(coeffs)})
     solution.gic = GeneralizedIC(AnalyticSymbol(tree if tree == Const(0j) else
-                                                Mul(ivp.f.expr, tree)), "constructed-from-IVP")
+                                                Mul(p.f.expr, tree)), "constructed-from-IVP")
     diagnostics["r0_over_f_decay"] = _block_decay(blocks)
 
-    errors = [abs(predict_derivative_at_zero(ivp.poles, solution.residue, n, Ln[n])
-                  - ivp.initial_values[n]) for n in range(K)]
+    errors = [abs(predict_derivative_at_zero(p.poles, solution.residue, n, Ln_n) - d_n)
+              for n, (Ln_n, d_n) in enumerate(zip(p.Ln, p.values))]
     diagnostics["initial_value_errors"] = errors
     if max(errors) > 1e-3:
         _warn(f"initial values reproduced to only {max(errors):.2e}; "

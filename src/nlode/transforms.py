@@ -535,8 +535,9 @@ class LineSampler:
     whose t_max, h, y_nodes and g_vals the sampler shows and on which the
     moments are taken; so a call's values depend on its ts alone, and a
     sampler is its own deep copy, shared by the gate memo and its replays.
-    States, moments and the last t-evaluation are each published by one
-    assignment, so threads that race on a sampler at most repeat work.  Moment
+    States and the last t-evaluation are each published by one assignment,
+    so threads that race on a sampler at most repeat work; a moment is
+    taken anew on each call (the solver takes each once per pass).  Moment
     orders are certified by regime: a transform whose reference-term fit is
     machine-exact everywhere supports orders up to N_ATOMS - 1; one matched
     only asymptotically supports orders up to MATCHED_MOMENT_ORDER (the
@@ -553,7 +554,7 @@ class LineSampler:
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
         self._evaluations = {"chirp_z": 0, "blocked": 0}   # kernel runs
-        self._moments, self._last = {}, None   # {n: moment}; (key, values) of the last t-evaluation
+        self._last = None   # (key, values) of the last t-evaluation
         # power-of-two t budgets, so the grid of a larger budget nests
         # under halving and an extension reuses every sample
         self.t_max = 1.0
@@ -758,12 +759,9 @@ class LineSampler:
         """(1/2*pi*i) integral s^n F(s) ds, the one-sided n-th derivative at
         0, on the build state."""
         self._require_moment_order(n)
-        value = self._moments.get(n)
-        if value is None:
-            quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
-            atoms = _exp_poly_derivative(self.blocks, n, np.zeros(1))[0]
-            value = self._moments.setdefault(n, complex(atoms + quad / (2.0 * math.pi)))
-        return value
+        quad = np.sum(self.h * (self.sigma + 1j * self.y_nodes) ** n * self.g_vals)
+        atoms = _exp_poly_derivative(self.blocks, n, np.zeros(1))[0]
+        return complex(atoms + quad / (2.0 * math.pi))
 
     def values(self, ts) -> np.ndarray:
         """Inverse transform at t >= 0; t = 0 returns the symmetric midpoint value."""

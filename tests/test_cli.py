@@ -217,6 +217,28 @@ class TestRun:
         assert run(write_cfg(tmp_path, text)) == 2
         assert "hypothesis failure" in capsys.readouterr().err
 
+    def test_output_in_a_missing_directory_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        text = FAST_IVP.replace("output_csv = fast.csv", "output_csv = missing/fast.csv")
+        assert run(write_cfg(tmp_path, text)) == 1
+        assert "output error" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_builtin_forcing_without_name_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(write_cfg(tmp_path, FAST_IVP.replace("exp(-3*t)", "builtin"))) == 1
+        assert "builtin forcing needs a name" in capsys.readouterr().err
+        assert not (tmp_path / "fast.csv").exists()
+
+    def test_solve_of_a_diagnose_config_runs_the_gates(self, capsys):
+        # mode = diagnose: `nlode solve` prints the table `nlode diagnose` does
+        path = config_path("diagnose_pole_at_origin.cfg")
+        assert main(["solve", path]) == 2
+        solved = capsys.readouterr()
+        assert main(["diagnose", path]) == 2
+        assert solved == capsys.readouterr()
+        assert "result: FAIL" in solved.out
+
     def test_grid_override(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(write_cfg(tmp_path, FAST_IVP), {"grid": "0:2:5"})

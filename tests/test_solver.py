@@ -145,6 +145,20 @@ class TestDecayFit:
         fit = decay_fit(lambda s: s / (s + 1.0))
         assert fit["q"] < 0.05
 
+    @pytest.mark.parametrize("r", ["exp(s*s)", "exp(2*s)"])
+    def test_overflowing_ratio_is_growth(self, r):
+        # r/f overflows on the positive real axis: growth, not a missing
+        # probe.  Dropping those probes passed exp(s*s) with q = 0.997 from
+        # 6 of 24, and exp(2*s) only to fail later at line-quadrature
+        args = dict(f=parse_symbol("s + 2"), J=forcing_from_text("exp(-t)"), r=parse_symbol(r))
+        message = "decay check failed: r/f overflows at large |s| in Re(s) >= 0"
+        rows = [row[:3] for row in hypothesis_gates(**args)]
+        assert ("decay-of-r-over-f", "FAIL", message) in rows
+        assert rows[-1][:2] == ("line-quadrature", "SKIP")
+        with pytest.raises(HypothesisError) as info:
+            solve(**args)
+        assert str(info.value) == message
+
 
 class TestSolveGeneralized:
     def test_exponential_eigenfunction(self):
@@ -282,6 +296,39 @@ class TestSolveWithPoles:
         gic = GeneralizedIC(parse_symbol("s + 3"), "user-supplied")
         with pytest.raises(HypothesisError, match="zero of the"):
             solve_with_poles(f, J, gic, PoleSpec(((-1.0, 2), (-2.0, 1))))
+
+    def test_zero_r_gives_zero_residues(self):
+        # r = 0 with declared poles: zero residue blocks, and phi is its
+        # Bromwich part, e^{-3t}/((s + 1)(s + 2)) inverted
+        sol = solve(parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)"),
+                    poles=((-1.0, 1), (-2.0, 1)))
+        assert sol.diagnostics["mode"] == "poles-given"
+        assert sol.residue.coefficients == ((0j,), (0j,))
+        ts = np.linspace(0.0, 4.0, 9)
+        bro, res = sol.eval_parts(ts)
+        assert np.array_equal(sol(ts), bro) and not np.any(res)
+        exact = 0.5 * np.exp(-ts) - np.exp(-2 * ts) + 0.5 * np.exp(-3 * ts)
+        assert np.max(np.abs(bro - exact)) < 1e-12
+
+
+class TestGateFailures:
+    """Rows whose FAIL only a malformed problem reaches: hypothesis_gates
+    reports it, and solve raises the first FAIL of the same rows."""
+
+    @pytest.mark.parametrize("f,J,name,message", [
+        (lambda s: np.full(np.shape(s), np.inf, np.complex128), forcing_from_text("exp(-t)"),
+         "contour-nonvanishing", "symbol is not finite anywhere on the contour line"),
+        (parse_symbol("s + 2"), transforms.Forcing(lambda t: np.exp(-t)),
+         "forcing-transform", "forcing needs a closed-form transform on the contour line"),
+        (parse_symbol("s + 2"), forcing_from_text("0"),
+         "hardy-membership", "both J and r vanish; the solution is identically zero"),
+    ], ids=["f-infinite-on-the-line", "forcing-without-transform", "J-and-r-zero"])
+    def test_fail_row(self, f, J, name, message):
+        rows = [row[:3] for row in hypothesis_gates(f, J)]
+        assert (name, "FAIL", message) in rows
+        with pytest.raises(HypothesisError) as info:
+            solve(f, J)
+        assert str(info.value) == next(detail for _, status, detail in rows if status == "FAIL")
 
 
 class TestLaurent:
@@ -904,6 +951,32 @@ class TestCheckedProblemMemo:
         assert list(diag["budgets"]) == [1.0, 16.0]
         assert settled == [1.0, 16.0]
         assert chirps == [self.TS.size]
+
+    def test_ten_draws_share_one_moment_system(self, monkeypatch):
+        # the ten draws of criterion 02: the stored pass builds the moment
+        # matrix and takes L_0 and L_1 once, and each draw is one 2 x 2
+        # solve against them
+        assembled, moments = [], []
+        assemble, moment = solver.assemble_ivp_system, LineSampler.moment
+
+        def counted_assemble(*args):
+            assembled.append(args)
+            return assemble(*args)
+
+        def counted_moment(sampler, n):
+            moments.append(n)
+            return moment(sampler, n)
+
+        monkeypatch.setattr(solver, "assemble_ivp_system", counted_assemble)
+        monkeypatch.setattr(LineSampler, "moment", counted_moment)
+        f, J = parse_symbol(self.F2), forcing_from_text(self.J2)
+        poles = PoleSpec(((-1.0, 1), (-2.0, 1)))
+        rng = np.random.default_rng(7)
+        sols = [solve_classical_ivp(ClassicalIVP(f, J, poles, tuple(rng.uniform(-2.0, 2.0, 2))))[0]
+                for _ in range(10)]
+        assert len(assembled) == 1 and moments == [0, 1]
+        assert all(sol.diagnostics["Ln"] == sols[0].diagnostics["Ln"] for sol in sols)
+        assert max(max(sol.diagnostics["initial_value_errors"]) for sol in sols) < 1e-14
 
     def test_values_depend_on_the_times_alone(self):
         # a replay that first evaluates t = 40 gives, at t <= 10, the bits

@@ -365,6 +365,14 @@ class TestLineSampler:
                 evaluate()
         assert list(sampler.diagnostics()["budgets"]) == [1.0]
 
+    def test_derivative_at_zero_refused(self):
+        # a derivative of order n > 0 is one-sided at 0; its value there is
+        # the moment, not a sample
+        sampler = LineSampler(lambda s: 1 / (s + 1), self.CFG)
+        with pytest.raises(ValueError, match="derivative sampling requires t > 0"):
+            sampler.derivative_values(1, [0.0, 1.0])
+        assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 0, "blocked": 0}
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_node_count(self, sigma):
         sampler = LineSampler(lambda s: 1 / (s + 1), BromwichConfig(sigma=sigma), 10.0)
