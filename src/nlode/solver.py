@@ -18,11 +18,20 @@ It raises HypothesisError at the first FAIL.  The last row builds the
 one LineSampler of the solve, kept as solution.line; nothing else builds
 one for a Solution.  With initial values that row is also the one judge
 of the K moments L_0, ..., L_{K-1} the initial-value system needs: the
-sampler that computes them must certify them.  With declared poles and a
-rational L(J)/f it hands the sampler the poles known by content, the
-declared ones and the exponents of a text-built J, so where they are all
-the poles the sampler is their closed form, exact at every t, with no
-nodes; a closed form is immutable, and every replay shares it.
+sampler that computes them must certify them.
+
+Where f and the transform F the mode inverts are rational, one pole
+census per pass decides the rows from coefficients (_census): the roots
+of f's factors, and F's principal parts at the roots of its denominator
+by polynomial arithmetic (transforms.rational_parts), accepted when F
+minus their sum vanishes on the 513 contour probes.  f's poles and zeros
+decide the first two rows and pole-constraints, the parts and the degree
+gap of F decide hardy-membership, with the exact H^2 norm by Plancherel,
+and the degrees of r/f its decay; the sampler is the closed form of the
+parts, exact at every t, with no nodes, immutable and shared by every
+replay.  A transcendental f or F (exp, zeta, a callable) and a census
+that fails its check keep the sampled rules, as does the Hardy row of an
+F whose poles all lie left of the contour but some right of the axis.
 
 solve and hypothesis_gates normalize their data once (_Problem) and
 run one pass of the rows, which depend on f, J, r, the poles, cfg and
@@ -49,29 +58,33 @@ import numpy as np
 
 from .special_functions import _height_warnings
 from .symbols import (
+    ROOT_MERGE_TOL,
     Add,
     AnalyticSymbol,
     Call,
     Const,
     Div,
-    Exp,
     Mul,
     Record,
-    ZetaNode,
     _walk,
     cauchy_taylor_at,
+    degree_gap,
+    rational_form,
+    rational_roots,
 )
 from .transforms import (
     BromwichConfig,
     Forcing,
     LineSampler,
+    RationalParts,
     _block_decay,
     _derivative_order,
     _exp_poly_derivative,
     _laplace_tree_from_terms,
     _power_fit,
+    h2_norm,
     hardy_membership,
-    poly_exp_terms,
+    rational_parts,
     verify_forcing,
 )
 
@@ -80,6 +93,7 @@ DECAY_EXPONENT_MIN = 0.05
 LAURENT_TOL = 1e-11
 DECAY_RADII = (1e2, 1e3, 1e4)
 ZERO_COUNT_CAP = 64
+DECLARED_POLE_TOL = 1e-6      # a declared pole this close to a census zero is at it
 WINDING_REFINE_CAP = 40
 
 
@@ -335,6 +349,19 @@ def _check_pole_orders(f_eval: Callable, poles: PoleSpec) -> None:
                 )
 
 
+def _check_census_orders(zeros: list, poles: PoleSpec) -> None:
+    """_check_pole_orders for a rational f, from the multiplicities of its
+    census zeros."""
+    for omega, order in poles.poles:
+        have = next((m for w, m in zeros
+                     if abs(w - omega) <= DECLARED_POLE_TOL * max(1.0, abs(omega))), 0)
+        if have < order:
+            raise HypothesisError(
+                f"declared pole {omega} of order {order} needs a zero of the symbol of at "
+                f"least that order; the symbol has {f'a zero of order {have}' if have else 'no zero'} there"
+            )
+
+
 def assemble_ivp_system(ivp: ClassicalIVP, Ln) -> tuple[np.ndarray, np.ndarray]:
     """K x K system for the residue coefficients from the local initial values.
 
@@ -406,7 +433,8 @@ class _Problem:
     or the ValueError of poles that PoleSpec refuses, which the
     pole-constraints row reports.  key is what the gate rows depend on:
     all data but the initial values' own values; None when a part is a
-    callable, whose identity is never a key.  The pass sets matrix and Ln."""
+    callable, whose identity is never a key.  The pass sets census, matrix
+    and Ln."""
 
     def __init__(self, f, J: Forcing, r, poles, initial_values, cfg) -> None:
         if initial_values is not None and (r is not None or poles is None):
@@ -427,10 +455,160 @@ class _Problem:
             and not any(isinstance(node, Call) for x in parts for node in _walk(x.expr))
         K = None if self.values is None else len(self.values)
         self.key = (f, J, self.gic.r, poles, self.cfg, K) if keyed else None
-        self.matrix, self.Ln = None, np.zeros(K or 0, np.complex128)
+        self.census, self.matrix, self.Ln = None, None, np.zeros(K or 0, np.complex128)
+
+
+class _Census(Record):
+    """What the coefficients decide for a rational f and F: f's zeros and
+    poles (point, multiplicity), rightmost first, after common factors
+    cancel, and F's census (transforms.rational_parts), None without F."""
+
+    zeros: tuple
+    poles: tuple
+    F: RationalParts | None
+
+
+def _census(p: _Problem) -> _Census | None:
+    """The pole census of a pass, or None when f, or F, is not rational,
+    or when F's parts fail their check on the contour probes: then every
+    row samples.  A degree gap below 1 needs no parts to refuse F."""
+    form = rational_form(_tree(p.f))
+    if form is None:
+        return None
+    parts = None if p.F is None else rational_parts(p.F, p.cfg)
+    if p.F is not None and (parts is None or parts.blocks is None and parts.gap >= 1):
+        return None
+    zeros, poles = rational_roots(form)
+    return _Census(tuple(zeros), tuple(poles), parts)
+
+
+def _on_axis(w: complex) -> bool:
+    return abs(w.real) <= ROOT_MERGE_TOL * max(1.0, abs(w))
+
+
+def _growing(blocks, sigma: float) -> bool:
+    """Whether F's parts put a pole between the imaginary axis and the
+    contour, and none on either: F is then invertible on the contour, its
+    inverse grows like e^{Re(omega) t}, and the sampled Hardy rule, which
+    accepts a forcing that grows slower than e^{sigma t}, decides it."""
+    return bool(blocks) and any(w.real > 0 for w, _ in blocks) \
+        and not any(w.real >= sigma or _on_axis(w) for w, _ in blocks)
+
+
+def _at(points) -> str:
+    return "s = " + ", ".join(f"{w.real:.6g}" if w.imag == 0 else f"{w:.6g}" for w in points)
 
 
 def _hypothesis_rows(p: _Problem):
+    census = p.census = _census(p)
+    sigma = p.cfg.sigma
+    if census is None:
+        yield from _sampled_symbol_rows(p)
+    else:
+        right = [w for w, _ in census.poles if w.real >= 0]
+        yield ("analytic-right-half-plane", *_verdict(
+            not right, "|f| bounded near the axis",
+            f"symbol has a pole in Re(s) >= 0 at {_at(right)}"), None)
+        on = [w for w, _ in census.zeros
+              if abs(w.real - sigma) <= ROOT_MERGE_TOL * max(1.0, abs(w))]
+        yield ("contour-nonvanishing", *_verdict(
+            not on, f"Re(s) = {sigma:g}",
+            f"symbol vanishes on the contour line Re(s) = {sigma:g} at {_at(on)}; shift sigma"),
+            None)
+
+    forcing_failed = p.J.closed_form_laplace is None
+    if forcing_failed:
+        yield ("forcing-transform", "FAIL",
+               "forcing needs a closed-form transform on the contour line", None)
+    elif p.J.is_zero:
+        yield "forcing-transform", "PASS", "zero forcing", None
+    else:
+        try:
+            # probe where the solve uses the transform: on and right of the contour
+            check = verify_forcing(p.J, re_min=sigma)
+        except (ValueError, ArithmeticError) as exc:
+            check = {"ok": False, "max_error": math.nan, "reason": str(exc)}
+        error = f"max probe error {check['max_error']:.3e}"
+        forcing_failed = not check["ok"]
+        yield ("forcing-transform", *_verdict(
+            check["ok"], error,
+            f"closed-form transform of the forcing fails its quadrature check: "
+            f"{check.get('reason', error)}"), None)
+
+    what = "(L(J) + r)/f" if p.poles is None else "L(J)/f"
+    if p.F is None and p.poles is None:
+        yield ("hardy-membership", "FAIL",
+               "both J and r vanish; the solution is identically zero", None)
+    elif p.F is None:
+        yield "hardy-membership", "SKIP", "J = 0: no Bromwich part", None
+    elif forcing_failed:
+        yield "hardy-membership", "SKIP", "the forcing-transform gate failed", None
+    elif census is None or _growing(census.F.blocks, sigma):
+        x_grid = tuple(sorted({0.01, 0.1, min(1.0, sigma), sigma}))
+        report = hardy_membership(p.F, 2.0, x_grid=x_grid, y_max=p.cfg.y_max)
+        yield ("hardy-membership", *_verdict(
+            report["bounded"], f"sup mu_2 = {report['sup']:.4e} for {what}",
+            f"Hardy membership fails for {what}: line means are not uniformly bounded"), report)
+    else:
+        # ||F||_{H^2} is mu_2 at x = 0, the sup over x >= 0, by Plancherel
+        parts = census.F
+        right = [w for w, _ in parts.blocks or () if w.real >= 0 or _on_axis(w)]
+        ok = parts.gap >= 1 and not right
+        norm = h2_norm(parts.blocks) if ok else math.inf
+        report = {"sup": norm, "bounded": ok,
+                  "poles": [(w, len(coeffs)) for w, coeffs in parts.blocks or ()]}
+        yield ("hardy-membership", *_verdict(
+            ok, f"sup mu_2 = {norm:.4e} for {what}",
+            f"Hardy membership fails for {what}: " + (
+                f"pole in Re(s) >= 0 at {_at(right)}" if right else
+                f"its degree gap {parts.gap:g} is below 1, so it does not decay like 1/|s|")),
+            report)
+
+    if p.g is None:
+        yield "decay-of-r-over-f", "SKIP", "r = 0", None
+    else:
+        form = None if census is None else rational_form(p.g.expr)
+        try:
+            fit = decay_fit(p.g) if form is None else {"q": degree_gap(form), "C": abs(form[0])}
+        except HypothesisError as exc:
+            yield "decay-of-r-over-f", "FAIL", str(exc), None
+        else:
+            yield ("decay-of-r-over-f", *_verdict(
+                fit["q"] > DECAY_EXPONENT_MIN, f"fitted q = {fit['q']:.3f}",
+                f"decay hypothesis fails: fitted exponent q = {fit['q']:.3f} is not positive"),
+                fit)
+
+    ivp = None
+    if p.poles is None:
+        yield "pole-constraints", "SKIP", "no declared poles", None
+    elif isinstance(p.poles, ValueError):
+        yield "pole-constraints", "FAIL", str(p.poles), None
+    else:
+        try:
+            if census is None:
+                _check_pole_orders(p.f, p.poles)
+            else:
+                _check_census_orders(census.zeros, p.poles)
+            if p.values is not None:
+                ivp = ClassicalIVP(p.f, p.J, p.poles, p.values)
+            yield "pole-constraints", "PASS", f"K = {p.poles.K}", None
+        except (HypothesisError, ValueError) as exc:
+            yield "pole-constraints", "FAIL", str(exc), None
+
+    if ivp is None:
+        yield "conditioning", "SKIP", "no initial-value system", None
+    else:
+        p.matrix = assemble_ivp_system(ivp, np.zeros(ivp.poles.K))[0]
+        cond = float(np.linalg.cond(p.matrix))
+        yield ("conditioning", *_verdict(
+            cond <= CONDITION_LIMIT, f"condition number {cond:.3e}",
+            f"non-generic pole configuration: system condition number {cond:.3e} "
+            f"exceeds {CONDITION_LIMIT:.0e}"), cond)
+
+
+def _sampled_symbol_rows(p: _Problem):
+    """The first two rows for an f the census does not decide: |f| on 4
+    real probes approaching the axis, and on 513 points of the contour."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         near = np.abs(np.asarray(p.f(np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j), np.complex128))
         on_line = np.abs(np.asarray(
@@ -454,102 +632,16 @@ def _hypothesis_rows(p: _Problem):
             ok, f"Re(s) = {p.cfg.sigma:g}",
             f"symbol vanishes on the contour line Re(s) = {p.cfg.sigma:g}; shift sigma"), None)
 
-    if p.J.closed_form_laplace is None:
-        yield ("forcing-transform", "FAIL",
-               "forcing needs a closed-form transform on the contour line", None)
-    elif p.J.is_zero:
-        yield "forcing-transform", "PASS", "zero forcing", None
-    else:
-        try:
-            # probe where the solve uses the transform: on and right of the contour
-            check = verify_forcing(p.J, re_min=p.cfg.sigma)
-        except (ValueError, ArithmeticError) as exc:
-            check = {"ok": False, "max_error": math.nan, "reason": str(exc)}
-        error = f"max probe error {check['max_error']:.3e}"
-        yield ("forcing-transform", *_verdict(
-            check["ok"], error,
-            f"closed-form transform of the forcing fails its quadrature check: "
-            f"{check.get('reason', error)}"), None)
-
-    what = "(L(J) + r)/f" if p.poles is None else "L(J)/f"
-    if p.F is None and p.poles is None:
-        yield ("hardy-membership", "FAIL",
-               "both J and r vanish; the solution is identically zero", None)
-    elif p.F is None:
-        yield "hardy-membership", "SKIP", "J = 0: no Bromwich part", None
-    else:
-        x_grid = tuple(sorted({0.01, 0.1, min(1.0, p.cfg.sigma), p.cfg.sigma}))
-        report = hardy_membership(p.F, 2.0, x_grid=x_grid, y_max=p.cfg.y_max)
-        yield ("hardy-membership", *_verdict(
-            report["bounded"], f"sup mu_2 = {report['sup']:.4e} for {what}",
-            f"Hardy membership fails for {what}: line means are not uniformly bounded"), report)
-
-    if p.g is None:
-        yield "decay-of-r-over-f", "SKIP", "r = 0", None
-    else:
-        try:
-            fit = decay_fit(p.g)
-        except HypothesisError as exc:
-            yield "decay-of-r-over-f", "FAIL", str(exc), None
-        else:
-            yield ("decay-of-r-over-f", *_verdict(
-                fit["q"] > DECAY_EXPONENT_MIN, f"fitted q = {fit['q']:.3f}",
-                f"decay hypothesis fails: fitted exponent q = {fit['q']:.3f} is not positive"),
-                fit)
-
-    ivp = None
-    if p.poles is None:
-        yield "pole-constraints", "SKIP", "no declared poles", None
-    elif isinstance(p.poles, ValueError):
-        yield "pole-constraints", "FAIL", str(p.poles), None
-    else:
-        try:
-            _check_pole_orders(p.f, p.poles)
-            if p.values is not None:
-                ivp = ClassicalIVP(p.f, p.J, p.poles, p.values)
-            yield "pole-constraints", "PASS", f"K = {p.poles.K}", None
-        except (HypothesisError, ValueError) as exc:
-            yield "pole-constraints", "FAIL", str(exc), None
-
-    if ivp is None:
-        yield "conditioning", "SKIP", "no initial-value system", None
-    else:
-        p.matrix = assemble_ivp_system(ivp, np.zeros(ivp.poles.K))[0]
-        cond = float(np.linalg.cond(p.matrix))
-        yield ("conditioning", *_verdict(
-            cond <= CONDITION_LIMIT, f"condition number {cond:.3e}",
-            f"non-generic pole configuration: system condition number {cond:.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}"), cond)
-
-
-def _known_poles(p: _Problem) -> tuple:
-    """The poles (omega, order) of L(J)/f known by content: the declared
-    ones, and the exponent a of each t^m e^{at} term of a text-built J, of
-    order m + 1, added to a declared pole's order where they meet.  Empty
-    for a transcendental L(J)/f or without declared poles."""
-    if not isinstance(p.poles, PoleSpec) or not isinstance(p.J.j_eval, AnalyticSymbol) \
-            or any(isinstance(node, (Exp, ZetaNode, Call)) for node in _walk(p.F.expr)):
-        return ()
-    forcing: dict = {}
-    for (m, a), c in poly_exp_terms(p.J.j_eval.expr).items():
-        if c != 0:
-            forcing[a] = max(forcing.get(a, 0), m + 1)
-    orders = dict(p.poles.poles)
-    for a, m in forcing.items():
-        omega = next((w for w in orders if abs(w - a) <= 1e-9), a)
-        orders[omega] = orders.get(omega, 0) + m
-    return tuple(orders.items())
-
 
 def _line_row(p: _Problem, failed: bool) -> tuple:
     """The line-quadrature row: it builds the solve's one LineSampler as
-    its data only when no earlier row failed, in closed form where every
-    pole of L(J)/f is known."""
+    its data only when no earlier row failed, the closed form of the
+    census parts for a rational F."""
     if p.F is None or failed:
         return ("line-quadrature", "SKIP",
                 "J = 0: no Bromwich part" if p.F is None else "an earlier gate failed", None)
     try:
-        line = LineSampler(p.F, p.cfg, poles=_known_poles(p))
+        line = LineSampler(p.F, p.cfg, parts=None if p.census is None else p.census.F)
     except ValueError as exc:
         return "line-quadrature", "FAIL", str(exc), None
     # the initial-value system needs the moments L_0 .. L_{K-1}
@@ -705,7 +797,7 @@ def _fit_initial_values(solution: Solution, p: _Problem) -> None:
     tree = _laplace_tree_from_terms({(m, omega): a_m / math.factorial(m)
                                      for omega, coeffs in blocks for m, a_m in enumerate(coeffs)})
     solution.gic = GeneralizedIC(AnalyticSymbol(tree if tree == Const(0j) else
-                                                Mul(p.f.expr, tree)), "constructed-from-IVP")
+                                                Mul(_tree(p.f), tree)), "constructed-from-IVP")
     diagnostics["r0_over_f_decay"] = _block_decay(blocks)
 
     errors = [abs(predict_derivative_at_zero(p.poles, solution.residue, n, Ln_n) - d_n)
@@ -811,14 +903,28 @@ def _newton_refine(f_eval: Callable, z0: complex, multiplicity: int) -> complex:
 def find_zeros(f, rect) -> list[tuple[complex, int]]:
     """Zeros of f (with multiplicities) inside a rectangle in Re(s) <= 0.
 
-    Argument-principle counts on the boundary drive a quadrisection; cells
-    holding a single cluster are polished by multiplicity-aware Newton.
-    f must be analytic on the closed rectangle: a count is zeros minus
-    poles, so a pole inside hides a zero.
+    A rational AnalyticSymbol answers from its census, the roots of its
+    factors after common factors cancel (symbols.rational_roots).  For any
+    other f, argument-principle counts on the boundary drive a
+    quadrisection, and cells holding a single cluster are polished by
+    multiplicity-aware Newton; that f must be analytic on the closed
+    rectangle: a count is zeros minus poles, so a pole inside hides a zero.
+    Either way a zero on the boundary is refused.
     """
     if not callable(f):
         raise ValueError("symbol must be an AnalyticSymbol or a callable")
     rect = _rect_tuple(rect)
+    form = rational_form(f.expr) if isinstance(f, AnalyticSymbol) else None
+    if form is not None:
+        re_lo, re_hi, im_lo, im_hi = rect
+        inside = []
+        for zero, mult in rational_roots(form)[0]:
+            pad = ROOT_MERGE_TOL * max(1.0, abs(zero))
+            if re_lo - pad <= zero.real <= re_hi + pad and im_lo - pad <= zero.imag <= im_hi + pad:
+                if min(zero.real - re_lo, re_hi - zero.real, zero.imag - im_lo, im_hi - zero.imag) <= pad:
+                    raise ValueError("zero on or near the rectangle boundary; perturb the rectangle")
+                inside.append((zero, mult))
+        return sorted(inside, key=lambda zm: (zm[0].real, zm[0].imag))
     total = _boundary_winding(f, rect)
     if total == 0:
         return []

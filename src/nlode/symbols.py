@@ -504,6 +504,135 @@ def _series_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return q
 
 
+ROOT_CLUSTER_TOL = 1e-4   # np.roots meets an m-fold root as m roots about eps^(1/m) apart
+ROOT_MERGE_TOL = 1e-9     # roots of different factors this close are one point
+
+
+def _factor(poly: np.ndarray) -> tuple[complex, dict]:
+    """A polynomial (ascending coefficients) as its leading coefficient
+    times one monic factor; a constant has no factor."""
+    n = len(poly)
+    while n > 1 and poly[n - 1] == 0:
+        n -= 1
+    lead = complex(poly[n - 1])
+    if n == 1:
+        return lead, {}
+    return lead, {tuple((poly[:n] / lead).tolist()): 1}
+
+
+def _product(c: complex, factors: dict) -> np.ndarray:
+    """c times the expanded product of the factors of positive multiplicity."""
+    out = np.array([c], np.complex128)
+    for key, m in factors.items():
+        for _ in range(m):
+            out = np.convolve(out, key)
+    return out
+
+
+def _merge(left: dict, right: dict, sign: int) -> dict:
+    out = dict(left)
+    for key, m in right.items():
+        out[key] = out.get(key, 0) + sign * m
+    return {key: m for key, m in out.items() if m}
+
+
+def rational_form(node):
+    """A tree of Const, Var, Add, Sub, Mul, Div and integer Pow as
+    (c, factors): c times the product of monic polynomials p^m, each p
+    keyed by its ascending coefficients, with an integer multiplicity m,
+    negative in the denominator.  So c is the leading coefficient, the
+    degree of the numerator is the sum of deg p * m over m > 0, and a
+    power or a repeated factor of the tree stays one factor with its
+    multiplicity; only a sum expands its terms, by np.convolve.  None for
+    a tree with an Exp, ZetaNode or Call node, or a division by zero."""
+    if isinstance(node, Const):
+        return complex(node.value), {}
+    if isinstance(node, Var):
+        return 1 + 0j, {(0j, 1 + 0j): 1}
+    if isinstance(node, Pow):
+        base = rational_form(node.base)
+        if base is None or node.exponent == 0:
+            return None if base is None else (1 + 0j, {})
+        return base[0] ** node.exponent, {k: m * node.exponent for k, m in base[1].items()}
+    if not isinstance(node, (Add, Sub, Mul, Div)):
+        return None
+    left, right = rational_form(node.left), rational_form(node.right)
+    if left is None or right is None or isinstance(node, Div) and right[0] == 0:
+        return None
+    (c1, f1), (c2, f2) = left, right
+    if isinstance(node, (Mul, Div)):
+        sign = 1 if isinstance(node, Mul) else -1
+        return (c1 * c2 ** sign, _merge(f1, f2, sign)) if c1 * c2 != 0 else (0j, {})
+    c2 = c2 if isinstance(node, Add) else -c2
+    if c1 == 0 or c2 == 0:
+        return (c2, f2) if c1 == 0 else left
+    # over the common denominator
+    den = {key: min(f1.get(key, 0), f2.get(key, 0), 0) for key in {**f1, **f2}}
+    terms = [_product(c, _merge(f, den, -1)) for c, f in ((c1, f1), (c2, f2))]
+    total = np.zeros(max(map(len, terms)), np.complex128)
+    for term in terms:
+        total[:len(term)] += term
+    lead, factor = _factor(total)
+    return (lead, _merge(den, factor, 1)) if lead != 0 else (0j, {})
+
+
+def degree_gap(form) -> float:
+    """deg denominator - deg numerator of a rational form; inf for 0."""
+    c, factors = form
+    return math.inf if c == 0 else float(-sum(m * (len(key) - 1) for key, m in factors.items()))
+
+
+def _factor_roots(key: tuple) -> list[tuple[complex, int]]:
+    """The roots (point, multiplicity) of one monic factor: exact for a
+    linear one; else np.roots, clustered, a cluster's mean for a multiple
+    root and Newton on the factor for a simple one."""
+    if len(key) == 2:
+        return [(0j - key[0], 1)]
+    clusters: list[list] = []
+    for z in np.roots(key[::-1]):
+        for cluster in clusters:
+            if abs(z - cluster[0]) <= ROOT_CLUSTER_TOL * max(1.0, abs(z)):
+                cluster.append(z)
+                break
+        else:
+            clusters.append([z])
+    out = []
+    for cluster in clusters:
+        z = complex(sum(cluster) / len(cluster))
+        for _ in range(4 if len(cluster) == 1 else 0):
+            value = slope = 0j
+            for a in key[::-1]:
+                slope = slope * z + value
+                value = value * z + a
+            if slope == 0:
+                break
+            step = value / slope
+            z -= step
+            if abs(step) <= 1e-16 * abs(z):
+                break
+        out.append((z, len(cluster)))
+    return out
+
+
+def rational_roots(form) -> tuple[list, list]:
+    """The zeros and the poles (point, multiplicity) of a rational form,
+    with coincident zeros and poles cancelled.  Roots of different factors
+    within ROOT_MERGE_TOL are one point, at the root of the lower-degree
+    factor, with their multiplicities summed."""
+    points: list = []
+    for key, m in sorted(form[1].items(), key=lambda item: len(item[0])):
+        for z, k in _factor_roots(key):
+            for i, (w, n) in enumerate(points):
+                if abs(z - w) <= ROOT_MERGE_TOL * max(1.0, abs(w)):
+                    points[i] = (w, n + k * m)
+                    break
+            else:
+                points.append((z, k * m))
+    # rightmost first
+    points.sort(key=lambda wm: (-wm[0].real, wm[0].imag))
+    return [(w, m) for w, m in points if m > 0], [(w, -m) for w, m in points if m < 0]
+
+
 def taylor_coefficients(f: AnalyticSymbol, n_max: int) -> np.ndarray:
     """Coefficients c_0..c_{n_max} with c_n = f^(n)(0)/n!."""
     if n_max < 0:

@@ -17,12 +17,17 @@ t set (the settle probes, derivative stencils at 0+, the residual sample,
 short or irregular grids) goes to the blocked kernel, which splits k into
 blocks of B and needs about 2 sqrt(N) phases per time for N nodes.
 
-A transform whose poles the caller knows, a rational L(J)/f, is instead
-the sum of its principal parts there (Heaviside's expansion), accepted
-only when F minus that sum vanishes on the contour probes: no nodes, and
-values, derivatives and moments in closed form at every t, with no
-e^{sigma t} to amplify rounding.  Reference terms that match F exactly
-are the one-pole case of the same (omega, coefficients) blocks.
+A rational transform, an AnalyticSymbol whose tree symbols.rational_form
+reads as c N/D, is instead the sum of its principal parts (Heaviside's
+expansion) at the roots of D's factors, taken by a Taylor shift and one
+series division per pole (rational_parts), with no Cauchy ring; so is a
+callable whose poles the caller gives, by ring quadrature
+(_principal_parts).  Either sum is accepted only when F minus it
+vanishes on the contour probes: no nodes, and values, derivatives and
+moments in closed form at every t, with no e^{sigma t} to amplify
+rounding.  Reference terms that match F exactly are the one-pole case of
+the same (omega, coefficients) blocks.  A rational F's H^2 norm is exact
+too, by Plancherel from its parts (h2_norm).
 """
 
 from __future__ import annotations
@@ -45,9 +50,14 @@ from .symbols import (
     Record,
     Sub,
     Var,
+    _product,
+    _series_div,
     cauchy_taylor_at,
+    degree_gap,
     eval_symbol,
     parse_expression,
+    rational_form,
+    rational_roots,
 )
 
 # numpy.polynomial's leggauss(20), bit for bit, from its symmetric halves:
@@ -72,6 +82,8 @@ FORCING_PROBES = 10
 CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
+CONTOUR_PROBES = 513          # points of |Im s| <= y_max that accept a closed form
+PART_ZERO_TOL = 1e-10         # a numerator Taylor coefficient this far below its rounding scale is 0
 
 
 class BromwichConfig(Record):
@@ -410,6 +422,103 @@ def _block_decay(blocks) -> dict:
     return {"q": math.inf, "C": 0.0}
 
 
+def _taylor_shift(coeffs: np.ndarray, w: complex, m: int) -> np.ndarray:
+    """The first m Taylor coefficients at w of the polynomial with
+    ascending coefficients coeffs, by repeated synthetic division."""
+    out = np.zeros(m, np.complex128)
+    rest = coeffs[::-1].tolist()
+    for k in range(min(m, len(rest))):
+        acc, quotient = 0j, []
+        for a in rest:
+            acc = acc * w + a
+            quotient.append(acc)
+        out[k] = quotient.pop()
+        rest = quotient
+    return out
+
+
+def _rational_blocks(form, poles) -> list:
+    """The nonzero principal parts, as blocks (omega, (a_1, ..., a_m)),
+    of the rational form c N/D at the poles (omega, m) of D, by polynomial
+    arithmetic: (s - omega)^m F is c N over the other poles' factors, and
+    its first m Taylor coefficients at omega, from a Taylor shift of each
+    and one series division, are a_m, ..., a_1.  A leading run of N's
+    Taylor coefficients at omega within PART_ZERO_TOL of their rounding
+    scale is a factor N shares with D: it is taken as 0, so that pole's
+    order falls, or its part is 0 and left out."""
+    num = _product(*form)
+    blocks = []
+    for omega, m in poles:
+        top = _taylor_shift(num, omega, m)
+        scale = _taylor_shift(np.abs(num), abs(omega), m).real
+        k = 0
+        while k < m and abs(top[k]) <= PART_ZERO_TOL * scale[k]:
+            k += 1
+        if k == m:
+            continue
+        top[:k] = 0.0
+        den = np.ones(1, np.complex128)
+        for v, n in poles:
+            for _ in range(n if v != omega else 0):
+                den = np.convolve(den, [omega - v, 1.0])[:m]
+        g = _series_div(top, np.pad(den, (0, m - den.size)))
+        blocks.append((omega, tuple(g[::-1][:m - k])))
+    return blocks
+
+
+class RationalParts(Record):
+    """The pole census of a rational transform F = c N/D (rational_form):
+    gap = deg D - deg N (inf for F = 0); blocks, F's nonzero principal
+    parts (omega, (a_1, ..., a_m)), rightmost first, when F minus their sum
+    vanishes on the contour probes, else None (always for gap < 1); and
+    error, that difference's largest modulus there relative to max |F|."""
+
+    gap: float
+    blocks: tuple | None
+    error: float
+
+
+def _contour_probes(cfg: BromwichConfig) -> np.ndarray:
+    return cfg.sigma + 1j * np.linspace(-cfg.y_max, cfg.y_max, CONTOUR_PROBES)
+
+
+def rational_parts(F, cfg: BromwichConfig) -> RationalParts | None:
+    """The census of F when it is an AnalyticSymbol of a rational tree,
+    else None: the roots of its denominator's factors (symbols.rational_roots),
+    the principal parts there by polynomial arithmetic (_rational_blocks),
+    accepted when F minus their sum vanishes on the CONTOUR_PROBES points of
+    the contour line (_vanishes)."""
+    form = rational_form(F.expr) if isinstance(F, AnalyticSymbol) else None
+    if form is None:
+        return None
+    c, factors = form
+    gap = degree_gap(form)
+    if c == 0 or gap < 1:
+        return RationalParts(gap, () if c == 0 else None, 0.0 if c == 0 else math.inf)
+    # every pole of D, before any cancels against N: the parts see a shared factor
+    poles = rational_roots((c, {key: m for key, m in factors.items() if m < 0}))[1]
+    blocks = _rational_blocks(form, poles)
+    s_probe = _contour_probes(cfg)
+    f_probe = _values_on(F, s_probe)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diff = f_probe - (_block_sum(blocks, s_probe) if blocks else 0.0)
+    top = float(np.max(np.abs(f_probe)))
+    error = float(np.max(np.abs(diff))) / top if top > 0 else math.inf
+    return RationalParts(gap, tuple(blocks) if _vanishes(diff, f_probe) else None, error)
+
+
+def h2_norm(blocks) -> float:
+    """||F||_{H^2} of F = sum over blocks (omega, a), each omega in
+    Re(s) < 0, of sum_j a_j/(s - omega)^j, exactly: by Plancherel the L^2
+    norm on t > 0 of sum_j a_j t^(j-1)/(j-1)! e^(omega t), whose square
+    sums, over pairs of terms a t^p/p! e^(omega t) and b t^q/q! e^(v t),
+    a conj(b) C(p + q, p)/(-(omega + conj v))^(p + q + 1)."""
+    terms = [(w, p, a) for w, coeffs in blocks for p, a in enumerate(coeffs)]
+    total = sum(a * b.conjugate() * math.comb(p + q, p) / (-(w + v.conjugate())) ** (p + q + 1)
+                for w, p, a in terms for v, q, b in terms)
+    return math.sqrt(max(complex(total).real, 0.0))
+
+
 def _check_times(ts: np.ndarray) -> None:
     """Refuse a t that is not a scalar or 1-D, or a t that is not finite
     or negative, naming the first one."""
@@ -524,10 +633,13 @@ class _LineState(Record):
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
-    Given poles, (omega, order) pairs left of the line that hold every pole
-    of F, it first tries the closed form at them (_principal_parts): their
-    parts must match the half-ring estimate to 1e-13 and F minus them must
-    vanish on the 513 contour probes, or it fits and lays nodes as without.
+    A rational AnalyticSymbol F is the closed form of its census parts
+    (rational_parts; the solver hands over the census of its gate pass as
+    parts) when every part lies left of the line.  Given poles instead,
+    (omega, order) pairs left of the line that hold every pole of a
+    callable F, it first tries the closed form at them (_principal_parts):
+    their parts must match the half-ring estimate to 1e-13 and F minus them
+    must vanish on the 513 contour probes.  Otherwise it fits and lays nodes.
 
     Supports inverse-transform values, t = 0 moments, and derivatives of
     the inverse transform.  Its trapezoid rule is a table of immutable
@@ -549,7 +661,7 @@ class LineSampler:
     """
 
     def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0,
-                 poles: tuple = ()) -> None:
+                 poles: tuple = (), parts: RationalParts | None = None) -> None:
         if not math.isfinite(t_max):
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
@@ -565,9 +677,17 @@ class LineSampler:
         self.b = max(1.0, sigma)
         self.y_nodes, self.g_vals = np.zeros(0), np.zeros(0, np.complex128)
         self.poles, self.coefficient_error = (), None
-        s_probe = sigma + 1j * np.linspace(-y_max, y_max, 513)
+        s_probe = _contour_probes(cfg)
         f_probe = None
+        if parts is None and not poles:
+            parts = rational_parts(F, cfg)
         # the line integral is the sum of the residues left of the line
+        if parts is not None and parts.blocks is not None \
+                and all(omega.real < sigma for omega, _ in parts.blocks):
+            self.poles = tuple((omega, len(coeffs)) for omega, coeffs in parts.blocks)
+            self.coefficient_error, self.atom_matched, self.tail_estimate = parts.error, True, 0.0
+            self._closed_form(list(parts.blocks), math.inf)
+            return
         if poles and all(omega.real < sigma for omega, _ in poles):
             try:
                 blocks, error = _principal_parts(F, poles)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 
 import nlode
+import nlode.cli
 import test_acceptance
 from nlode import solver, symbols, transforms
 from nlode.oracles import classical_ode_reference, derivatives_at_zero, residual_check
@@ -314,6 +319,12 @@ class TestSolveWithPoles:
 class TestGateFailures:
     """Rows whose FAIL only a malformed problem reaches: hypothesis_gates
     reports it, and solve raises the first FAIL of the same rows."""
+
+    def test_a_forcing_without_transform_fails_one_row(self):
+        # the Hardy row skips after it, as the line row does
+        rows = hypothesis_gates(parse_symbol("s + 2"), transforms.Forcing(lambda t: np.exp(-t)))
+        assert [row[0] for row in rows if row[1] == "FAIL"] == ["forcing-transform"]
+        assert ("hardy-membership", "SKIP") in [row[:2] for row in rows]
 
     @pytest.mark.parametrize("f,J,name,message", [
         (lambda s: np.full(np.shape(s), np.inf, np.complex128), forcing_from_text("exp(-t)"),
@@ -674,8 +685,8 @@ class TestClassicalIVP:
 
 
 class TestClosedFormLine:
-    """Where every pole of a rational L(J)/f is known, the line sampler is
-    the sum of its principal parts, exact at every t, with no nodes."""
+    """For a rational L(J)/f the line sampler is the sum of its principal
+    parts at every pole of the census, exact at every t, with no nodes."""
 
     LARGE_T = np.array([10.0, 20.0, 30.0, 40.0])
 
@@ -705,19 +716,22 @@ class TestClosedFormLine:
         assert sol.line.diagnostics()["coefficient_error"] <= 1e-13
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
-    def test_an_omitted_zero_falls_back_to_the_line(self):
-        # -2 is a zero of f but not declared: the parts at -1 and -3 leave
-        # L(J)/f's pole at -2 out, so the sampler lays nodes as before
+    def test_an_omitted_zero_is_in_the_census(self):
+        # -2 is a zero of f but not declared: the census of L(J)/f still
+        # finds its pole there, so the sampler is the closed form at -1, -2
+        # and -3, and phi = 1.5 e^{-t} - e^{-2t} + 0.5 e^{-3t} (phi(40) read
+        # -0.325 + 0.195i on the line)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol, _ = solve_classical_ivp(ClassicalIVP(
                 parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)"),
                 PoleSpec(((-1.0, 1),)), (1.0,)))
-        assert sol.line.poles == () and sol.line.y_nodes.size > 0
-        assert sol.diagnostics["gates"][-1][2].endswith("nodes, certified order 4")
-        ts = np.linspace(0.0, 10.0, 201)
-        exact = 1.5 * np.exp(-ts) - np.exp(-2.0 * ts) + 0.5 * np.exp(-3.0 * ts)
-        assert np.max(np.abs(sol(ts) - exact)) < 1e-9
+            got = sol(self.LARGE_T)
+        assert sol.line.y_nodes.size == 0
+        assert sol.diagnostics["gates"][-1][2] == "closed form at 3 poles, 0 nodes"
+        heaviside = 1.5 * np.exp(-self.LARGE_T) - np.exp(-2.0 * self.LARGE_T) \
+            + 0.5 * np.exp(-3.0 * self.LARGE_T)
+        assert np.all(np.abs(got - heaviside) <= 1e-13 * np.abs(heaviside))
 
     def damped(self, data, forcing="exp(-3*t)"):
         return ClassicalIVP(parse_symbol("(s + 1)*(s + 2)"), forcing_from_text(forcing),
@@ -744,6 +758,137 @@ class TestClosedFormLine:
         for invert in (sol, lambda t: transforms.bromwich_invert(lambda s: 1 / (s + 1), t)):
             with pytest.raises(ValueError, match=r"1-D array of t, got an array of shape \(2, 2\)"):
                 invert(ts)
+
+
+class TestPoleCensus:
+    """A rational f and F are decided from their coefficients: the gate rows
+    from the roots of their factors, and the sampler is the closed form of
+    F's principal parts, with or without declared poles."""
+
+    LARGE_T = np.array([10.0, 20.0, 30.0, 40.0])
+
+    def test_undeclared_poles_are_exact_at_large_t(self):
+        # off by 0.379 at t = 40 when this problem laid 4075 nodes
+        f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(f, J)
+            got = sol(self.LARGE_T)
+        assert sol.diagnostics["gates"][-1][2] == "closed form at 3 poles, 0 nodes"
+        heaviside = 0.5 * np.exp(-self.LARGE_T) - np.exp(-2.0 * self.LARGE_T) \
+            + 0.5 * np.exp(-3.0 * self.LARGE_T)
+        assert np.all(np.abs(got - heaviside) <= 1e-13 * np.abs(heaviside))
+
+    @pytest.mark.parametrize("symbol, forcing", [
+        ("(s + 1)*(s + 2)", "t^5*exp(-1*t)"),
+        ("s + 2", "t^6*exp(-1*t)"),
+    ])
+    def test_power_forcings_are_in_h2(self, symbol, forcing):
+        # L(J)/f has a pole of order 7 at -1: in every H^p, though its line
+        # means are large near the axis; the sampled rule refused both
+        f, J = parse_symbol(symbol), forcing_from_text(forcing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(f, J)
+            ts = np.linspace(0.0, 10.0, 41)
+            got = sol(ts)
+        assert sol.line.poles[0] == (-1.0, 7)
+        degree = len(nlode.taylor_coefficients(f, 4).nonzero()[0]) - 1
+        ref = classical_ode_reference(f, J, [0.0] * degree, ts)
+        assert np.max(np.abs(got - ref)) < 1e-10
+
+    @pytest.mark.parametrize("symbol, sigma, names, row", [
+        ("(s - 1)*(s + 2)", 0.5, "s = 1", "hardy-membership"),
+        ("(s - 1.05)^2 + 0.09", 1.0, "s = 1.05-0.3j, 1.05+0.3j", "hardy-membership"),
+        ("(s - 1)^2 + 0.09", 1.0, "s = 1-0.3j, 1+0.3j", "contour-nonvanishing"),
+    ], ids=["zero-right-of-the-contour", "pair-right-of-the-contour", "pair-on-the-contour"])
+    def test_zeros_on_or_right_of_the_contour_are_refused(self, symbol, sigma, names, row,
+                                                          tmp_path, capsys):
+        args = dict(f=parse_symbol(symbol), J=forcing_from_text("exp(-1*t)"),
+                    cfg=BromwichConfig(sigma=sigma))
+        failed = [r[:3] for r in hypothesis_gates(**args) if r[1] == "FAIL"]
+        assert failed[0][0] == row and names in failed[0][2]
+        with pytest.raises(HypothesisError, match=re.escape(names)) as info:
+            solve(**args)
+        assert info.value.report["gates"][-1] == failed[0]
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"mode = diagnose\nsymbol = {symbol}\nforcing = exp(-1*t)\n"
+                       f"sigma = {sigma}\n")
+        assert nlode.cli.diagnose(str(cfg)) == 2
+        assert names in capsys.readouterr().out
+
+    def test_pole_of_f_in_the_right_half_plane_is_named(self):
+        rows = hypothesis_gates(parse_symbol("1/(s - 0.5)"), forcing_from_text("exp(-1*t)"))
+        assert rows[0][:3] == ("analytic-right-half-plane", "FAIL",
+                               "symbol has a pole in Re(s) >= 0 at s = 0.5")
+
+    def test_a_common_factor_leaves_no_part(self):
+        # r = ((s - 3)(s + 2) - 1)/(s + 3) makes L(J) + r vanish at 3, the
+        # zero of f right of the contour: F = (s - 3)(s + 2)/((s + 3)(s - 3)(s + 1))
+        # has no pole there, and phi is the sum of its parts at -1 and -3
+        f = parse_symbol("(s - 3)*(s + 1)")
+        r = parse_symbol("((s - 3)*(s + 2) - 1)/(s + 3)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(f, forcing_from_text("exp(-3*t)"), r=r)
+            got = sol(self.LARGE_T)
+        assert [w for w, _ in sol.line.poles] == [-1.0, -3.0]
+        want = 0.5 * np.exp(-self.LARGE_T) + 0.5 * np.exp(-3.0 * self.LARGE_T)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_h2_norm_is_plancherel(self):
+        # ||1/((s + 1)(s + 2)(s + 3))||_{H^2}^2 = 1/120, the integral of
+        # (e^{-t}/2 - e^{-2t} + e^{-3t}/2)^2; the sampled mu_2(0) agrees
+        sol, _ = solve_classical_ivp(ClassicalIVP(
+            parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)"),
+            PoleSpec(((-1.0, 1), (-2.0, 1))), (1.0, 0.0)))
+        norm = sol.diagnostics["hardy"]["sup"]
+        assert norm == pytest.approx(math.sqrt(1 / 120), rel=1e-14)
+        F = lambda s: 1 / ((s + 1) * (s + 2) * (s + 3))  # noqa: E731
+        assert transforms.hardy_norm(F, 2.0, 0.0) == pytest.approx(norm, rel=1e-10)
+
+    def test_callable_f_keeps_the_sampled_path(self):
+        # the constructed r0 is f times the residue transform, with f a Call leaf
+        sol = solve(lambda s: (s + 1) * (s + 2), forcing_from_text("exp(-3*t)"),
+                    poles=((-1, 1), (-2, 1)), initial_values=(1.0, 0.0))
+        assert sol.line.y_nodes.size > 0 and sol.line.poles == ()
+        assert isinstance(sol.gic.r.expr.left, symbols.Call)
+        ts = np.linspace(0.0, 10.0, 201)
+        exact = 2.5 * np.exp(-ts) - 2.0 * np.exp(-2.0 * ts) + 0.5 * np.exp(-3.0 * ts)
+        assert np.max(np.abs(sol(ts) - exact)) < 1e-10
+
+    def test_a_rational_problem_samples_nothing(self, monkeypatch):
+        # neither the Hardy lines nor a Cauchy ring: the census decides every
+        # row, and the exp(s) eigenfunction still samples its Hardy lines
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a rational problem")
+
+        for module in (symbols, solver, transforms):
+            monkeypatch.setattr(module, "cauchy_taylor_at", refuse)
+        monkeypatch.setattr(transforms, "hardy_norm", refuse)
+        f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)")
+        for args in ({"poles": ((-1.0, 1), (-2.0, 1)), "initial_values": (1.0, 0.0)},
+                     {"r": parse_symbol("s + 3")}, {"poles": ((-1.0, 1),), "initial_values": (1.0,)}):
+            sol = solve(f, J, **args)
+            assert sol.line.y_nodes.size == 0
+        with pytest.raises(AssertionError, match="sampled a rational problem"):
+            solve_generalized(*eigen_problem("exp(s)", 2.0))
+
+    def test_the_classical_path_imports_no_fft(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from nlode import ClassicalIVP, PoleSpec, forcing_from_text, parse_symbol, "
+                "solve_classical_ivp\n"
+                "sol, _ = solve_classical_ivp(ClassicalIVP(parse_symbol('(s + 1)*(s + 2)'), "
+                "forcing_from_text('exp(-3*t)'), PoleSpec(((-1.0, 1), (-2.0, 1))), (1.0, 0.0)))\n"
+                "sol(np.linspace(0.0, 10.0, 201))\n"
+                "print('numpy.fft' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestAssemble:
@@ -842,6 +987,15 @@ class TestFindZeros:
     def test_empty_rectangle(self):
         f = parse_symbol("(s + 5)*(s + 6)")
         assert find_zeros(f, (-2.0, -0.1, -1.0, 1.0)) == []
+
+    def test_a_pole_hides_no_zero_of_a_rational_symbol(self):
+        assert find_zeros(parse_symbol("(s + 1)/(s + 2)"), (-3.0, -0.5, -1.0, 1.0)) == [(-1.0, 1)]
+
+    @pytest.mark.parametrize("f", [parse_symbol("(s + 1)*(s + 3)"),
+                                   lambda s: (s + 1) * (s + 3)], ids=["rational", "callable"])
+    def test_zero_on_the_boundary_rejected(self, f):
+        with pytest.raises(ValueError, match="zero on or near the rectangle boundary"):
+            find_zeros(f, (-2.0, -1.0, -1.0, 1.0))
 
     def test_right_half_plane_rejected(self):
         with pytest.raises(ValueError):
