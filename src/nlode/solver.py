@@ -30,8 +30,11 @@ gap of F decide hardy-membership, with the exact H^2 norm by Plancherel,
 and the degrees of r/f its decay; the sampler is the closed form of the
 parts, exact at every t, with no nodes, immutable and shared by every
 replay.  A transcendental f or F (exp, zeta, a callable) and a census
-that fails its check keep the sampled rules, as does the Hardy row of an
-F whose poles all lie left of the contour but some right of the axis.
+that fails its check keep the sampled rules.  The residues of a rational
+r/f at the declared poles are its census parts too, and a census pole
+that the declared poles omit fails pole-constraints; any other principal
+part, or Taylor coefficient of f at a declared pole, is taken on one
+ring, laurent_coefficients.
 
 solve and hypothesis_gates normalize their data once (_Problem) and
 run one pass of the rows, which depend on f, J, r, the poles, cfg and
@@ -93,7 +96,7 @@ DECAY_EXPONENT_MIN = 0.05
 LAURENT_TOL = 1e-11
 DECAY_RADII = (1e2, 1e3, 1e4)
 ZERO_COUNT_CAP = 64
-DECLARED_POLE_TOL = 1e-6      # a declared pole this close to a census zero is at it
+DECLARED_POLE_TOL = 1e-6      # a census point this close to a declared pole is at it
 WINDING_REFINE_CAP = 40
 
 
@@ -272,15 +275,16 @@ def decay_fit(g: Callable) -> dict:
 
 
 def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float) -> list:
-    """Laurent coefficients a_k = (1/2*pi*i) contour integral of g (s-omega)^{k-1}.
+    """Laurent coefficients a_k = (1/2*pi*i) contour integral of g (s-omega)^{k-1},
+    for k = 1, ..., order when order >= 1, and k = 0, -1, ..., order when
+    order <= 0: a_{-j} is the coefficient of (s - omega)^j, so for a g
+    analytic on the disk these are its Taylor coefficients c_0, ..., c_{-order}.
 
     Periodic trapezoid sums on the circle, with node doubling 64 -> 4096
     until the coefficients settle below 1e-11.  The even nodes of a
     doubled ring are the previous ring's nodes bit for bit, so each
     doubling samples g on the new odd nodes only.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
     if not radius > 0:
         raise ValueError("radius must be positive")
     omega = complex(omega)
@@ -296,7 +300,7 @@ def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float)
             raise ArithmeticError("samples on the Laurent circle are not finite")
         return ring, vals
 
-    ks = np.arange(1, order + 1)
+    ks = np.arange(1, order + 1) if order >= 1 else -np.arange(1 - order)
     n = 64
     ring, vals = ring_and_samples(np.arange(n), n)
     prev: np.ndarray | None = None
@@ -327,34 +331,29 @@ def _default_radii(poles: PoleSpec) -> list[float]:
         radii.append(min(rad, abs(omega.real) / 2.0, 0.5))
     return radii
 
-def _check_pole_orders(f_eval: Callable, poles: PoleSpec) -> None:
+
+def _declared(w: complex, omega: complex) -> bool:
+    """Whether a census point w is the declared pole omega."""
+    return abs(w - omega) <= DECLARED_POLE_TOL * max(1.0, abs(omega))
+
+
+def _check_pole_orders(f, poles: PoleSpec, zeros) -> None:
     """Every declared pole of r/f must be a zero of f of at least that order.
 
     With r analytic, r/f can only have poles at zeros of f; a declaration
     at a point where f does not vanish (or of higher order than the zero)
-    would silently drop or invent residue terms.
+    would silently drop or invent residue terms.  The order of the zero is
+    the multiplicity of the census zero at the pole when zeros holds f's
+    census, else the first of f's Taylor coefficients there, on the ring
+    of laurent_coefficients, above 1e-6 of the largest up to the order.
     """
     for (omega, order), radius in zip(poles.poles, _default_radii(poles)):
-        radius = min(radius, 0.4)
-        coeffs = cauchy_taylor_at(f_eval, omega, order, radius=radius)
-        scale = float(np.max(np.abs(coeffs)))
-        if scale == 0.0:
-            continue
-        for k in range(order):
-            if abs(coeffs[k]) > 1e-6 * scale:
-                raise HypothesisError(
-                    f"declared pole {omega} of order {order} needs a zero of the "
-                    f"symbol of at least that order; the symbol's degree-{k} "
-                    "Taylor coefficient there is not negligible"
-                )
-
-
-def _check_census_orders(zeros: list, poles: PoleSpec) -> None:
-    """_check_pole_orders for a rational f, from the multiplicities of its
-    census zeros."""
-    for omega, order in poles.poles:
-        have = next((m for w, m in zeros
-                     if abs(w - omega) <= DECLARED_POLE_TOL * max(1.0, abs(omega))), 0)
+        if zeros is not None:
+            have = next((m for w, m in zeros if _declared(w, omega)), 0)
+        else:
+            coeffs = np.abs(laurent_coefficients(f, omega, -order, radius))
+            big = coeffs[:order] > 1e-6 * np.max(coeffs)
+            have = int(np.argmax(big)) if big.any() else order
         if have < order:
             raise HypothesisError(
                 f"declared pole {omega} of order {order} needs a zero of the symbol of at "
@@ -433,8 +432,8 @@ class _Problem:
     or the ValueError of poles that PoleSpec refuses, which the
     pole-constraints row reports.  key is what the gate rows depend on:
     all data but the initial values' own values; None when a part is a
-    callable, whose identity is never a key.  The pass sets census, matrix
-    and Ln."""
+    callable, whose identity is never a key.  The pass sets census, matrix,
+    Ln and, without initial values, the residues of r/f at the poles."""
 
     def __init__(self, f, J: Forcing, r, poles, initial_values, cfg) -> None:
         if initial_values is not None and (r is not None or poles is None):
@@ -456,6 +455,7 @@ class _Problem:
         K = None if self.values is None else len(self.values)
         self.key = (f, J, self.gic.r, poles, self.cfg, K) if keyed else None
         self.census, self.matrix, self.Ln = None, None, np.zeros(K or 0, np.complex128)
+        self.residue = None
 
 
 class _Census(Record):
@@ -486,13 +486,29 @@ def _on_axis(w: complex) -> bool:
     return abs(w.real) <= ROOT_MERGE_TOL * max(1.0, abs(w))
 
 
-def _growing(blocks, sigma: float) -> bool:
-    """Whether F's parts put a pole between the imaginary axis and the
-    contour, and none on either: F is then invertible on the contour, its
-    inverse grows like e^{Re(omega) t}, and the sampled Hardy rule, which
-    accepts a forcing that grows slower than e^{sigma t}, decides it."""
-    return bool(blocks) and any(w.real > 0 for w, _ in blocks) \
-        and not any(w.real >= sigma or _on_axis(w) for w, _ in blocks)
+def _residues(p: _Problem) -> ResiduePolynomials:
+    """r/f's residue polynomials at the declared poles: its census parts
+    (transforms.rational_parts), each zero-padded to its declared order,
+    when r/f is rational and its census passes its check, else on rings
+    (laurent_coefficients).  A census pole of r/f that no declared pole
+    holds at its order raises HypothesisError: its residue would be
+    dropped."""
+    if p.g is None:
+        return ResiduePolynomials.zeros(p.poles)
+    parts = rational_parts(p.g, p.cfg)
+    if parts is None or parts.blocks is None:
+        return ResiduePolynomials(tuple(
+            tuple(laurent_coefficients(p.g, omega, order, radius))
+            for (omega, order), radius in zip(p.poles.poles, _default_radii(p.poles))))
+    blocks = [(0j,) * order for _, order in p.poles.poles]
+    for w, coeffs in parts.blocks:
+        i = next((i for i, (omega, order) in enumerate(p.poles.poles)
+                  if _declared(w, omega) and len(coeffs) <= order), None)
+        if i is None:
+            raise HypothesisError(f"r/f has a pole of order {len(coeffs)} at {_at([w])} "
+                                  "that the declared poles omit")
+        blocks[i] = coeffs + (0j,) * (len(blocks[i]) - len(coeffs))
+    return ResiduePolynomials(tuple(blocks))
 
 
 def _at(points) -> str:
@@ -543,24 +559,30 @@ def _hypothesis_rows(p: _Problem):
         yield "hardy-membership", "SKIP", "J = 0: no Bromwich part", None
     elif forcing_failed:
         yield "hardy-membership", "SKIP", "the forcing-transform gate failed", None
-    elif census is None or _growing(census.F.blocks, sigma):
+    elif census is None:
         x_grid = tuple(sorted({0.01, 0.1, min(1.0, sigma), sigma}))
         report = hardy_membership(p.F, 2.0, x_grid=x_grid, y_max=p.cfg.y_max)
         yield ("hardy-membership", *_verdict(
             report["bounded"], f"sup mu_2 = {report['sup']:.4e} for {what}",
             f"Hardy membership fails for {what}: line means are not uniformly bounded"), report)
     else:
-        # ||F||_{H^2} is mu_2 at x = 0, the sup over x >= 0, by Plancherel
+        # ||F||_{H^2} is mu_2 at x = 0, the sup over x >= 0, by Plancherel.
+        # Parts between the axis and the contour grow like e^{Re(omega) t},
+        # which the line at sigma inverts: the norm is then F(sigma + .)'s
         parts = census.F
-        right = [w for w, _ in parts.blocks or () if w.real >= 0 or _on_axis(w)]
-        ok = parts.gap >= 1 and not right
-        norm = h2_norm(parts.blocks) if ok else math.inf
-        report = {"sup": norm, "bounded": ok,
-                  "poles": [(w, len(coeffs)) for w, coeffs in parts.blocks or ()]}
+        blocks = parts.blocks or ()
+        bad = [w for w, _ in blocks if w.real >= sigma or _on_axis(w)]
+        growing = [w for w, _ in blocks if w.real > 0]
+        ok = parts.gap >= 1 and not bad
+        shift = sigma if growing else 0.0
+        norm = h2_norm([(w - shift, coeffs) for w, coeffs in blocks]) if ok else math.inf
+        report = {"sup": norm, "bounded": ok, "poles": [(w, len(coeffs)) for w, coeffs in blocks]}
         yield ("hardy-membership", *_verdict(
-            ok, f"sup mu_2 = {norm:.4e} for {what}",
+            ok, f"sup mu_2 = {norm:.4e} for {what}" if not growing else
+            f"mu_2 = {norm:.4e} on Re(s) = {sigma:g} for {what}, "
+            f"which grows: poles right of the axis at {_at(growing)}",
             f"Hardy membership fails for {what}: " + (
-                f"pole in Re(s) >= 0 at {_at(right)}" if right else
+                f"pole on the axis or in Re(s) >= {sigma:g} at {_at(bad)}" if bad else
                 f"its degree gap {parts.gap:g} is below 1, so it does not decay like 1/|s|")),
             report)
 
@@ -585,14 +607,13 @@ def _hypothesis_rows(p: _Problem):
         yield "pole-constraints", "FAIL", str(p.poles), None
     else:
         try:
-            if census is None:
-                _check_pole_orders(p.f, p.poles)
-            else:
-                _check_census_orders(census.zeros, p.poles)
+            _check_pole_orders(p.f, p.poles, None if census is None else census.zeros)
             if p.values is not None:
                 ivp = ClassicalIVP(p.f, p.J, p.poles, p.values)
+            else:
+                p.residue = _residues(p)
             yield "pole-constraints", "PASS", f"K = {p.poles.K}", None
-        except (HypothesisError, ValueError) as exc:
+        except (HypothesisError, ValueError, ArithmeticError) as exc:
             yield "pole-constraints", "FAIL", str(exc), None
 
     if ivp is None:
@@ -668,7 +689,7 @@ def _checked_rows(p: _Problem, drain: bool) -> tuple[list, bool]:
     list this pass sets, and warns its own caller as always."""
     for stored in _checked[:]:
         if stored.key == p.key:
-            p.matrix, p.Ln = stored.matrix, stored.Ln
+            p.matrix, p.Ln, p.residue = stored.matrix, stored.Ln, stored.residue
             return copy.deepcopy(stored.rows), True
     rows, warned = [], []
     token = _height_warnings.set(warned)
@@ -750,7 +771,12 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     if p.values is not None:
         _fit_initial_values(solution, p)
     elif p.poles is not None:
-        solution.residue = _laurent_residues(p.g, p.poles)
+        solution.residue = p.residue
+        for (omega, order), coeffs in zip(p.poles.poles, p.residue.coefficients):
+            top, scale = abs(coeffs[-1]), max(1.0, max(map(abs, coeffs)))
+            if order > 1 and top < 1e-10 * scale:
+                _warn(f"pole order at {omega} may be overstated: leading Laurent "
+                      f"coefficient {top:.2e} is negligible")
     return solution
 
 
@@ -761,22 +787,6 @@ def _warn(message: str) -> None:
     while frame.f_globals.get("__name__") == __name__:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
-
-
-def _laurent_residues(g, poles: PoleSpec) -> ResiduePolynomials:
-    """Residue polynomials of r/f at the declared poles."""
-    if g is None:
-        return ResiduePolynomials.zeros(poles)
-    blocks = []
-    for (omega, order), radius in zip(poles.poles, _default_radii(poles)):
-        coeffs = laurent_coefficients(g, omega, order, radius)
-        blocks.append(tuple(coeffs))
-        top = abs(coeffs[-1])
-        scale = max(1.0, max(abs(c) for c in coeffs))
-        if order > 1 and top < 1e-10 * scale:
-            _warn(f"pole order at {omega} may be overstated: leading Laurent "
-                  f"coefficient {top:.2e} is negligible")
-    return ResiduePolynomials(tuple(blocks))
 
 
 def _fit_initial_values(solution: Solution, p: _Problem) -> None:

@@ -20,12 +20,10 @@ blocks of B and needs about 2 sqrt(N) phases per time for N nodes.
 A rational transform, an AnalyticSymbol whose tree symbols.rational_form
 reads as c N/D, is instead the sum of its principal parts (Heaviside's
 expansion) at the roots of D's factors, taken by a Taylor shift and one
-series division per pole (rational_parts), with no Cauchy ring; so is a
-callable whose poles the caller gives, by ring quadrature
-(_principal_parts).  Either sum is accepted only when F minus it
-vanishes on the contour probes: no nodes, and values, derivatives and
-moments in closed form at every t, with no e^{sigma t} to amplify
-rounding.  Reference terms that match F exactly are the one-pole case of
+series division per pole (rational_parts), with no Cauchy ring.  The sum
+is accepted only when F minus it vanishes on the contour probes: no
+nodes, and values, derivatives and moments in closed form at every t,
+with no e^{sigma t} to amplify rounding.  Reference terms that match F exactly are the one-pole case of
 the same (omega, coefficients) blocks.  A rational F's H^2 norm is exact
 too, by Plancherel from its parts (h2_norm).
 """
@@ -52,7 +50,6 @@ from .symbols import (
     Var,
     _product,
     _series_div,
-    cauchy_taylor_at,
     degree_gap,
     eval_symbol,
     parse_expression,
@@ -387,27 +384,6 @@ def _block_sum(blocks, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _principal_parts(F: Callable, poles) -> tuple[list, float]:
-    """The principal parts of F at poles (omega, order m), as blocks
-    (omega, (a_1, ..., a_m)), and their largest difference from the
-    half-ring estimate relative to the largest coefficient.
-
-    a_j is the Taylor coefficient of degree m - j of (s - omega)^m F at
-    omega, taken on a circle of radius half the distance to the nearest
-    other pole, at most 1/2, by its 256 nodes and again by its even ones.
-    """
-    blocks, diffs = [], []
-    for omega, m in poles:
-        radius = min([0.5] + [abs(omega - w) / 2.0 for w, _ in poles if w != omega])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            full, half = (cauchy_taylor_at(lambda s: (s - omega) ** m * F(s), omega, m - 1,
-                                           radius, n) for n in (256, 128))
-        blocks.append((omega, full[::-1]))
-        diffs.append(float(np.max(np.abs(full - half))))
-    top = max(float(np.max(np.abs(coeffs))) for _, coeffs in blocks)
-    return blocks, max(diffs) / top if top > 0 else math.inf
-
-
 def _block_decay(blocks) -> dict:
     """The decay |G| ~ C |s|^-q of G = sum over blocks (omega, a) of
     sum_j a_j/(s - omega)^j, exactly: its large-|s| expansion is sum_k
@@ -635,11 +611,8 @@ class LineSampler:
 
     A rational AnalyticSymbol F is the closed form of its census parts
     (rational_parts; the solver hands over the census of its gate pass as
-    parts) when every part lies left of the line.  Given poles instead,
-    (omega, order) pairs left of the line that hold every pole of a
-    callable F, it first tries the closed form at them (_principal_parts):
-    their parts must match the half-ring estimate to 1e-13 and F minus them
-    must vanish on the 513 contour probes.  Otherwise it fits and lays nodes.
+    parts) when every part lies left of the line.  Otherwise it fits and
+    lays nodes.
 
     Supports inverse-transform values, t = 0 moments, and derivatives of
     the inverse transform.  Its trapezoid rule is a table of immutable
@@ -661,7 +634,7 @@ class LineSampler:
     """
 
     def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0,
-                 poles: tuple = (), parts: RationalParts | None = None) -> None:
+                 parts: RationalParts | None = None) -> None:
         if not math.isfinite(t_max):
             raise ValueError(f"t budget must be finite, got t_max = {t_max}")
         self.cfg = cfg
@@ -677,9 +650,7 @@ class LineSampler:
         self.b = max(1.0, sigma)
         self.y_nodes, self.g_vals = np.zeros(0), np.zeros(0, np.complex128)
         self.poles, self.coefficient_error = (), None
-        s_probe = _contour_probes(cfg)
-        f_probe = None
-        if parts is None and not poles:
+        if parts is None:
             parts = rational_parts(F, cfg)
         # the line integral is the sum of the residues left of the line
         if parts is not None and parts.blocks is not None \
@@ -688,18 +659,6 @@ class LineSampler:
             self.coefficient_error, self.atom_matched, self.tail_estimate = parts.error, True, 0.0
             self._closed_form(list(parts.blocks), math.inf)
             return
-        if poles and all(omega.real < sigma for omega, _ in poles):
-            try:
-                blocks, error = _principal_parts(F, poles)
-            except ValueError:   # a ring through a pole of F that poles omit
-                blocks, error = None, math.inf
-            if error <= 1e-13:
-                f_probe = _values_on(F, s_probe)
-                if _vanishes(f_probe - _block_sum(blocks, s_probe), f_probe):
-                    self.poles, self.coefficient_error = tuple(poles), error
-                    self.atom_matched, self.tail_estimate = True, 0.0
-                    self._closed_form(blocks, math.inf)
-                    return
 
         # Two-decade log-spaced window so the inverse-power columns separate
         # by scale; a narrow window makes them collinear and the fit chases
@@ -738,8 +697,8 @@ class LineSampler:
             self.alpha_g = float(N_ATOMS + 1)
             self.tail_estimate = scale_g * y_max
             self.certified_order = MATCHED_MOMENT_ORDER
-            if f_probe is None:
-                f_probe = _values_on(F, s_probe)
+            s_probe = _contour_probes(cfg)
+            f_probe = _values_on(F, s_probe)
             if scale_f < 1e-300 or _vanishes(f_probe - self._reference(s_probe), f_probe):
                 self._closed_form(self.blocks, N_ATOMS - 1)
                 return

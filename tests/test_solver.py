@@ -374,6 +374,42 @@ class TestLaurent:
         assert abs(coeffs[0] - 2.0) < 1e-10 and abs(coeffs[1]) < 1e-10
 
 
+class TestRingResidues:
+    """A transcendental r/f takes its residues, and f its Taylor
+    coefficients at a declared pole, on the ring of laurent_coefficients."""
+
+    J0 = forcing_from_text("0")
+
+    @pytest.mark.parametrize("symbol, r, pole", [
+        ("exp(s)*(s + 1)", "exp(s)", -1.0),
+        ("zeta(s + 3)", "zeta(s + 3)/(s + 5)", -5.0),
+    ], ids=["exp", "zeta"])
+    def test_residue_on_the_ring(self, symbol, r, pole, monkeypatch):
+        # r/f = 1/(s - pole) near the pole: phi = e^{pole t}
+        rings = []
+        ring = solver.laurent_coefficients
+        monkeypatch.setattr(solver, "laurent_coefficients",
+                            lambda *args: rings.append(args[3]) or ring(*args))
+        f, r = parse_symbol(symbol), parse_symbol(r)
+        sol = solve(f, self.J0, r=r, poles=((pole, 1),))
+        assert sol.diagnostics["mode"] == "poles-given" and len(rings) == 2
+        # a replay takes the stored pass's residues, bit for bit
+        again = solve(f, self.J0, r=r, poles=((pole, 1),))
+        assert again.diagnostics["gates_reused"] and again.residue == sol.residue
+        assert len(rings) == 2
+        assert abs(sol.residue.coefficients[0][0] - 1.0) < 1e-15
+        ts = np.linspace(0.0, 10.0, 21)
+        assert np.max(np.abs(sol(ts) - np.exp(pole * ts))) < 1e-15
+        assert np.max(np.abs(sol(ts) - solve(f, self.J0, r=r)(ts))) < 1e-10
+
+    def test_a_pole_of_the_symbol_cancels_its_zero(self):
+        # zeta(s + 3)(s + 2) tends to 1 at -2: its Taylor coefficient c_0 on
+        # the ring is not negligible
+        with pytest.raises(HypothesisError, match="zero of the symbol"):
+            solve(parse_symbol("zeta(s + 3)*(s + 2)"), self.J0, r=parse_symbol("zeta(s + 3)"),
+                  poles=((-2.0, 1),))
+
+
 _CFG = BromwichConfig()
 _FIT = np.geomspace(_CFG.y_max, 100.0 * _CFG.y_max, 128)
 # the Hardy gate's lines and the reference fit's window
@@ -836,6 +872,46 @@ class TestPoleCensus:
         want = 0.5 * np.exp(-self.LARGE_T) + 0.5 * np.exp(-3.0 * self.LARGE_T)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    def test_a_pole_of_r_over_f_the_declared_poles_omit_is_refused(self, tmp_path, capsys):
+        # r/f = (s + 3)/((s + 1)(s + 2)) has a residue at -2 as well; with -1
+        # declared alone, every gate passed and phi(0.5) read 1.26001, not 0.892133
+        args = dict(f=parse_symbol("(s + 1)*(s + 2)"), J=forcing_from_text("exp(-3*t)"),
+                    r=parse_symbol("s + 3"), poles=((-1.0, 1),))
+        message = "r/f has a pole of order 1 at s = -2 that the declared poles omit"
+        rows = [row[:3] for row in hypothesis_gates(**args)]
+        assert ("pole-constraints", "FAIL", message) in rows
+        with pytest.raises(HypothesisError, match=re.escape(message)):
+            solve(**args)
+        cfg = tmp_path / "omitted.cfg"
+        cfg.write_text("mode = diagnose\nsymbol = (s + 1)*(s + 2)\nforcing = exp(-3*t)\n"
+                       "gic = s + 3\n[poles]\n-1 0 1\n")
+        assert nlode.cli.diagnose(str(cfg)) == 2
+        assert message in capsys.readouterr().out
+        both = solve(**{**args, "poles": ((-1.0, 1), (-2.0, 1))})
+        assert abs(both(0.5) - 0.892133) < 1e-6
+
+    @pytest.mark.parametrize("rate, sigma", [(0.05, 1.0), (0.1, 1.0), (0.5, 1.0), (0.8, 1.5)])
+    def test_parts_between_the_axis_and_the_contour_pass_by_census(self, rate, sigma,
+                                                                   monkeypatch):
+        # the sampled rule passed e^{0.05 t} and e^{0.5 t} but failed
+        # e^{0.1 t}, whose line x = 0.1 meets the pole; the census passes all
+        # and reports ||F(sigma + .)||_{H^2}, the line mean on the contour
+        f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text(f"exp({rate}*t)")
+        cfg = BromwichConfig(sigma=sigma)
+        want = transforms.hardy_norm(lambda s: 1 / ((s - rate) * (s + 1) * (s + 2)), 2.0, sigma)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled the Hardy lines")
+
+        monkeypatch.setattr(transforms, "hardy_norm", refuse)
+        row = next(row for row in hypothesis_gates(f, J, cfg=cfg) if row[0] == "hardy-membership")
+        assert row[1] == "PASS" and f"poles right of the axis at s = {rate:g}" in row[2]
+        assert row[3]["sup"] == pytest.approx(want, rel=1e-9)
+        ts = np.linspace(0.0, 10.0, 11)
+        exact = np.exp(rate * ts) / ((rate + 1) * (rate + 2)) - np.exp(-ts) / (1 + rate) \
+            + np.exp(-2.0 * ts) / (2 + rate)
+        assert np.max(np.abs(solve(f, J, cfg=cfg)(ts) - exact) / np.abs(exact)) < 1e-12
+
     def test_h2_norm_is_plancherel(self):
         # ||1/((s + 1)(s + 2)(s + 3))||_{H^2}^2 = 1/120, the integral of
         # (e^{-t}/2 - e^{-2t} + e^{-3t}/2)^2; the sampled mu_2(0) agrees
@@ -858,19 +934,28 @@ class TestPoleCensus:
         assert np.max(np.abs(sol(ts) - exact)) < 1e-10
 
     def test_a_rational_problem_samples_nothing(self, monkeypatch):
-        # neither the Hardy lines nor a Cauchy ring: the census decides every
-        # row, and the exp(s) eigenfunction still samples its Hardy lines
+        # neither the Hardy lines nor a Cauchy ring nor a Laurent ring: the
+        # census decides every row and gives r/f's residues, and the exp(s)
+        # eigenfunction still samples its Hardy lines
         def refuse(*args, **kwargs):
             raise AssertionError("sampled a rational problem")
 
-        for module in (symbols, solver, transforms):
+        for module in (symbols, solver):
             monkeypatch.setattr(module, "cauchy_taylor_at", refuse)
+        monkeypatch.setattr(solver, "laurent_coefficients", refuse)
         monkeypatch.setattr(transforms, "hardy_norm", refuse)
         f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)")
         for args in ({"poles": ((-1.0, 1), (-2.0, 1)), "initial_values": (1.0, 0.0)},
-                     {"r": parse_symbol("s + 3")}, {"poles": ((-1.0, 1),), "initial_values": (1.0,)}):
+                     {"r": parse_symbol("s + 3")}, {"poles": ((-1.0, 1),), "initial_values": (1.0,)},
+                     {"r": parse_symbol("s + 3"), "poles": ((-1.0, 1), (-2.0, 1))}):
             sol = solve(f, J, **args)
             assert sol.line.y_nodes.size == 0
+        assert sol.residue.coefficients == ((2 + 0j,), (-1 + 0j,))
+        # an overstated order: the census part at -1 is one term, padded with 0
+        with pytest.warns(UserWarning, match="may be overstated"):
+            sol = solve(parse_symbol("(s + 1)^2*(s + 2)"), J, r=parse_symbol("(s + 1)*(s + 3)"),
+                        poles=((-1.0, 2), (-2.0, 1)))
+        assert sol.line.y_nodes.size == 0 and sol.residue.coefficients[0][1] == 0
         with pytest.raises(AssertionError, match="sampled a rational problem"):
             solve_generalized(*eigen_problem("exp(s)", 2.0))
 

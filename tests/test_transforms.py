@@ -25,6 +25,7 @@ from nlode.transforms import (
     _blocked_sums,
     _power_fit,
 )
+from nlode.symbols import parse_symbol
 from test_acceptance import INVERSION_PAIRS
 
 EPS = np.finfo(np.float64).eps
@@ -351,13 +352,14 @@ class TestLineSampler:
         assert seasoned.moment(1) == fresh.moment(1)
 
     @pytest.mark.parametrize("n", [-1, 1.5])
-    @pytest.mark.parametrize("poles", [(), ((-1.0, 2), (-1.0 + 1j, 1), (-1.0 - 1j, 1))],
-                             ids=["noded", "closed-form"])
-    def test_bad_derivative_order_refused(self, n, poles):
+    @pytest.mark.parametrize("F, exact", [
+        (lambda s: 1 / ((s + 1) ** 2 * ((s + 1) ** 2 + 1)), False),
+        (parse_symbol("1/((s + 1)^2*((s + 1)^2 + 1))"), True),
+    ], ids=["noded", "closed-form"])
+    def test_bad_derivative_order_refused(self, n, F, exact):
         # before any line work: the refused call builds no state
-        sampler = LineSampler(lambda s: 1 / ((s + 1) ** 2 * ((s + 1) ** 2 + 1)), self.CFG,
-                              poles=poles)
-        assert sampler.atom_exact == bool(poles) and copy.deepcopy(sampler) is sampler
+        sampler = LineSampler(F, self.CFG)
+        assert sampler.atom_exact == exact and copy.deepcopy(sampler) is sampler
         message = f"order must be a nonnegative integer, got n = {n}"
         for evaluate in (lambda: sampler.derivative_values(n, [40.0]),
                          lambda: sampler.moment(n)):
