@@ -14,6 +14,7 @@ from .symbols import (
     build_r_series,
     eval_symbol,
     format_symbol,
+    laurent_coefficients,
     parse_symbol,
     taylor_coefficients,
 )
@@ -35,7 +36,6 @@ from .solver import (
     Solution,
     assemble_ivp_system,
     find_zeros,
-    laurent_coefficients,
     solve,
     solve_classical_ivp,
     solve_generalized,

@@ -69,9 +69,10 @@ from .symbols import (
     Div,
     Mul,
     Record,
+    _values_on,
     _walk,
-    cauchy_taylor_at,
     degree_gap,
+    laurent_coefficients,
     rational_form,
     rational_roots,
 )
@@ -81,6 +82,7 @@ from .transforms import (
     LineSampler,
     RationalParts,
     _block_decay,
+    _contour_probes,
     _derivative_order,
     _exp_poly_derivative,
     _laplace_tree_from_terms,
@@ -93,7 +95,6 @@ from .transforms import (
 
 CONDITION_LIMIT = 1e10
 DECAY_EXPONENT_MIN = 0.05
-LAURENT_TOL = 1e-11
 DECAY_RADII = (1e2, 1e3, 1e4)
 ZERO_COUNT_CAP = 64
 DECLARED_POLE_TOL = 1e-6      # a census point this close to a declared pole is at it
@@ -109,7 +110,7 @@ class HypothesisError(RuntimeError):
 
 
 class PoleSpec(Record):
-    """Declared poles (omega_i, order r_i) of r/f, all left of the axis."""
+    """Declared poles (omega_i, order r_i) of r/f, all finite and left of the axis."""
 
     poles: tuple
 
@@ -117,6 +118,8 @@ class PoleSpec(Record):
         normalized = tuple((complex(w), int(r)) for w, r in self.poles)
         object.__setattr__(self, "poles", normalized)
         for omega, order in normalized:
+            if not np.isfinite(omega):
+                raise ValueError(f"pole {omega} is not finite")
             if order < 1:
                 raise ValueError(f"pole order must be positive, got {order}")
             if not omega.real < 0:
@@ -261,8 +264,7 @@ def decay_fit(g: Callable) -> dict:
     """
     angles = np.array([0.125, -0.125, 0.25, -0.25, 0.375, -0.375, 0.5, -0.5]) * math.pi
     points = np.array([r * np.exp(1j * a) for r in DECAY_RADII for a in angles])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.abs(np.asarray(g(points), np.complex128))
+    vals = np.abs(_values_on(g, points))
     if np.any(vals == np.inf):
         raise HypothesisError("decay check failed: r/f overflows at large |s| in Re(s) >= 0")
     n_finite = int(np.count_nonzero(np.isfinite(vals) & (vals > 0)))
@@ -272,55 +274,6 @@ def decay_fit(g: Callable) -> dict:
         )
     q, c, _ = _power_fit(np.abs(points), vals)
     return {"q": q, "C": c, "n_finite": n_finite}
-
-
-def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float) -> list:
-    """Laurent coefficients a_k = (1/2*pi*i) contour integral of g (s-omega)^{k-1},
-    for k = 1, ..., order when order >= 1, and k = 0, -1, ..., order when
-    order <= 0: a_{-j} is the coefficient of (s - omega)^j, so for a g
-    analytic on the disk these are its Taylor coefficients c_0, ..., c_{-order}.
-
-    Periodic trapezoid sums on the circle, with node doubling 64 -> 4096
-    until the coefficients settle below 1e-11.  The even nodes of a
-    doubled ring are the previous ring's nodes bit for bit, so each
-    doubling samples g on the new odd nodes only.
-    """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    omega = complex(omega)
-
-    def ring_and_samples(j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        ring = np.exp(1j * (2.0 * math.pi * j / n))
-        z = omega + radius * ring
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(g(z), np.complex128)
-        if vals.shape != z.shape:
-            vals = np.array([g(zz) for zz in z], np.complex128)
-        if not np.all(np.isfinite(vals)):
-            raise ArithmeticError("samples on the Laurent circle are not finite")
-        return ring, vals
-
-    ks = np.arange(1, order + 1) if order >= 1 else -np.arange(1 - order)
-    n = 64
-    ring, vals = ring_and_samples(np.arange(n), n)
-    prev: np.ndarray | None = None
-    while True:
-        a = (radius ** ks / n) * (ring[:, None] ** ks[None, :] * vals[:, None]).sum(axis=0)
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(a))))
-            if float(np.max(np.abs(a - prev))) < LAURENT_TOL * scale:
-                return [complex(v) for v in a]
-        prev = a
-        if n == 4096:
-            break
-        n *= 2
-        odd_ring, odd_vals = ring_and_samples(np.arange(1, n, 2), n)
-        ring = np.stack([ring, odd_ring], axis=1).ravel()
-        vals = np.stack([vals, odd_vals], axis=1).ravel()
-    raise ArithmeticError(
-        "Laurent coefficients did not converge under node doubling; "
-        "the circle may intersect another singularity"
-    )
 
 
 def _default_radii(poles: PoleSpec) -> list[float]:
@@ -428,7 +381,8 @@ def _verdict(ok: bool, passed: str, failed: str) -> tuple[str, str]:
 class _Problem:
     """The data of solve and hypothesis_gates, normalized once.  Initial
     values fix the residues at the declared poles, so they need poles and
-    exclude r; anything else is a ValueError.  poles is None, a PoleSpec,
+    exclude r; anything else, or a value that is not finite, is a
+    ValueError.  poles is None, a PoleSpec,
     or the ValueError of poles that PoleSpec refuses, which the
     pole-constraints row reports.  key is what the gate rows depend on:
     all data but the initial values' own values; None when a part is a
@@ -441,6 +395,9 @@ class _Problem:
         self.f, self.J, self.cfg = f, J, cfg or BromwichConfig()
         self.gic = r if isinstance(r, GeneralizedIC) else zero_ic() if r is None else GeneralizedIC(r)
         self.values = None if initial_values is None else tuple(map(complex, initial_values))
+        for n, v in enumerate(self.values or ()):
+            if not np.isfinite(v):
+                raise ValueError(f"initial value phi^({n})(0) = {v} is not finite")
         if poles is not None and not isinstance(poles, PoleSpec):
             try:
                 poles = PoleSpec(tuple(poles))
@@ -630,10 +587,8 @@ def _hypothesis_rows(p: _Problem):
 def _sampled_symbol_rows(p: _Problem):
     """The first two rows for an f the census does not decide: |f| on 4
     real probes approaching the axis, and on 513 points of the contour."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        near = np.abs(np.asarray(p.f(np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j), np.complex128))
-        on_line = np.abs(np.asarray(
-            p.f(p.cfg.sigma + 1j * np.linspace(-p.cfg.y_max, p.cfg.y_max, 513)), np.complex128))
+    near = np.abs(_values_on(p.f, np.array([1e-1, 1e-2, 1e-3, 1e-4]) + 0j))
+    on_line = np.abs(_values_on(p.f, _contour_probes(p.cfg)))
     ok = bool(np.all(np.isfinite(near))) and near[-1] <= 100.0 * max(1.0, near[0])
     yield ("analytic-right-half-plane", *_verdict(
         ok, "|f| bounded near the axis", f"|f| grows to {near[-1]:.3e} approaching the axis"), None)
@@ -746,7 +701,11 @@ def solve(f, J: Forcing, *, r=None, poles=None, initial_values=None,
     with poles, a PoleSpec or (omega, order) pairs, the residue split;
     poles with initial values phi(0), ..., phi^{K-1}(0), the classical
     IVP, whose constructed r0 becomes solution.gic.  r with initial
-    values, or initial values without poles, is a ValueError.  The
+    values, initial values without poles, or an initial value that is
+    not finite, is a ValueError.  With r and poles, a pole of a rational
+    r/f that the declared poles omit fails pole-constraints; a pole of a
+    transcendental r/f (exp, zeta, a callable) that they omit loses its
+    residue, and nothing warns: only the declared points are checked.  The
     arguments are those of hypothesis_gates: their rows go to
     diagnostics["gates"], the first FAIL raises HypothesisError, and
     diagnostics["mode"] names the path (generalized, poles-given or
@@ -868,8 +827,7 @@ def _boundary_winding(f_eval: Callable, rect: tuple) -> int:
         frac = u - seg
         return corners[seg] * (1 - frac) + corners[seg + 1] * frac
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(f_eval(to_points(params)), np.complex128)
+    vals = _values_on(f_eval, to_points(params))
     for _ in range(WINDING_REFINE_CAP):
         if not np.all(np.isfinite(vals)) or np.any(np.abs(vals) < 1e-300):
             raise ValueError(
@@ -886,8 +844,7 @@ def _boundary_winding(f_eval: Callable, rect: tuple) -> int:
                 )
             return int(round(winding))
         mids = 0.5 * (params[:-1][bad] + params[1:][bad])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mvals = np.asarray(f_eval(to_points(mids)), np.complex128)
+        mvals = _values_on(f_eval, to_points(mids))
         params = np.concatenate([params, mids])
         order = np.argsort(params)
         params = params[order]
@@ -899,8 +856,7 @@ def _newton_refine(f_eval: Callable, z0: complex, multiplicity: int) -> complex:
     z = complex(z0)
     for _ in range(80):
         fz = complex(np.asarray(f_eval(np.complex128(z))))
-        coeffs = cauchy_taylor_at(f_eval, z, 1, radius=1e-3, n_nodes=32)
-        dfz = coeffs[1]
+        dfz = laurent_coefficients(f_eval, z, -1, 1e-3)[1]
         if dfz == 0:
             break
         step = multiplicity * fz / dfz

@@ -1,4 +1,5 @@
-"""Analytic symbols f(s): parsing, evaluation, Taylor series, r-series.
+"""Analytic symbols f(s): parsing, evaluation, Taylor series, r-series,
+and the one circle quadrature of the package, laurent_coefficients.
 
 Grammar: complex constants (reals, scientific notation, the imaginary
 unit i), one free variable, + - * /, ^ with nonnegative integer
@@ -28,6 +29,7 @@ import numpy as np
 from .special_functions import zeta
 
 SERIES_CAP = 128
+LAURENT_TOL = 1e-11     # laurent_coefficients' settle threshold under node doubling
 _setattr = object.__setattr__
 
 
@@ -486,8 +488,9 @@ def _series(node, m: int) -> np.ndarray:
             g[n] = sum(k * u[k] * g[n - k] for k in range(1, n + 1)) / n
         return g
     if isinstance(node, ZetaNode):
-        rho = 0.5 * min(1.0, node.shift - 1.0)
-        return cauchy_taylor_at(zeta, node.shift, m - 1, rho)
+        # a ring near the edge of the disk, whose radius h - 1 is the distance
+        # to zeta's pole, so rounding relative to c_j grows only like 1.25^j
+        return np.array(laurent_coefficients(zeta, node.shift, 1 - m, 0.8 * (node.shift - 1.0)))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -634,7 +637,9 @@ def rational_roots(form) -> tuple[list, list]:
 
 
 def taylor_coefficients(f: AnalyticSymbol, n_max: int) -> np.ndarray:
-    """Coefficients c_0..c_{n_max} with c_n = f^(n)(0)/n!."""
+    """Coefficients c_0..c_{n_max} with c_n = f^(n)(0)/n!, by series
+    arithmetic; a zeta node's come from laurent_coefficients, which raises
+    ArithmeticError when they do not settle."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > SERIES_CAP:
@@ -642,25 +647,61 @@ def taylor_coefficients(f: AnalyticSymbol, n_max: int) -> np.ndarray:
     return _series(f.expr, n_max + 1)
 
 
-def cauchy_taylor_at(f, center: complex, order: int, radius: float,
-                     n_nodes: int = 256) -> np.ndarray:
-    """Taylor coefficients of f about an arbitrary center, by circle quadrature.
+def _values_on(F: Callable, s: np.ndarray) -> np.ndarray:
+    """F at the points s as a complex array; an overflow or a division by
+    zero leaves inf or nan there rather than warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.asarray(F(s), np.complex128)
 
-    Accepts an AnalyticSymbol or a plain vectorized callable.  Requires f
-    analytic on the closed disk; returns c_0..c_order with
-    c_k = f^(k)(center)/k!.
+
+def laurent_coefficients(g: Callable, omega: complex, order: int, radius: float) -> list:
+    """Laurent coefficients a_k = (1/2*pi*i) contour integral of g (s-omega)^{k-1},
+    for k = 1, ..., order when order >= 1, and k = 0, -1, ..., order when
+    order <= 0: a_{-j} is the coefficient of (s - omega)^j, so for a g
+    analytic on the disk these are its Taylor coefficients c_0, ..., c_{-order}.
+
+    Periodic trapezoid sums on the circle, with node doubling 64 -> 4096
+    until the coefficients settle below LAURENT_TOL of the largest (at
+    least 1); otherwise ArithmeticError.  The even nodes of a doubled ring
+    are the previous ring's nodes bit for bit, so each doubling samples g
+    on the new odd nodes only.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
-    if order >= n_nodes:
-        raise ValueError("order must be below the node count")
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    ring = center + radius * np.exp(1j * theta)
-    samples = np.asarray(f(ring), dtype=np.complex128)
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("symbol is not finite on the quadrature circle")
-    coeffs = np.fft.fft(samples)[: order + 1] / n_nodes
-    return coeffs / radius ** np.arange(order + 1)
+    omega = complex(omega)
+
+    def ring_and_samples(j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        ring = np.exp(1j * (2.0 * math.pi * j / n))
+        z = omega + radius * ring
+        vals = _values_on(g, z)
+        if vals.shape != z.shape:
+            vals = np.array([g(zz) for zz in z], np.complex128)
+        if not np.all(np.isfinite(vals)):
+            raise ArithmeticError("samples on the Laurent circle are not finite")
+        return ring, vals
+
+    ks = np.arange(1, order + 1) if order >= 1 else -np.arange(1 - order)
+    n = 64
+    ring, vals = ring_and_samples(np.arange(n), n)
+    prev: np.ndarray | None = None
+    while True:
+        a = (radius ** ks / n) * (ring[:, None] ** ks[None, :] * vals[:, None]).sum(axis=0)
+        if prev is not None:
+            scale = max(1.0, float(np.max(np.abs(a))))
+            if float(np.max(np.abs(a - prev))) < LAURENT_TOL * scale:
+                return [complex(v) for v in a]
+        prev = a
+        if n == 4096:
+            break
+        n *= 2
+        odd_ring, odd_vals = ring_and_samples(np.arange(1, n, 2), n)
+        ring = np.stack([ring, odd_ring], axis=1).ravel()
+        vals = np.stack([vals, odd_vals], axis=1).ravel()
+    raise ArithmeticError(
+        f"Laurent coefficients on the circle of radius {radius:g} about {omega:.6g} did not settle "
+        "under node doubling to 4096 nodes: a singularity on or near the circle, or noise "
+        "in the samples that the division by radius^k amplifies, keeps the rings apart"
+    )
 
 
 class DataSequence(Record):

@@ -50,6 +50,7 @@ from .symbols import (
     Var,
     _product,
     _series_div,
+    _values_on,
     degree_gap,
     eval_symbol,
     parse_expression,
@@ -345,11 +346,6 @@ def _power_fit(xs: np.ndarray, ms: np.ndarray) -> tuple[float, float, float]:
 
 MATCHED_MOMENT_ORDER = 4
 MOMENT_TAIL_TOL = 1e-5
-
-
-def _values_on(F: Callable, s: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.asarray(F(s), np.complex128)
 
 
 def _vanishes(diff: np.ndarray, f_vals: np.ndarray) -> bool:
@@ -956,8 +952,7 @@ def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0,
     if x < 0:
         raise ValueError("x must be nonnegative")
     ys = np.linspace(-y_max, y_max, HARDY_NODES)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(F(x + 1j * ys), np.complex128)
+    vals = _values_on(F, x + 1j * ys)
     mods = np.abs(vals)
     if not np.all(np.isfinite(mods)):
         raise ValueError("divergent truncated Hardy integral: non-finite samples on the line")

@@ -217,6 +217,20 @@ class TestRun:
         assert run(write_cfg(tmp_path, text)) == 2
         assert "hypothesis failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("-1 0 1", "-inf 0 1", "pole (-inf+0j) is not finite"),
+        ("[initial_values]\n1\n", "[initial_values]\nnan\n",
+         "initial value phi^(0)(0) = (nan+0j) is not finite"),
+    ], ids=["pole", "initial-value"])
+    def test_non_finite_datum_is_exit_2_by_name(self, tmp_path, monkeypatch, capsys,
+                                                old, new, named):
+        # a -inf pole exited 2 with "complex exponentiation"; a nan initial
+        # value wrote an all-NaN phi column and exited 0
+        monkeypatch.chdir(tmp_path)
+        assert run(write_cfg(tmp_path, FAST_IVP.replace(old, new))) == 2
+        assert f"hypothesis failure: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "fast.csv").exists()
+
     def test_output_in_a_missing_directory_is_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         text = FAST_IVP.replace("output_csv = fast.csv", "output_csv = missing/fast.csv")
@@ -277,6 +291,20 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert "result: PASS" not in captured.out
         assert "initial values need declared poles and no r" in captured.err
+
+    def test_non_finite_pole_fails_its_row(self, tmp_path, capsys):
+        # the conditioning row raised OverflowError: complex exponentiation
+        text = FAST_IVP.replace("classical-ivp", "diagnose").replace("-1 0 1", "-inf 0 1")
+        assert diagnose(write_cfg(tmp_path, text)) == 2
+        out = capsys.readouterr().out
+        assert re.search(r"pole-constraints +FAIL +pole \(-inf\+0j\) is not finite", out)
+        assert re.search(r"conditioning +SKIP", out) and "result: FAIL" in out
+
+    def test_non_finite_initial_value_is_exit_2(self, tmp_path, capsys):
+        text = FAST_IVP.replace("classical-ivp", "diagnose").replace(
+            "[initial_values]\n1\n", "[initial_values]\nnan\n")
+        assert diagnose(write_cfg(tmp_path, text)) == 2
+        assert "initial value phi^(0)(0) = (nan+0j) is not finite" in capsys.readouterr().err
 
     def test_broken_config_is_exit_1(self, tmp_path, capsys):
         assert diagnose(str(tmp_path / "nope.cfg")) == 1

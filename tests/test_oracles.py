@@ -64,6 +64,19 @@ class TestTruncatedSeries:
         got = apply_truncated_series(f, prof, ts)
         assert np.max(np.abs(got - ZETA_2_5 * np.exp(-0.5 * ts))) < 1e-7
 
+    @pytest.mark.parametrize("rate, tol", [(1.2, 1e-12), (0.8, 1e-14)])
+    def test_zeta_series_inside_its_disk(self, rate, tol):
+        # e^{-rate t} lies inside zeta(s + 3)'s Taylor disk (radius 2), so the
+        # N = 60 series converges to zeta(3 - rate) e^{-rate t}; with rounding
+        # noise in c_j it read "diverges by term 44" at rate 1.2 and was off
+        # by 2.2e-5 at rate 0.8
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.linspace(0.0, 10.0, 21)
+        got = apply_truncated_series(parse_symbol("zeta(s + 3)"),
+                                     exponential_profile(1.0 / rate), ts, N=60)
+        expect = float(mpmath.zeta(3.0 - rate)) * np.exp(-rate * ts)
+        assert np.max(np.abs(got - expect)) < tol
+
     def test_scalar_input(self):
         f = parse_symbol("exp(s)")
         out = apply_truncated_series(f, exponential_profile(2.0), 1.0)

@@ -93,6 +93,33 @@ class TestDataStructures:
         assert spec.K == 3
         assert spec.omegas == (-1.0 + 0j, -2.0 + 1.0j)
 
+    @pytest.mark.parametrize("omega", [-math.inf, complex(-1.0, math.inf), math.nan],
+                             ids=["-inf", "inf-imag", "nan"])
+    def test_non_finite_pole_refused_by_name(self, omega):
+        # -inf passed PoleSpec, and the conditioning row then overflowed in
+        # complex exponentiation
+        f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)")
+        poles = ((omega, 1), (-2.0, 1))
+        with pytest.raises(ValueError, match=r"pole .* is not finite"):
+            PoleSpec(poles)
+        rows = hypothesis_gates(f, J, poles=poles, initial_values=(1.0, 0.0))
+        status = {name: (st, detail) for name, st, detail, _ in rows}
+        assert status["pole-constraints"][0] == "FAIL"
+        assert "is not finite" in status["pole-constraints"][1]
+        assert status["conditioning"][0] == "SKIP"
+        with pytest.raises(HypothesisError, match=r"pole .* is not finite"):
+            solve(f, J, poles=poles, initial_values=(1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_initial_value_refused_by_name(self, bad):
+        # nan was solved to an all-NaN phi, with NaN errors and no warning
+        f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)")
+        poles = ((-1.0, 1), (-2.0, 1))
+        with pytest.raises(ValueError, match=re.escape(r"initial value phi^(1)(0) = ")):
+            solve(f, J, poles=poles, initial_values=(1.0, bad))
+        with pytest.raises(ValueError, match="is not finite"):
+            hypothesis_gates(f, J, poles=poles, initial_values=(bad, 0.0))
+
     def test_gic_provenance(self):
         with pytest.raises(ValueError):
             GeneralizedIC(parse_symbol("s"), "guessed")
@@ -934,15 +961,14 @@ class TestPoleCensus:
         assert np.max(np.abs(sol(ts) - exact)) < 1e-10
 
     def test_a_rational_problem_samples_nothing(self, monkeypatch):
-        # neither the Hardy lines nor a Cauchy ring nor a Laurent ring: the
-        # census decides every row and gives r/f's residues, and the exp(s)
-        # eigenfunction still samples its Hardy lines
+        # neither the Hardy lines nor the ring, in either module that binds
+        # it: the census decides every row and gives r/f's residues, and
+        # the exp(s) eigenfunction still samples its Hardy lines
         def refuse(*args, **kwargs):
             raise AssertionError("sampled a rational problem")
 
         for module in (symbols, solver):
-            monkeypatch.setattr(module, "cauchy_taylor_at", refuse)
-        monkeypatch.setattr(solver, "laurent_coefficients", refuse)
+            monkeypatch.setattr(module, "laurent_coefficients", refuse)
         monkeypatch.setattr(transforms, "hardy_norm", refuse)
         f, J = parse_symbol("(s + 1)*(s + 2)"), forcing_from_text("exp(-3*t)")
         for args in ({"poles": ((-1.0, 1), (-2.0, 1)), "initial_values": (1.0, 0.0)},
@@ -959,21 +985,29 @@ class TestPoleCensus:
         with pytest.raises(AssertionError, match="sampled a rational problem"):
             solve_generalized(*eigen_problem("exp(s)", 2.0))
 
-    def test_the_classical_path_imports_no_fft(self):
+    def test_the_classical_path_imports_no_fft(self, tmp_path):
+        # nor does `nlode solve` on the zeta config, whose residual check
+        # takes zeta(s + 3)'s Taylor series on the ring
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         code = ("import sys\n"
                 "import numpy as np\n"
+                "import nlode.cli\n"
                 "from nlode import ClassicalIVP, PoleSpec, forcing_from_text, parse_symbol, "
                 "solve_classical_ivp\n"
                 "sol, _ = solve_classical_ivp(ClassicalIVP(parse_symbol('(s + 1)*(s + 2)'), "
                 "forcing_from_text('exp(-3*t)'), PoleSpec(((-1.0, 1), (-2.0, 1))), (1.0, 0.0)))\n"
                 "sol(np.linspace(0.0, 10.0, 201))\n"
+                "print('numpy.fft' in sys.modules)\n"
+                f"assert nlode.cli.run({os.path.join(root, 'configs', 'zeta_symbol_ivp.cfg')!r}) == 0\n"
                 "print('numpy.fft' in sys.modules)\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+            [os.path.join(root, "src")]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120, check=True)
-        assert out.stdout.strip() == "False"
+                             cwd=tmp_path, env=env, timeout=120, check=True)
+        assert out.stdout.split() == ["False", "wrote", "zeta_symbol_ivp.csv", "False"]
+        assert "residual_sup: n/a (truncated series diverges by term 7" in \
+            (tmp_path / "zeta_symbol_ivp.report.txt").read_text()
 
 
 class TestAssemble:

@@ -23,9 +23,9 @@ from nlode.symbols import (
     DataSequence,
     SymbolSyntaxError,
     build_r_series,
-    cauchy_taylor_at,
     eval_symbol,
     format_symbol,
+    laurent_coefficients,
     parse_expression,
     parse_symbol,
     taylor_coefficients,
@@ -278,27 +278,66 @@ class TestTaylorCoefficients:
 
 
 class TestCauchyTaylor:
+    """Taylor coefficients about any centre on the one ring,
+    laurent_coefficients with a nonpositive order."""
+
     def test_exponential_about_one(self):
-        f = parse_symbol("exp(s)")
-        c = cauchy_taylor_at(f, 1.0, 5, radius=0.5)
+        c = laurent_coefficients(parse_symbol("exp(s)"), 1.0, -5, radius=0.5)
         expect = np.array([math.e / math.factorial(k) for k in range(6)])
-        assert np.max(np.abs(c - expect)) < 1e-12
+        assert np.max(np.abs(np.array(c) - expect)) < 1e-12
 
     def test_plain_callable(self):
-        c = cauchy_taylor_at(lambda z: z ** 2, 3.0, 3, radius=1.0)
+        c = laurent_coefficients(lambda z: z ** 2, 3.0, -3, radius=1.0)
         assert np.allclose(c, [9.0, 6.0, 1.0, 0.0], atol=1e-12)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
-            cauchy_taylor_at(parse_symbol("s"), 0.0, 2, radius=0.0)
-
-    def test_order_must_fit_nodes(self):
-        with pytest.raises(ValueError):
-            cauchy_taylor_at(parse_symbol("s"), 0.0, 64, radius=1.0, n_nodes=64)
+            laurent_coefficients(parse_symbol("s"), 0.0, -2, radius=0.0)
 
     def test_pole_on_circle_detected(self):
-        with pytest.raises(ValueError):
-            cauchy_taylor_at(parse_symbol("1/(s - 1)"), 0.0, 2, radius=1.0, n_nodes=4)
+        # the node at angle 0 is the pole s = 1 itself
+        with pytest.raises(ArithmeticError, match="not finite"):
+            laurent_coefficients(parse_symbol("1/(s - 1)"), 0.0, -2, radius=1.0)
+
+
+class TestZetaSeries:
+    """zeta(s + h)'s Taylor coefficients zeta^(j)(h)/j!, on a ring at 0.8 of
+    the disk radius h - 1: each is within its tolerance or the series
+    raises.  A ring at half of min(1, h - 1) read c_60 = -33.3 for h = 3."""
+
+    HS = (1.1, 1.5, 2.0, 3.0, 6.0)
+
+    @staticmethod
+    def exact(h: float, n: int) -> np.ndarray:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return np.array([float(mpmath.zeta(h, 1, j) / mpmath.factorial(j))
+                             for j in range(n + 1)])
+
+    @pytest.mark.parametrize("h", HS)
+    def test_orders_to_24(self, h):
+        c = taylor_coefficients(parse_symbol(f"zeta(s + {h})"), 24)
+        exact = self.exact(h, 24)
+        assert np.max(np.abs(c - exact) / np.abs(exact)) < 1e-10
+
+    @pytest.mark.parametrize("h", HS)
+    def test_order_60_settles_or_raises(self, h):
+        try:
+            c = taylor_coefficients(parse_symbol(f"zeta(s + {h})"), 60)
+        except ArithmeticError as exc:
+            assert "did not settle under node doubling" in str(exc)
+            return
+        exact = self.exact(h, 60)
+        assert np.max(np.abs(c - exact) / np.abs(exact)) < 1e-8
+
+    def test_ring_radius_and_points(self, monkeypatch):
+        # N = 24 at h = 3, as the CLI's residual check asks, settles on
+        # 256 points of the circle of radius 1.6
+        seen = []
+        monkeypatch.setattr(symbols, "zeta", lambda z: seen.append(z) or special_functions.zeta(z))
+        taylor_coefficients(parse_symbol("zeta(s + 3)"), 24)
+        z = np.concatenate(seen)
+        assert z.size == 256 and np.allclose(np.abs(z - 3.0), 1.6, rtol=0, atol=1e-14)
 
 
 class TestDataSequence:
