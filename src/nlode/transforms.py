@@ -23,9 +23,9 @@ expansion) at the roots of D's factors, taken by a Taylor shift and one
 series division per pole (rational_parts), with no Cauchy ring.  The sum
 is accepted only when F minus it vanishes on the contour probes: no
 nodes, and values, derivatives and moments in closed form at every t,
-with no e^{sigma t} to amplify rounding.  Reference terms that match F exactly are the one-pole case of
-the same (omega, coefficients) blocks.  A rational F's H^2 norm is exact
-too, by Plancherel from its parts (h2_norm).
+with no e^{sigma t} to amplify rounding.  An F that is 0 on the fit
+window is the closed form of no parts; any other F goes to the noded line.
+A rational F's H^2 norm is exact too, by Plancherel from its parts (h2_norm).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ FORCING_PROBES = 10
 CHIRP_MIN_POINTS = 32         # fewer uniform times go to the blocked kernel
 CHIRP_MAX_INDEX = 1 << 26     # chirp indices below it have exact float squares
 PHASE_TABLE_CAP = 1 << 22     # entries per phase table of the blocked kernel
-CONTOUR_PROBES = 513          # points of |Im s| <= y_max that accept a closed form
+CONTOUR_PROBES = 513          # points of |Im s| <= y_max that accept a census
 PART_ZERO_TOL = 1e-10         # a numerator Taylor coefficient this far below its rounding scale is 0
 
 
@@ -348,13 +348,6 @@ MATCHED_MOMENT_ORDER = 4
 MOMENT_TAIL_TOL = 1e-5
 
 
-def _vanishes(diff: np.ndarray, f_vals: np.ndarray) -> bool:
-    """F minus its closed form is within 1e-12 of max |F| on the probes."""
-    f_abs = np.abs(f_vals)
-    scale = float(np.max(f_abs)) if np.all(np.isfinite(f_abs)) else 0.0
-    return scale > 0 and float(np.max(np.abs(diff))) <= 1e-12 * scale
-
-
 def _block_sum(blocks, s: np.ndarray) -> np.ndarray:
     """sum over blocks (omega, a) of sum_j a_j / (s - omega)^j.
 
@@ -459,7 +452,7 @@ def rational_parts(F, cfg: BromwichConfig) -> RationalParts | None:
     else None: the roots of its denominator's factors (symbols.rational_roots),
     the principal parts there by polynomial arithmetic (_rational_blocks),
     accepted when F minus their sum vanishes on the CONTOUR_PROBES points of
-    the contour line (_vanishes)."""
+    the contour line: within 1e-12 of max |F| there."""
     form = rational_form(F.expr) if isinstance(F, AnalyticSymbol) else None
     if form is None:
         return None
@@ -476,7 +469,7 @@ def rational_parts(F, cfg: BromwichConfig) -> RationalParts | None:
         diff = f_probe - (_block_sum(blocks, s_probe) if blocks else 0.0)
     top = float(np.max(np.abs(f_probe)))
     error = float(np.max(np.abs(diff))) / top if top > 0 else math.inf
-    return RationalParts(gap, tuple(blocks) if _vanishes(diff, f_probe) else None, error)
+    return RationalParts(gap, tuple(blocks) if error <= 1e-12 else None, error)
 
 
 def h2_norm(blocks) -> float:
@@ -607,8 +600,9 @@ class LineSampler:
 
     A rational AnalyticSymbol F is the closed form of its census parts
     (rational_parts; the solver hands over the census of its gate pass as
-    parts) when every part lies left of the line.  Otherwise it fits and
-    lays nodes.
+    parts) when every part lies left of the line; an F that is 0 on the fit
+    window is the closed form of no parts.  A closed form has no nodes and
+    certifies every moment order.  Any other F is the noded line.
 
     Supports inverse-transform values, t = 0 moments, and derivatives of
     the inverse transform.  Its trapezoid rule is a table of immutable
@@ -618,15 +612,14 @@ class LineSampler:
     sampler is its own deep copy, shared by the gate memo and its replays.
     States and the last t-evaluation are each published by one assignment,
     so threads that race on a sampler at most repeat work; a moment is
-    taken anew on each call (the solver takes each once per pass).  Moment
-    orders are certified by regime: a transform whose reference-term fit is
-    machine-exact everywhere supports orders up to N_ATOMS - 1; one matched
-    only asymptotically supports orders up to MATCHED_MOMENT_ORDER (the
-    far-window fit cannot identify higher reference coefficients, and a
-    coefficient error pollutes the matching moment order directly); and a
-    measurable remainder gates each order n by the estimated tail
-    contribution of the un-integrated remainder beyond y_max, which scales
-    like |g(y_max)| y_max^{n+1}.
+    taken anew on each call (the solver takes each once per pass).  On the
+    noded line, moment orders are certified by one of two regimes: a
+    transform the reference terms match on the fit window supports orders
+    up to MATCHED_MOMENT_ORDER (the far-window fit cannot identify higher
+    reference coefficients, and a coefficient error pollutes the matching
+    moment order directly); a measurable remainder gates each order n by
+    the estimated tail contribution of the un-integrated remainder beyond
+    y_max, which scales like |g(y_max)| y_max^{n+1}.
     """
 
     def __init__(self, F: Callable, cfg: BromwichConfig, t_max: float = 1.0,
@@ -652,8 +645,8 @@ class LineSampler:
         if parts is not None and parts.blocks is not None \
                 and all(omega.real < sigma for omega, _ in parts.blocks):
             self.poles = tuple((omega, len(coeffs)) for omega, coeffs in parts.blocks)
-            self.coefficient_error, self.atom_matched, self.tail_estimate = parts.error, True, 0.0
-            self._closed_form(list(parts.blocks), math.inf)
+            self.coefficient_error = parts.error
+            self._closed_form(list(parts.blocks))
             return
 
         # Two-decade log-spaced window so the inverse-power columns separate
@@ -666,6 +659,10 @@ class LineSampler:
         if not np.all(np.isfinite(vals)):
             raise ValueError("transform is not finite on the fit window beyond y_max")
         scale_f = float(np.max(np.abs(vals)))
+        if scale_f < 1e-300:
+            # F = 0 on the window: the census's closed form of no parts
+            self._closed_form([])
+            return
         cols = np.stack([(ss + self.b) ** (-k) for k in range(1, N_ATOMS + 1)], axis=1)
         # |F| can span many decades across the window; fit in relative
         # error (floored fourteen decades down) or the solver shaves the
@@ -682,22 +679,17 @@ class LineSampler:
 
         scale_g = float(np.max(np.abs(resid)))
         alpha_f, _, _ = _power_fit(np.abs(ys), np.abs(vals))
-        if scale_f > 0 and not (alpha_f > 0.05 or scale_f < 1e-300):
+        if not alpha_f > 0.05:
             raise ValueError(
                 f"non-decaying integrand on the contour (fitted decay exponent {alpha_f:.3f})"
             )
 
-        self.atom_matched = scale_f < 1e-300 or scale_g <= 1e-12 * scale_f
+        self.atom_matched = scale_g <= 1e-12 * scale_f
         self.atom_exact = False
         if self.atom_matched:
             self.alpha_g = float(N_ATOMS + 1)
             self.tail_estimate = scale_g * y_max
             self.certified_order = MATCHED_MOMENT_ORDER
-            s_probe = _contour_probes(cfg)
-            f_probe = _values_on(F, s_probe)
-            if scale_f < 1e-300 or _vanishes(f_probe - self._reference(s_probe), f_probe):
-                self._closed_form(self.blocks, N_ATOMS - 1)
-                return
         else:
             # the local slope next to y_max is what the tail integrals
             # see; the far end of the window can sit at the noise floor
@@ -750,11 +742,12 @@ class LineSampler:
         """Sum of the reference terms, the fitted gamma_k / (s + b)^k."""
         return _block_sum(self.blocks, s)
 
-    def _closed_form(self, blocks: list, order: float) -> None:
+    def _closed_form(self, blocks: list) -> None:
         """Become the transform of the exp-poly blocks: no nodes, and every
-        value, derivative and moment from _exp_poly_derivative."""
-        self.blocks, self.atom_exact, self.certified_order = blocks, True, order
-        self.alpha_g, self.h = math.inf, 0.0
+        value, derivative and moment, of any order, from _exp_poly_derivative."""
+        self.blocks, self.certified_order = blocks, math.inf
+        self.atom_exact = self.atom_matched = True
+        self.alpha_g, self.h, self.tail_estimate = math.inf, 0.0, 0.0
         self._states = {self.t_max: _LineState(0.0, self.y_nodes, self.g_vals, 0, 0.0, 0.0)}
 
     def _halve(self, state: _LineState, change: float | None = None) -> _LineState:
@@ -944,13 +937,16 @@ def hardy_norm(F: Callable, p: float = 2.0, x: float = 0.0,
     """Truncated vertical-line mean mu_p(F, x) on |y| <= y_max, by the
     trapezoid rule on HARDY_NODES points.
 
-    Raises on non-finite samples, on a pole spiking next to the line, and
-    on integrands whose decay cannot give a finite p-mean.
+    Raises on a bad p, x or y_max, on non-finite samples, on a pole spiking
+    next to the line, and on integrands whose decay cannot give a finite p-mean.
     """
     if not 1.0 < p <= 2.0:
         raise ValueError("p must lie in (1, 2]")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got x = {x}")
     if x < 0:
         raise ValueError("x must be nonnegative")
+    BromwichConfig(y_max=y_max)   # refuses a y_max that is not positive and finite
     ys = np.linspace(-y_max, y_max, HARDY_NODES)
     vals = _values_on(F, x + 1j * ys)
     mods = np.abs(vals)

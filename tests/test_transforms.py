@@ -23,6 +23,7 @@ from nlode.transforms import (
     N_ATOMS,
     Forcing,
     _blocked_sums,
+    _contour_probes,
     _power_fit,
 )
 from nlode.symbols import parse_symbol
@@ -263,6 +264,20 @@ class TestLineSampler:
         assert sampler.certified_order == MATCHED_MOMENT_ORDER
         with pytest.raises(ValueError, match="certified order"):
             sampler.moment(MATCHED_MOMENT_ORDER + 1)
+
+    def test_matched_fit_skips_the_contour_probes(self):
+        # a callable matched by its reference terms goes to the noded line
+        # without a closed-form test on the census's contour probes
+        seen = []
+
+        def F(s):
+            seen.append(np.array(s, copy=True))
+            return 1.0 / (s + 1.0)
+
+        sampler = LineSampler(F, self.CFG)
+        assert sampler.atom_matched and not sampler.atom_exact
+        probes = _contour_probes(self.CFG)
+        assert seen and not any(np.array_equal(s, probes) for s in seen)
 
     def test_moment_third_derivative(self):
         # phi = t^3 e^{-t} / 6 has phi'''(0) = 1
@@ -544,12 +559,15 @@ class TestLineKernels:
         assert np.max(np.abs(got - dense) / line_rounding(sampler, n, ts)) <= self.BOUND
 
     def test_chirp_z_without_nodes(self):
-        # an exactly matched transform keeps no line nodes at all, and its
-        # closed form runs neither kernel
+        # a zero transform is the census's closed form of no parts: no line
+        # nodes, every order certified, and neither kernel runs
         with np.errstate(over="ignore"):
             sampler = LineSampler(lambda s: 0.0 * s, self.CFG)
         assert sampler.atom_exact and sampler.y_nodes.size == 0
+        assert sampler.certified_order == math.inf and sampler.moment(10) == 0
         assert np.array_equal(sampler.values(self.UNIFORM), np.zeros(self.UNIFORM.size))
+        assert np.array_equal(sampler.derivative_values(3, self.UNIFORM),
+                              np.zeros(self.UNIFORM.size))
         assert sampler.diagnostics()["t_evaluations"] == {"chirp_z": 0, "blocked": 0}
 
     T_SETS = [
@@ -649,6 +667,19 @@ class TestHardy:
             hardy_norm(lambda s: 1.0 / (s + 1.0), p=1.0)
         with pytest.raises(ValueError):
             hardy_norm(lambda s: 1.0 / (s + 1.0), x=-0.1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"y_max": -5.0}, "truncation half-width y_max must be positive and finite"),
+        ({"y_max": 0.0}, "truncation half-width y_max must be positive and finite"),
+        ({"y_max": math.nan}, "truncation half-width y_max must be positive and finite"),
+        ({"y_max": math.inf}, "truncation half-width y_max must be positive and finite"),
+        ({"x": math.inf}, "x must be finite, got x = inf"),
+        ({"x": math.nan}, "x must be finite, got x = nan"),
+    ], ids=["y_max-negative", "y_max-zero", "y_max-nan", "y_max-inf", "x-inf", "x-nan"])
+    def test_line_validation(self, kwargs, message):
+        # each bad line is refused by name
+        with pytest.raises(ValueError, match=message):
+            hardy_norm(lambda s: 1.0 / (s + 1.0), **kwargs)
 
     def test_pole_next_to_line(self):
         with pytest.raises(ValueError, match="pole adjacent"):
