@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .solver import Solution
-from .symbols import AnalyticSymbol, Record, taylor_coefficients
+from .symbols import AnalyticSymbol, Call, Exp, Record, ZetaNode, _walk, taylor_coefficients
 from .transforms import Forcing
 
 SERIES_DEFAULT_N = 60
@@ -102,16 +102,18 @@ def apply_truncated_series(f: AnalyticSymbol, phi, t, N: int = SERIES_DEFAULT_N)
 
 
 def _polynomial_coefficients(f: AnalyticSymbol, probe_order: int = 20) -> np.ndarray:
+    """f's coefficients up to its degree: series arithmetic leaves exact
+    zeros past a polynomial's, so the degree is the last nonzero one."""
+    for node in _walk(f.expr):
+        if isinstance(node, (Exp, ZetaNode, Call)):
+            raise ValueError(f"symbol is not a polynomial: {type(node).__name__} node in its tree")
     coeffs = taylor_coefficients(f, probe_order)
-    mags = np.abs(coeffs)
-    top = float(np.max(mags))
-    if top == 0.0:
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size == 0:
         raise ValueError("symbol is identically zero")
-    degree = int(np.max(np.nonzero(mags > 1e-12 * top)[0]))
-    tail = mags[degree + 1:]
-    if tail.size and float(np.max(tail)) > 1e-12 * top:
-        raise ValueError("symbol is not a polynomial within the probe order")
-    return coeffs[:degree + 1]
+    if nonzero[-1] >= probe_order:
+        raise ValueError(f"symbol is not a polynomial of degree below {probe_order}")
+    return coeffs[:nonzero[-1] + 1]
 
 
 def classical_ode_reference(f: AnalyticSymbol, J: Forcing, initial, t_grid) -> np.ndarray:

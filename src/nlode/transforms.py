@@ -20,11 +20,12 @@ blocks of B and needs about 2 sqrt(N) phases per time for N nodes.
 A rational transform, an AnalyticSymbol whose tree symbols.rational_form
 reads as c N/D, is instead the sum of its principal parts (Heaviside's
 expansion) at the roots of D's factors, taken by a Taylor shift and one
-series division per pole (rational_parts), with no Cauchy ring.  The sum
-is accepted only when F minus it vanishes on the contour probes: no
-nodes, and values, derivatives and moments in closed form at every t,
-with no e^{sigma t} to amplify rounding.  An F that is 0 on the fit
-window is the closed form of no parts; any other F goes to the noded line.
+series division per pole (rational_parts), with no Cauchy ring.  The sum,
+accepted when F minus it vanishes on the contour probes, is the inverse
+transform wherever its poles lie: values, derivatives and moments in
+closed form at every t, with no nodes and no e^{sigma t} to amplify
+rounding.  Any other F goes to the noded line, which refuses an F that is
+0 on its fit window, where a zero transform and underflow look alike.
 A rational F's H^2 norm is exact too, by Plancherel from its parts (h2_norm).
 """
 
@@ -598,11 +599,11 @@ class _LineState(Record):
 class LineSampler:
     """Samples of F on Re(s) = sigma, split into reference terms and remainder.
 
-    A rational AnalyticSymbol F is the closed form of its census parts
-    (rational_parts; the solver hands over the census of its gate pass as
-    parts) when every part lies left of the line; an F that is 0 on the fit
-    window is the closed form of no parts.  A closed form has no nodes and
-    certifies every moment order.  Any other F is the noded line.
+    A rational AnalyticSymbol F whose census (rational_parts; the solver
+    hands over its gate pass's census as parts) passes its probe check is
+    the closed form of its parts at any sigma: no nodes, and every moment
+    order certified.  Any other F is the noded line, which refuses an F
+    that is 0 on the fit window, where a zero transform and underflow look alike.
 
     Supports inverse-transform values, t = 0 moments, and derivatives of
     the inverse transform.  Its trapezoid rule is a table of immutable
@@ -641,12 +642,15 @@ class LineSampler:
         self.poles, self.coefficient_error = (), None
         if parts is None:
             parts = rational_parts(F, cfg)
-        # the line integral is the sum of the residues left of the line
-        if parts is not None and parts.blocks is not None \
-                and all(omega.real < sigma for omega, _ in parts.blocks):
+        if parts is not None and parts.blocks is not None:
+            # the inverse transform of the blocks: no nodes, and every value,
+            # derivative and moment, of any order, from _exp_poly_derivative
             self.poles = tuple((omega, len(coeffs)) for omega, coeffs in parts.blocks)
             self.coefficient_error = parts.error
-            self._closed_form(list(parts.blocks))
+            self.blocks, self.certified_order = list(parts.blocks), math.inf
+            self.atom_exact = self.atom_matched = True
+            self.alpha_g, self.h, self.tail_estimate = math.inf, 0.0, 0.0
+            self._states = {self.t_max: _LineState(0.0, self.y_nodes, self.g_vals, 0, 0.0, 0.0)}
             return
 
         # Two-decade log-spaced window so the inverse-power columns separate
@@ -660,9 +664,8 @@ class LineSampler:
             raise ValueError("transform is not finite on the fit window beyond y_max")
         scale_f = float(np.max(np.abs(vals)))
         if scale_f < 1e-300:
-            # F = 0 on the window: the census's closed form of no parts
-            self._closed_form([])
-            return
+            raise ValueError("transform is 0 on the fit window beyond y_max: the line cannot "
+                             "tell a zero transform from one that underflows there")
         cols = np.stack([(ss + self.b) ** (-k) for k in range(1, N_ATOMS + 1)], axis=1)
         # |F| can span many decades across the window; fit in relative
         # error (floored fourteen decades down) or the solver shaves the
@@ -741,14 +744,6 @@ class LineSampler:
     def _reference(self, s: np.ndarray) -> np.ndarray:
         """Sum of the reference terms, the fitted gamma_k / (s + b)^k."""
         return _block_sum(self.blocks, s)
-
-    def _closed_form(self, blocks: list) -> None:
-        """Become the transform of the exp-poly blocks: no nodes, and every
-        value, derivative and moment, of any order, from _exp_poly_derivative."""
-        self.blocks, self.certified_order = blocks, math.inf
-        self.atom_exact = self.atom_matched = True
-        self.alpha_g, self.h, self.tail_estimate = math.inf, 0.0, 0.0
-        self._states = {self.t_max: _LineState(0.0, self.y_nodes, self.g_vals, 0, 0.0, 0.0)}
 
     def _halve(self, state: _LineState, change: float | None = None) -> _LineState:
         """state with its step halved and the new level, y = h*m for every
@@ -922,6 +917,8 @@ class LineSampler:
 def bromwich_invert(F: Callable, t, cfg: BromwichConfig | None = None):
     """Inverse Laplace transform of F at t >= 0 (scalar or array).
 
+    A census closed form (LineSampler) holds at any cfg.sigma; on the
+    noded line, cfg.sigma must lie right of every singularity of F.
     At t = 0 the truncated Fourier integral returns the midpoint of the
     jump, half the one-sided limit for a transform like 1/(s+1).
     """

@@ -123,8 +123,17 @@ class TestClassicalReference:
         assert np.allclose(got, 0.5 * np.exp(-ts))
 
     def test_non_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            classical_ode_reference(parse_symbol("exp(s)"), forcing_from_text("0"),
+        # the 1e-12 cut of the 21 probe coefficients read exp(s) as degree
+        # 14, exp(-s)*(s + 1) as 15, zeta(s + 3) as 20 and (s + 1)^25 as 20
+        for text in ("exp(s)", "exp(-s)*(s + 1)", "zeta(s + 3)", "(s + 1)^25"):
+            with pytest.raises(ValueError, match="not a polynomial"):
+                classical_ode_reference(parse_symbol(text), forcing_from_text("0"),
+                                        (1.0,) * 14, np.linspace(0.0, 1.0, 3))
+
+    def test_small_leading_coefficient_sets_the_degree(self):
+        # the 1e-12 cut dropped the s^3 term and integrated phi' + phi = 0
+        with pytest.raises(ValueError, match="initial must have length 3"):
+            classical_ode_reference(parse_symbol("1e-13*s^3 + s + 1"), forcing_from_text("0"),
                                     (1.0,), np.linspace(0.0, 1.0, 3))
 
     def test_wrong_initial_count(self):
@@ -199,3 +208,18 @@ class TestResidualCheck:
         ts = np.linspace(0.5, 5.0, 9)
         got = apply_truncated_series(f, prof, ts)
         assert np.max(np.abs(got - ZETA_2_5 * np.exp(-0.5 * ts))) < 1e-7
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: classical_ode_reference(parse_symbol("s + 1"), forcing_from_text("0"), (1.0,),
+                                     np.zeros((2, 2))), "nonempty 1-d array"),
+    (lambda: classical_ode_reference(parse_symbol("s + 1"), forcing_from_text("0"), (1.0,),
+                                     np.array([1.0, 0.5])), "strictly increasing"),
+    (lambda: classical_ode_reference(parse_symbol("0*s"), forcing_from_text("0"), (),
+                                     np.linspace(0.0, 1.0, 3)), "identically zero"),
+    (lambda: residual_check(parse_symbol("s + 1"), exponential_profile(2.0),
+                            forcing_from_text("0"), []), "nonempty 1-d array"),
+], ids=["2-d-grid", "decreasing-grid", "zero-symbol", "empty-residual-grid"])
+def test_refused_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -842,6 +842,18 @@ class TestPoleCensus:
             + 0.5 * np.exp(-3.0 * self.LARGE_T)
         assert np.all(np.abs(got - heaviside) <= 1e-13 * np.abs(heaviside))
 
+    def test_double_zero_of_one_factor(self):
+        # np.roots meets the double zero of s^2 + 2s + 1 as two roots, which
+        # the census clusters into the declared pole of order 2
+        f, J = parse_symbol("s^2 + 2*s + 1"), forcing_from_text("exp(-3*t)")
+        ts = np.linspace(0.0, 10.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, _ = solve_classical_ivp(ClassicalIVP(f, J, PoleSpec(((-1.0, 2),)), (1.0, 0.0)))
+            got = sol(ts)
+        assert sol.diagnostics["gates"][-1][2] == "closed form at 2 poles, 0 nodes"
+        assert np.max(np.abs(got - classical_ode_reference(f, J, (1.0, 0.0), ts))) < 1e-10
+
     @pytest.mark.parametrize("symbol, forcing", [
         ("(s + 1)*(s + 2)", "t^5*exp(-1*t)"),
         ("s + 2", "t^6*exp(-1*t)"),

@@ -276,6 +276,30 @@ class TestTaylorCoefficients:
         with pytest.raises(ValueError):
             taylor_coefficients(parse_symbol("s"), -1)
 
+    @pytest.mark.parametrize("text, n_max, match", [
+        ("1/s", 3, "zero constant term"),
+        ("s", symbols.SERIES_CAP + 1, "series cap"),
+    ], ids=["pole-at-zero", "above-the-cap"])
+    def test_refused_by_name(self, text, n_max, match):
+        with pytest.raises(ValueError, match=match):
+            taylor_coefficients(parse_symbol(text), n_max)
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("text, zeros, poles", [
+        ("s^2 + 2*s + 1", [(-1.0, 2)], []),
+        ("s^3 + 3*s^2 + 3*s + 1", [(-1.0, 3)], []),
+        ("(s + 1)*(s^2 + 3*s + 2)", [(-1.0, 2), (-2.0, 1)], []),
+        ("(s^2 + 3*s + 2)/(s + 1)", [(-2.0, 1)], []),
+    ], ids=["double-root", "triple-root", "roots-of-two-factors", "cancelled-pole"])
+    def test_multiple_and_shared_roots(self, text, zeros, poles):
+        # np.roots meets a multiple root of one factor as a cluster, and a
+        # root shared by two factors twice; each is one point
+        got = symbols.rational_roots(symbols.rational_form(parse_symbol(text).expr))
+        for points, want in zip(got, (zeros, poles)):
+            assert [m for _, m in points] == [m for _, m in want]
+            assert all(abs(w - v) <= symbols.ROOT_MERGE_TOL for (w, _), (v, _) in zip(points, want))
+
 
 class TestCauchyTaylor:
     """Taylor coefficients about any centre on the one ring,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,32 @@ class TestBromwichInvert:
     def test_t_zero_is_jump_midpoint(self):
         v = bromwich_invert(lambda s: 1.0 / (s + 1.0), 0.0)
         assert abs(v - 0.5) < 1e-6
+
+    @pytest.mark.parametrize("text, sigma, exact", [
+        ("1/(s - 2)", 1.0, lambda t: np.exp(2.0 * t)),
+        ("1/((s - 0.5)*(s + 1))", 0.25, lambda t: (np.exp(0.5 * t) - np.exp(-t)) / 1.5),
+    ], ids=["pole-right-of-the-line", "pair-across-the-line"])
+    def test_census_is_exact_at_any_sigma(self, text, sigma, exact):
+        # a line left of a pole integrates the strip inverse: the first read
+        # about 1e-15 with certified order 4, and the second was off by 1.81
+        ts = np.array([0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bromwich_invert(parse_symbol(text), ts, BromwichConfig(sigma=sigma))
+        assert np.all(np.abs(got - exact(ts)) <= 1e-12 * np.abs(exact(ts)))
+
+    @pytest.mark.parametrize("F", [
+        parse_symbol("exp(-800*s)/(s + 1)"),
+        lambda s: np.exp(-800.0 * s) / (s + 1.0),
+        lambda s: 0.0 * s,
+    ], ids=["underflow-symbol", "underflow-callable", "zero-callable"])
+    def test_zero_on_the_fit_window_is_refused(self, F):
+        # exp(-800 s)/(s + 1) underflows on the window, and its inverse read
+        # 0 at t = 801 and 810 against e^{-1} and e^{-10}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="is 0 on the fit window beyond y_max"):
+                bromwich_invert(F, [790.0, 801.0, 810.0])
 
 
 class TestLineSampler:
@@ -559,10 +586,9 @@ class TestLineKernels:
         assert np.max(np.abs(got - dense) / line_rounding(sampler, n, ts)) <= self.BOUND
 
     def test_chirp_z_without_nodes(self):
-        # a zero transform is the census's closed form of no parts: no line
+        # a symbolic zero is the census's closed form of no parts: no line
         # nodes, every order certified, and neither kernel runs
-        with np.errstate(over="ignore"):
-            sampler = LineSampler(lambda s: 0.0 * s, self.CFG)
+        sampler = LineSampler(parse_symbol("0*s"), self.CFG)
         assert sampler.atom_exact and sampler.y_nodes.size == 0
         assert sampler.certified_order == math.inf and sampler.moment(10) == 0
         assert np.array_equal(sampler.values(self.UNIFORM), np.zeros(self.UNIFORM.size))
@@ -697,3 +723,18 @@ class TestHardy:
     def test_membership_unbounded_pole_at_origin(self):
         out = hardy_membership(lambda s: 1.0 / s)
         assert not out["bounded"]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: LineSampler(lambda s: np.exp(-s * s), BromwichConfig()),
+     "not finite on the fit window"),
+    (lambda: LineSampler(lambda s: np.where(np.abs(s.imag) < 1.0, np.nan, 1.0 / (s + 1.0)),
+                         BromwichConfig()), "not finite on the contour line"),
+    (lambda: Forcing(lambda t: t).laplace(1.0), "no closed-form transform"),
+    (lambda: forcing_from_text("t/0"), "division by zero"),
+    (lambda: builtin_forcing("indicator", a=2, b=1), "0 <= a < b"),
+], ids=["overflow-on-the-window", "nan-near-the-axis", "no-transform", "division-by-zero",
+        "empty-indicator"])
+def test_refused_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
